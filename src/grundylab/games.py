@@ -2,9 +2,11 @@
 
 A position is a subset of the board, held as an int bitmask; a move picks a
 turning set whose maximum element is currently in the position and flips it
-(symmetric difference, i.e. XOR of masks).  `solve_elementwise` computes the
-per-element Grundy values by the mex-of-nim-sums recursion, after which the
-value of any position is the nim-sum of its elements' values.
+(symmetric difference, i.e. XOR of masks).  A `TurningFamily` keeps its sets
+bucketed by maximum; `TurningFamily.from_masks` checks sets made elsewhere.
+`solve_elementwise` computes the per-element Grundy values by the
+mex-of-nim-sums recursion, after which the value of any position is the
+nim-sum of its elements' values.
 `brute_force_grundy` ignores all of that and evaluates positions by the raw
 mex recursion over the option graph; the test suite plays the two against
 each other.
@@ -24,72 +26,66 @@ MAX_BRUTE_FORCE_POSITIONS = 1 << 20
 class TurningFamily:
     """A collection of element subsets of one poset, bucketed by maximum.
 
-    Every set is expected to have a unique maximum element (use `check_sharp`
-    to locate violations before solving).
+    `by_max[y]` lists the bitmasks of the turning sets whose maximum element
+    is y; a move may flip them only while y is in the position.  The built-in
+    families know each set's maximum when they make it and fill the buckets
+    directly.  Sets from outside the library go through `from_masks`, which
+    finds each maximum and refuses a set that has none.
     """
 
-    def __init__(self, poset: FinitePoset, masks):
+    def __init__(self, poset: FinitePoset, by_max: list[list[int]]):
         self.poset = poset
-        self.masks = list(masks)
-        self.maxima = [self._unique_max(m) for m in self.masks]
-        by_max = [[] for _ in range(poset.n)]
-        heads = 0
-        for idx, mx in enumerate(self.maxima):
-            if mx is not None:
-                by_max[mx].append(idx)
-                heads |= 1 << mx
         self.by_max = by_max
         # elements that are the maximum of some turning set; positions
         # avoiding all of them are the ending positions
-        self.heads_mask = heads
+        self.heads_mask = sum(1 << y for y, bucket in enumerate(by_max) if bucket)
 
-    def _unique_max(self, mask: int):
-        best = None
-        for t in iter_bits(mask):
-            if best is None or self.poset.leq(best, t):
-                best = t
-        if best is None:
-            return None
-        for t in iter_bits(mask):
-            if not self.poset.leq(t, best):
-                return None
-        return best
+    @classmethod
+    def from_masks(cls, poset: FinitePoset, masks) -> "TurningFamily":
+        """Bucket arbitrary sets by maximum: the member t with m <= down(t).
+
+        Raises ValueError naming the first set with no unique maximum (an
+        empty set, a set with no top element, or one with a bit outside the
+        poset).
+        """
+        n = poset.n
+        by_max = [[] for _ in range(n)]
+        for idx, m in enumerate(masks):
+            tops = [t for t in iter_bits(m) if t < n and m & ~poset.down_mask(t) == 0]
+            if not tops:
+                raise ValueError(f"turning set {idx} ({m:#b}) has no unique maximum")
+            by_max[tops[0]].append(m)
+        return cls(poset, by_max)
+
+    @property
+    def masks(self) -> list[int]:
+        """Every turning set, bucket by bucket."""
+        return [m for bucket in self.by_max for m in bucket]
 
     def __len__(self):
-        return len(self.masks)
+        return sum(map(len, self.by_max))
 
 
 def turning_turtles(p: FinitePoset) -> TurningFamily:
     """Turning sets {x, y} for all comparable pairs x <= y (singletons when
     x = y)."""
-    masks = []
-    for y in range(p.n):
-        for x in iter_bits(p.down_mask(y)):
-            masks.append((1 << x) | (1 << y))
-    return TurningFamily(p, masks)
+    return TurningFamily(
+        p, [[(1 << x) | (1 << y) for x in iter_bits(p.down_mask(y))] for y in range(p.n)]
+    )
 
 
 def order_ideal_family(p: FinitePoset) -> TurningFamily:
     """One turning set per element: its principal order ideal."""
-    return TurningFamily(p, [p.down_mask(x) for x in range(p.n)])
+    return TurningFamily(p, [[p.down_mask(y)] for y in range(p.n)])
 
 
 def ruler_family(p: FinitePoset) -> TurningFamily:
     """All closed intervals [x, y] with x <= y."""
-    masks = []
+    by_max = []
     for y in range(p.n):
         dm = p.down_mask(y)
-        for x in iter_bits(dm):
-            masks.append(dm & p.up_mask(x))
-    return TurningFamily(p, masks)
-
-
-def check_sharp(fam: TurningFamily):
-    """None if every set has a unique maximum, else the first bad set index."""
-    for idx, mx in enumerate(fam.maxima):
-        if mx is None:
-            return idx
-    return None
+        by_max.append([dm & p.up_mask(x) for x in iter_bits(dm)])
+    return TurningFamily(p, by_max)
 
 
 def moves(fam: TurningFamily, position: int) -> list[int]:
@@ -97,8 +93,8 @@ def moves(fam: TurningFamily, position: int) -> list[int]:
     the position.  Empty exactly when the position avoids every maximum."""
     out = []
     for x in iter_bits(position & fam.heads_mask):
-        for idx in fam.by_max[x]:
-            out.append(position ^ fam.masks[idx])
+        for m in fam.by_max[x]:
+            out.append(position ^ m)
     return out
 
 
@@ -129,16 +125,13 @@ def solve_elementwise(fam: TurningFamily) -> GrundyTable:
     Elements outside every maximum get the empty mex, 0.  Evaluation follows
     a linear extension, so the values a set references are always final.
     """
-    bad = check_sharp(fam)
-    if bad is not None:
-        raise ValueError(f"turning set {bad} has no unique maximum")
     p = fam.poset
     g = [0] * p.n
     for x in p.linear_extension_order():
         opts = []
-        for idx in fam.by_max[x]:
+        for m in fam.by_max[x]:
             s = 0
-            for t in iter_bits(fam.masks[idx] & ~(1 << x)):
+            for t in iter_bits(m & ~(1 << x)):
                 s ^= g[t]
             opts.append(s)
         g[x] = mex(opts)
@@ -247,19 +240,19 @@ def product_family(
 ):
     """Family {T1 x T2} on the product poset.
 
-    The per-element Grundy value of (x1, x2) is the nim-product of the
-    component values; `solve_elementwise` on the result verifies that.
+    T1 x T2 has maximum (max T1, max T2), so product bucket a * n2 + b is
+    filled from bucket a of f1 and bucket b of f2.  The per-element Grundy
+    value of (x1, x2) is the nim-product of the component values;
+    `solve_elementwise` on the result verifies that.
     """
     prod = p1.product(p2)
     n2 = p2.n
-    masks = []
-    for m1 in f1.masks:
-        for m2 in f2.masks:
-            m = 0
-            for a in iter_bits(m1):
-                m |= m2 << (a * n2)
-            masks.append(m)
-    return prod, TurningFamily(prod, masks)
+    by_max = []
+    for bucket1 in f1.by_max:
+        shifts = [[a * n2 for a in iter_bits(m1)] for m1 in bucket1]
+        for bucket2 in f2.by_max:
+            by_max.append([sum(m2 << s for s in sh) for sh in shifts for m2 in bucket2])
+    return prod, TurningFamily(prod, by_max)
 
 
 def product_grundy_prediction(t1: GrundyTable, t2: GrundyTable) -> list[int]:

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import threading
 
-import numpy as np
-
 from .errors import CapExceededError
 
 NIM_ADD_ORACLE_CAP = 1024
@@ -23,7 +21,7 @@ NIM_MUL_ORACLE_CAP = 256
 
 _table_lock = threading.Lock()
 _nim_add_table: list[list[int]] = []
-_nim_mul_table = np.zeros((0, 0), dtype=np.int64)
+_nim_mul_table: list[list[int]] = []
 
 
 def mex(values) -> int:
@@ -87,16 +85,28 @@ def nim_add_inductive(a: int, b: int, cap: int = NIM_ADD_ORACLE_CAP) -> int:
 
 
 def _grow_nim_mul_table(limit: int) -> None:
-    # t[a][b] = mex{ t[a'][b] ^ t[a][b'] ^ t[a'][b'] : a' < a, b' < b };
-    # per-cell option grids are built with numpy, values stay small.
+    # t[a][b] = mex{ t[a'][b] ^ t[a][b'] ^ t[a'][b'] : a' < a, b' < b }.
+    # Only the cells outside the current table are computed, in row-major
+    # order.  Along row a, diffs[a'] holds t[a][b'] ^ t[a'][b'] for every
+    # b' < b, so the options at (a, b) are t[a'][b] ^ diffs[a'].  The grown
+    # table is built on the side and published by one assignment, so readers
+    # that skip the lock never see an unfilled cell.
     global _nim_mul_table
-    t = np.zeros((limit, limit), dtype=np.int64)
+    done = len(_nim_mul_table)
+    t = [row + [0] * (limit - done) for row in _nim_mul_table]
+    t += [[0] * limit for _ in range(limit - done)]
     for a in range(1, limit):
-        for b in range(1, limit):
-            opts = t[:a, b, None] ^ t[None, a, :b] ^ t[:a, :b]
-            present = np.zeros(int(opts.max()) + 2, dtype=bool)
-            present[opts.ravel()] = True
-            t[a, b] = int(np.argmin(present))
+        row = t[a]
+        start = done if a < done else 1
+        diffs = [[x ^ y for x, y in zip(row[:start], t[a2])] for a2 in range(a)]
+        for b in range(start, limit):
+            opts = set()
+            for a2 in range(a):
+                opts.update(map(t[a2][b].__xor__, diffs[a2]))
+            v = mex(opts)
+            row[b] = v
+            for a2 in range(a):
+                diffs[a2].append(v ^ t[a2][b])
     _nim_mul_table = t
 
 
@@ -110,11 +120,11 @@ def nim_mul_inductive(a: int, b: int, cap: int = NIM_MUL_ORACLE_CAP) -> int:
     if a >= cap or b >= cap:
         raise CapExceededError(f"inductive nim-mul capped at {cap}, got ({a}, {b})")
     need = max(a, b) + 1
-    if _nim_mul_table.shape[0] < need:
+    if len(_nim_mul_table) < need:
         with _table_lock:
-            if _nim_mul_table.shape[0] < need:
+            if len(_nim_mul_table) < need:
                 _grow_nim_mul_table(need)
-    return int(_nim_mul_table[a, b])
+    return _nim_mul_table[a][b]
 
 
 _nim_mul_memo: dict[tuple[int, int], int] = {}

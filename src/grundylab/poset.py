@@ -157,13 +157,6 @@ class FinitePoset:
             self._covers = out
         return list(self._covers)
 
-    def lower_covers(self, x: int):
-        strict = self._down[x] & ~(1 << x)
-        shadow = 0
-        for t in iter_bits(strict):
-            shadow |= self._down[t] & ~(1 << t)
-        return list(iter_bits(strict & ~shadow))
-
     def minimal_elements(self):
         return [i for i in range(self.n) if self._down[i] == 1 << i]
 
@@ -199,7 +192,9 @@ class FinitePoset:
         n = self.n
         rank = [0] * n
         order = self.linear_extension_order()
-        lower = {x: self.lower_covers(x) for x in range(n)}
+        lower = [[] for _ in range(n)]
+        for c, x in self.covers():
+            lower[x].append(c)
         for x in order:
             if lower[x]:
                 rank[x] = 1 + max(rank[c] for c in lower[x])

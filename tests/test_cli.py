@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -171,3 +175,15 @@ def test_time_budget_exit_code(capsys):
 
 def test_exit_code_constants_are_distinct():
     assert len({EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_RESOURCE}) == 4
+
+
+def test_cli_import_does_not_load_numpy():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", "import grundylab.cli, sys; print('numpy' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"

@@ -1,4 +1,6 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grundylab.errors import TooLargeError
 from grundylab.families import (
@@ -14,7 +16,6 @@ from grundylab.games import (
     GenericGame,
     TurningFamily,
     brute_force_grundy,
-    check_sharp,
     combined,
     game_lengths,
     grundy_position,
@@ -29,6 +30,7 @@ from grundylab.games import (
     turning_turtles,
 )
 from grundylab.nimber import ruler_phi
+from grundylab.poset import FinitePoset
 
 
 def ft_suite():
@@ -51,23 +53,60 @@ def test_family_counts():
         assert len(turning_turtles(chain(n))) == n * (n + 1) // 2
 
 
+def sorted_buckets(fam):
+    return [sorted(bucket) for bucket in fam.by_max]
+
+
 def test_check_sharp():
     d12 = divisor_poset(12)
-    assert check_sharp(ruler_family(d12)) is None
-    assert check_sharp(order_ideal_family(d12)) is None
-    assert check_sharp(turning_turtles(d12)) is None
+    for build in BUILDERS.values():
+        fam = build(d12)
+        assert sorted_buckets(fam) == sorted_buckets(TurningFamily.from_masks(d12, fam.masks))
     # {4, 6} is an antichain in the divisors of 12
     four, six = d12.index_of_label(4), d12.index_of_label(6)
-    bad = TurningFamily(d12, [(1 << four) | (1 << six)])
-    assert check_sharp(bad) == 0
-    with pytest.raises(ValueError):
-        solve_elementwise(bad)
+    with pytest.raises(ValueError, match="turning set 0"):
+        TurningFamily.from_masks(d12, [(1 << four) | (1 << six)])
 
 
 def test_product_family_satisfies_sharp():
     p1, p2 = chain(3), chain(2)
-    _, fam = product_family(p1, ruler_family(p1), p2, ruler_family(p2))
-    assert check_sharp(fam) is None
+    prod, fam = product_family(p1, ruler_family(p1), p2, ruler_family(p2))
+    assert sorted_buckets(fam) == sorted_buckets(TurningFamily.from_masks(prod, fam.masks))
+
+
+@st.composite
+def cover_dags(draw, max_n=10):
+    """Random posets of at most max_n elements: the closure of a random
+    acyclic edge set, with element ids shuffled so that ids do not follow
+    the order."""
+    n = draw(st.integers(1, max_n))
+    perm = draw(st.permutations(range(n)))
+    pairs = [(i, j) for j in range(n) for i in range(j)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return FinitePoset.from_covers(n, [(perm[i], perm[j]) for i, j in edges])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    cover_dags(),
+    cover_dags(max_n=4),
+    st.sampled_from(sorted(BUILDERS)),
+    st.sampled_from(sorted(BUILDERS)),
+)
+def test_builtin_buckets_match_from_masks(p, q, name1, name2):
+    fams = [build(p) for build in BUILDERS.values()]
+    fams.append(product_family(p, BUILDERS[name1](p), q, BUILDERS[name2](q))[1])
+    for fam in fams:
+        ref = TurningFamily.from_masks(fam.poset, fam.masks)
+        assert sorted_buckets(fam) == sorted_buckets(ref)
+        assert solve_elementwise(fam).values == solve_elementwise(ref).values
+
+
+def test_from_masks_rejects_sets_without_a_maximum():
+    c2 = chain(2)
+    for bad in (0, 0b100):
+        with pytest.raises(ValueError, match="turning set 1"):
+            TurningFamily.from_masks(c2, [0b11, bad])
 
 
 def test_moves():
@@ -76,7 +115,7 @@ def test_moves():
     # flipping from {top}: the two intervals with maximum 2 lead to {1} and {}
     assert sorted(moves(fam, 0b10)) == [0b00, 0b01]
     # position inside the non-maxima zone is ending
-    ideal = TurningFamily(c2, [0b11])  # single turning set, maximum 2
+    ideal = TurningFamily.from_masks(c2, [0b11])  # single turning set, maximum 2
     assert moves(ideal, 0b01) == []
     assert moves(ruler_family(chain(4)), 0) == []
 
@@ -248,7 +287,7 @@ def test_grundy_respects_isomorphism_reports_counterexample():
     # same poset, two genuinely different families related by an order
     # automorphism requirement that fails
     c2 = chain(2)
-    f1 = TurningFamily(c2, [0b01, 0b10])
-    f2 = TurningFamily(c2, [0b01, 0b11])
+    f1 = TurningFamily.from_masks(c2, [0b01, 0b10])
+    f2 = TurningFamily.from_masks(c2, [0b01, 0b11])
     with pytest.raises(ValueError):
         grundy_respects_isomorphism(c2, f1, c2, f2, [0, 1])
