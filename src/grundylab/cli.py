@@ -194,7 +194,30 @@ def _table_hn(args) -> TableReport:
         if cached is None or len(cached) < len(h):
             _cache_store(cache_key, h)
     rows = [(n, h[n]) for n in range(1, args.max + 1)]
-    return TableReport(("n", "h"), rows, _meta(table="hn", max=args.max))
+    meta = _meta(table="hn", max=args.max)
+    if args.max > _HN_PAPER_MAX:
+        meta["provenance"] = _hn_provenance(args.max)
+    return TableReport(("n", "h"), rows, meta)
+
+
+# The paper lists h(1..17).  h(18..20) from the DP were checked once against
+# the M_n recurrence (`partitions.s_of_mu`), which takes 20-60 s per n there.
+_HN_PAPER_MAX = 17
+_HN_RECURRENCE_MAX = 20
+
+
+def _hn_provenance(n_max: int) -> str:
+    def span(a, b):
+        return f"h({a})" if a == b else f"h({a}..{b})"
+
+    notes = [
+        "computed by the block-multiset parity DP",
+        f"{span(1, _HN_PAPER_MAX)} match the paper's table",
+        f"{span(_HN_PAPER_MAX + 1, min(n_max, _HN_RECURRENCE_MAX))} confirmed by the M_n recurrence",
+    ]
+    if n_max > _HN_RECURRENCE_MAX:
+        notes.append(f"{span(_HN_RECURRENCE_MAX + 1, n_max)} not independently confirmed")
+    return "; ".join(notes)
 
 
 def _table_asm_ideal(args) -> TableReport:

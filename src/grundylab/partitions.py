@@ -3,15 +3,32 @@
 The Grundy value of a set partition in the interval game depends only on its
 type (the partition of block sizes), and the value of a type is the
 nim-product of the values of its parts.  That reduces the whole game to the
-sequence h(n) = value of the one-block partition, computed by
+sequence h(n) = value of the one-block partition.  The paper computes it by
 
     h(n) = mex { s_n(mu) : mu in Par_n }
     s_n(mu) = nim-sum over types lam in [mu, (n)) of M_n(lam, mu) * g_n(lam)
 
 where M_n(lam, mu) counts the set partitions of type lam above a fixed one
 of type mu, and m * a means a nim-added to itself m times (so only the
-parity of M matters).  Partitions are plain tuples of parts in weakly
-decreasing order.
+parity of M matters).  `s_of_mu`, `multiplicity_M` and `decompositions`
+implement that recurrence literally and serve as the oracle.
+
+`h_sequence` evaluates the same sums by a DP over block multisets (the
+exponential formula, Stanley EC2 5.1).  Fix a set partition of type S and
+let F(S) be the nim-sum, over all its coarsenings, of the nim-product of h
+over the group sizes.  Grouping by the group that holds the first block S0,
+
+    F(S) = nim-sum over T of [odd] h(S0 + |T|) (x) F(S - S0 - T),  F(()) = 1,
+
+where T runs over the sub-multisets of the remaining blocks.  Taking t_i of
+the c_i blocks of size p_i can be done in prod C(c_i, t_i) ways, and by
+Lucas' theorem that count is odd exactly when t_i & c_i == t_i for every i;
+nim arithmetic has characteristic 2, so only those T contribute.  s_n(mu) is
+the same sum without the top coarsening T = "all remaining blocks", so once
+h(n) is known, F(mu) = s_n(mu) + h(n) for every mu of weight n, and the memo
+F, keyed by the partition tuples, is shared by every n.
+
+Partitions are plain tuples of parts in weakly decreasing order.
 """
 
 from __future__ import annotations
@@ -19,30 +36,41 @@ from __future__ import annotations
 import time
 from collections import Counter
 from functools import lru_cache
+from itertools import groupby
 from math import factorial
 
 from .errors import BudgetExceededError, WeightMismatchError
-from .nimber import mex, nim_product
+from .nimber import mex, nim_mul, nim_product
 from .poset import FinitePoset
+
+
+def iter_partitions(n: int):
+    """Partitions of n as weakly decreasing tuples, lazily, in reverse
+    lexicographic order starting from (n,)."""
+    if n == 0:
+        yield ()
+        return
+    parts = [n]
+    while True:
+        yield tuple(parts)
+        ones = 0
+        while parts and parts[-1] == 1:
+            parts.pop()
+            ones += 1
+        if not parts:
+            return
+        k = parts[-1] - 1
+        parts[-1] = k
+        q, r = divmod(ones + 1, k)
+        parts.extend([k] * q)
+        if r:
+            parts.append(r)
 
 
 @lru_cache(maxsize=None)
 def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
-    """All partitions of n as weakly decreasing tuples, in reverse
-    lexicographic order starting from (n,)."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(rem, cap, acc):
-        if rem == 0:
-            out.append(tuple(acc))
-            return
-        for p in range(min(rem, cap), 0, -1):
-            acc.append(p)
-            rec(rem - p, p, acc)
-            acc.pop()
-
-    rec(n, n, [])
-    return tuple(out)
+    """All partitions of n, in the order of `iter_partitions`."""
+    return tuple(iter_partitions(n))
 
 
 def multiplicities(lam) -> Counter:
@@ -206,19 +234,54 @@ def s_of_mu(n: int, mu, h) -> int:
     return acc
 
 
+def _submasks(c: int):
+    """Every t with t & c == t, i.e. C(c, t) odd, from c down to 0."""
+    t = c
+    while True:
+        yield t
+        if not t:
+            return
+        t = (t - 1) & c
+
+
+def option_sums(n: int, h, coarse):
+    """Yield (mu, s_n(mu)) for every mu in Par_n, lazily, by the block
+    multiset DP; `coarse` must map every partition of weight < n to F."""
+    for mu in iter_partitions(n):
+        # (weight joined to the first block, blocks left) for every T with
+        # an odd number of choices, built one part size at a time
+        choices = [(0, ())]
+        for p, run in groupby(mu[1:]):
+            c = len(tuple(run))
+            picks = [(t * p, (p,) * (c - t)) for t in _submasks(c)]
+            choices = [(w + tw, rest + left) for w, rest in choices for tw, left in picks]
+        first = mu[0]
+        acc = 0
+        for w, rest in choices:
+            if rest:
+                acc ^= nim_mul(h[first + w], coarse[rest])
+        yield mu, acc
+
+
 def h_sequence(n_max: int, max_seconds: float | None = None) -> list[int]:
     """h(1..n_max), indexable by n (index 0 is unused).
 
-    Raises BudgetExceededError when the wall-time budget runs out.
+    Raises BudgetExceededError when the wall-time budget runs out; the
+    budget is checked once per partition, so it stops work in progress.
     """
-    start = time.monotonic()
-    h = [0, 1]
-    for n in range(2, n_max + 1):
-        if max_seconds is not None and time.monotonic() - start > max_seconds:
-            raise BudgetExceededError(f"h({n}) not reached within {max_seconds}s")
-        pars = partitions_of(n)
-        svals = [s_of_mu(n, mu, h) for mu in pars]
-        h.append(mex(svals))
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
+    h = [0]
+    coarse = {(): 1}
+    for n in range(1, n_max + 1):
+        sums = {}
+        for mu, s in option_sums(n, h, coarse):
+            if deadline is not None and time.monotonic() > deadline:
+                raise BudgetExceededError(f"h({n}) not reached within {max_seconds}s")
+            sums[mu] = s
+        hn = mex(sums.values())
+        h.append(hn)
+        for mu, s in sums.items():
+            coarse[mu] = s ^ hn
     return h
 
 

@@ -180,10 +180,10 @@ def test_criterion_09_one_block_partition_table():
     with _Criterion(9, "h(1..12) within 60 s and matches the reference row", 60):
         h12 = h_sequence(12)
         assert h12[1:] == H_TABLE[:12]
-    with _Criterion(9, "h(1..17) within the 30-minute budget; solver confirms h(n) for n <= 5", 1800):
+    with _Criterion(9, "h(1..17) within the 30-minute budget; solver confirms h(n) for n <= 8", 1800):
         h = h_sequence(17)
         assert h[1:] == H_TABLE
-        for n in range(1, 6):
+        for n in range(1, 9):
             p = set_partition_poset(n)
             table = solve_elementwise(ruler_family(p))
             assert table.values[p.maximum()] == h[n]

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -89,6 +90,17 @@ def test_tables_hn(capsys):
     assert code == EXIT_OK
     obj = json.loads(out)
     assert [r[1] for r in obj["rows"]] == [1, 2, 1, 4, 1, 2, 1, 7, 15, 16]
+    assert "provenance" not in obj["metadata"]
+
+
+def test_tables_hn_past_the_paper_is_labelled(capsys):
+    code, out, _ = run(capsys, "tables", "hn", "--max", "22", "--format", "json")
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert [r[1] for r in obj["rows"]][17:] == [1, 11, 26, 92, 21]
+    provenance = obj["metadata"]["provenance"]
+    assert "h(18..20) confirmed by the M_n recurrence" in provenance
+    assert "h(21..22) not independently confirmed" in provenance
 
 
 def test_tables_asm_ideal(capsys):
@@ -171,6 +183,14 @@ def test_time_budget_exit_code(capsys):
     code, _, err = run(capsys, "tables", "hn", "--max", "17", "--max-seconds", "0.000001")
     assert code == EXIT_RESOURCE
     assert "resource cap" in err
+
+
+def test_time_budget_stops_hn_while_it_runs(capsys):
+    started = time.monotonic()
+    code, _, err = run(capsys, "tables", "hn", "--max", "200", "--max-seconds", "0.5")
+    assert code == EXIT_RESOURCE
+    assert "resource cap" in err
+    assert time.monotonic() - started < 3.0
 
 
 def test_exit_code_constants_are_distinct():

@@ -1,5 +1,7 @@
+import itertools
 import random
 from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,12 +12,16 @@ from grundylab.families import (
     set_partition_poset,
 )
 from grundylab.games import ruler_family, solve_elementwise
+from grundylab import partitions
+from grundylab.nimber import mex
 from grundylab.partitions import (
     decompositions,
     g_of_type,
     h_sequence,
+    iter_partitions,
     multiplicities,
     multiplicity_M,
+    option_sums,
     partition_union,
     partitions_of,
     refinement_poset,
@@ -42,6 +48,15 @@ def test_partitions_of():
     counts = [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
     for n, c in enumerate(counts):
         assert len(partitions_of(n)) == c
+
+
+def test_iter_partitions_is_lazy_and_matches_partitions_of():
+    for n in range(0, 13):
+        assert tuple(iter_partitions(n)) == partitions_of(n)
+        assert len(set(partitions_of(n))) == len(partitions_of(n))
+        assert all(sum(p) == n and list(p) == sorted(p, reverse=True) for p in partitions_of(n))
+    first = next(iter_partitions(1000))
+    assert first == (1000,)
 
 
 def test_multiplicities_and_union():
@@ -154,9 +169,46 @@ def test_h_sequence_table():
     assert h[4] == 4
 
 
+def test_dp_option_sums_match_the_recurrence():
+    """The block-multiset DP gives the paper's s_n(mu) for every mu, n <= 10.
+
+    F(mu), the nim-sum over all coarsenings, is s_n(mu) plus the top
+    coarsening's h(n)."""
+    h = [0] + H_TABLE[:10]
+    coarse = {(): 1}
+    for n in range(1, 11):
+        got = dict(option_sums(n, h, coarse))
+        assert list(got) == list(partitions_of(n))
+        for mu, s in got.items():
+            assert s == s_of_mu(n, mu, h), (n, mu)
+            coarse[mu] = s ^ h[n]
+
+
+def test_h_sequence_matches_the_literal_mex_loop():
+    h = [0, 1]
+    for n in range(2, 13):
+        h.append(mex(s_of_mu(n, mu, h) for mu in partitions_of(n)))
+    assert h_sequence(12) == h
+
+
+def test_h_sequence_past_the_paper_table():
+    h = h_sequence(24)
+    assert h[1:18] == H_TABLE
+    assert h[18:] == [1, 11, 26, 92, 21, 256, 95]
+
+
 def test_h_sequence_budget_guard():
     with pytest.raises(BudgetExceededError):
         h_sequence(40, max_seconds=0.0)
+
+
+def test_h_sequence_budget_stops_inside_one_n(monkeypatch):
+    # a clock that advances one second per reading: the budget runs out at
+    # the sixth partition, which is the third of the three partitions of 3
+    ticks = itertools.count()
+    monkeypatch.setattr(partitions, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    with pytest.raises(BudgetExceededError, match=r"h\(3\)"):
+        h_sequence(40, max_seconds=5.5)
 
 
 def test_h_matches_ruler_solver_on_set_partitions():
