@@ -9,17 +9,13 @@ Poset specs: chain:N | divisors:N | subspaces:N:Q | setpartitions:N | asm:N
 | file:PATH (JSON {"n":..., "covers":[[i,j],...], "labels":[...]}).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap.
-Set GRUNDYLAB_CACHE_DIR to persist the hn / asm-ruler tables between runs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
-import pickle
 import sys
-import time
 from dataclasses import dataclass, field
 
 from . import __version__, closedforms, families, games, nimber, partitions
@@ -119,39 +115,6 @@ def _meta(**kw) -> dict:
     return kw
 
 
-# -- caching ----------------------------------------------------------------
-
-
-def _cache_path(key: str):
-    root = os.environ.get("GRUNDYLAB_CACHE_DIR")
-    if not root:
-        return None
-    os.makedirs(root, exist_ok=True)
-    return os.path.join(root, f"{key}.pkl")
-
-
-def _cache_load(key: str):
-    path = _cache_path(key)
-    if path is None or not os.path.exists(path):
-        return None
-    try:
-        with open(path, "rb") as fh:
-            payload = pickle.load(fh)
-    except Exception:
-        return None
-    if payload.get("version") != __version__:
-        return None
-    return payload.get("data")
-
-
-def _cache_store(key: str, data) -> None:
-    path = _cache_path(key)
-    if path is None:
-        return
-    with open(path, "wb") as fh:
-        pickle.dump({"version": __version__, "data": data}, fh)
-
-
 # -- subcommands --------------------------------------------------------------
 
 
@@ -160,7 +123,7 @@ def cmd_grundy(args) -> int:
     if poset.n > args.max_elements:
         raise TooLargeError(f"poset has {poset.n} elements (cap {args.max_elements})")
     fam = _FAMILY_BUILDERS[args.family](poset)
-    table = games.solve_elementwise(fam)
+    table = games.solve_elementwise(fam, max_seconds=args.max_seconds)
     rows = [(str(poset.label(x)), table.values[x]) for x in range(poset.n)]
     report = TableReport(
         ("element_label", "grundy"),
@@ -185,14 +148,7 @@ def _table_gq(args) -> TableReport:
 
 
 def _table_hn(args) -> TableReport:
-    cache_key = "hn"
-    cached = _cache_load(cache_key)
-    if cached is not None and len(cached) - 1 >= args.max:
-        h = cached
-    else:
-        h = partitions.h_sequence(args.max, max_seconds=args.max_seconds)
-        if cached is None or len(cached) < len(h):
-            _cache_store(cache_key, h)
+    h = partitions.h_sequence(args.max, max_seconds=args.max_seconds)
     rows = [(n, h[n]) for n in range(1, args.max + 1)]
     meta = _meta(table="hn", max=args.max)
     if args.max > _HN_PAPER_MAX:
@@ -232,31 +188,22 @@ def _table_asm_ideal(args) -> TableReport:
 
 def _table_asm_ruler(args) -> TableReport:
     n = args.n
-    cache_key = f"asm-ruler-{n}"
-    rows = _cache_load(cache_key)
-    if rows is None:
-        poset = families.asm_poset(n)
-        if poset.n > args.max_elements:
-            raise TooLargeError(f"poset has {poset.n} elements (cap {args.max_elements})")
-        started = time.monotonic()
-        table = games.solve_elementwise(games.ruler_family(poset))
-        if args.max_seconds is not None and time.monotonic() - started > args.max_seconds:
-            raise BudgetExceededError(f"asm-ruler n={n} exceeded {args.max_seconds}s")
-        fiber = {}
-        for x in range(poset.n):
-            fiber.setdefault(families.asm_pi(n, poset.labels[x]), x)
-        rows = [
-            (r, s, table.values[fiber[(r, s)]])
-            for r in range(n - 1)
-            for s in range(r + 1)
-        ]
-        _cache_store(cache_key, rows)
+    poset = parse_poset_spec(f"asm:{n}", args.max_elements)
+    table = games.solve_elementwise(games.ruler_family(poset), max_seconds=args.max_seconds)
+    fiber = {}
+    for x in range(poset.n):
+        fiber.setdefault(families.asm_pi(n, poset.labels[x]), x)
+    rows = [
+        (r, s, table.values[fiber[(r, s)]])
+        for r in range(n - 1)
+        for s in range(r + 1)
+    ]
     meta = _meta(
         table="asm-ruler",
         n=n,
         provenance="computed by the generic per-element solver; not checked against external values",
     )
-    return TableReport(("s", "t", "grundy"), [tuple(r) for r in rows], meta)
+    return TableReport(("s", "t", "grundy"), rows, meta)
 
 
 _TABLES = {

@@ -245,17 +245,14 @@ def asm_leq(a, b) -> bool:
 
 
 def asm_poset(n: int) -> FinitePoset:
+    """The ASM poset, closed from the covers `asm_cover_candidates` lists;
+    `asm_leq` is the relation it must reproduce."""
     if n < 2:
         raise ValueError("asm poset needs n >= 2")
     elems = asm_elements(n)
-    down = []
-    for b in elems:
-        m = 0
-        for i, a in enumerate(elems):
-            if asm_leq(a, b):
-                m |= 1 << i
-        down.append(m)
-    return FinitePoset(down, labels=elems, validate_limit=-1)
+    index = {e: i for i, e in enumerate(elems)}
+    covers = [(index[c], j) for j, e in enumerate(elems) for c in asm_cover_candidates(n, e)]
+    return FinitePoset.from_covers(len(elems), covers, labels=elems)
 
 
 def asm_cover_candidates(n: int, e):

@@ -14,9 +14,10 @@ each other.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 
-from .errors import TooLargeError
+from .errors import BudgetExceededError, TooLargeError
 from .nimber import mex, nim_mul
 from .poset import FinitePoset, iter_bits
 
@@ -118,23 +119,37 @@ class GrundyTable:
         return grundy_position(self, position_mask)
 
 
-def solve_elementwise(fam: TurningFamily) -> GrundyTable:
+def solve_elementwise(fam: TurningFamily, max_seconds: float | None = None) -> GrundyTable:
     """Per-element Grundy values g(x) = mex over turning sets with maximum x
     of the nim-sum of values strictly inside the set.
 
     Elements outside every maximum get the empty mex, 0.  Evaluation follows
     a linear extension, so the values a set references are always final.
+    The nim-sums are taken bit-plane by bit-plane: `planes[b]` holds the
+    solved elements whose value has bit b set, so bit b of the nim-sum over
+    a set is the parity of the set's members in `planes[b]`.  x itself is
+    in no plane while its sets are summed.
+
+    Raises BudgetExceededError when the wall-time budget runs out; the
+    budget is checked once per element, so it stops work in progress.
     """
     p = fam.poset
     g = [0] * p.n
+    planes = []
+    deadline = None if max_seconds is None else time.monotonic() + max_seconds
     for x in p.linear_extension_order():
-        opts = []
-        for m in fam.by_max[x]:
-            s = 0
-            for t in iter_bits(m & ~(1 << x)):
-                s ^= g[t]
-            opts.append(s)
-        g[x] = mex(opts)
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceededError(f"solve not finished within {max_seconds}s")
+        bucket = fam.by_max[x]
+        sums = [0] * len(bucket)
+        bit = 1
+        for plane in planes:
+            sums = [s ^ bit if (m & plane).bit_count() & 1 else s for s, m in zip(sums, bucket)]
+            bit <<= 1
+        v = g[x] = mex(sums)
+        planes.extend([0] * (v.bit_length() - len(planes)))
+        for b in iter_bits(v):
+            planes[b] |= 1 << x
     return GrundyTable(p, fam, g)
 
 

@@ -1,5 +1,6 @@
 import json
 import os
+import pickle
 import subprocess
 import sys
 import time
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from grundylab import __version__
 from grundylab.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -127,21 +129,22 @@ def test_tables_asm_ruler_symmetry(capsys):
     assert "provenance" in obj["metadata"]
 
 
-def test_tables_asm_ruler_cache(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("GRUNDYLAB_CACHE_DIR", str(tmp_path))
-    code1, out1, _ = run(capsys, "tables", "asm-ruler", "--n", "5")
-    assert code1 == EXIT_OK
-    assert list(tmp_path.iterdir())  # cache file written
-    code2, out2, _ = run(capsys, "tables", "asm-ruler", "--n", "5")
-    assert code2 == EXIT_OK
-    assert out1 == out2
-    # stale versions are ignored rather than trusted
-    import pickle
-
-    victim = next(tmp_path.iterdir())
-    victim.write_bytes(pickle.dumps({"version": "0.0.0", "data": [[0, 0, 99]]}))
-    code3, out3, _ = run(capsys, "tables", "asm-ruler", "--n", "5")
-    assert code3 == EXIT_OK and out3 == out1
+def test_tables_ignore_a_planted_pickle(tmp_path, capsys, monkeypatch):
+    # pickles with the current version stamp but wrong rows, under the
+    # names an earlier release cached these tables by
+    planted = {
+        "asm-ruler-5": (("tables", "asm-ruler", "--n", "5"), [[0, 0, 99]]),
+        "hn": (("tables", "hn", "--max", "5"), [0, 99, 99, 99, 99, 99]),
+    }
+    for key, (argv, rows) in planted.items():
+        _, fresh, _ = run(capsys, *argv)
+        payload = pickle.dumps({"version": __version__, "data": rows})
+        (tmp_path / f"{key}.pkl").write_bytes(payload)
+        monkeypatch.setenv("GRUNDYLAB_CACHE_DIR", str(tmp_path))
+        code, out, _ = run(capsys, *argv)
+        monkeypatch.delenv("GRUNDYLAB_CACHE_DIR")
+        assert code == EXIT_OK and out == fresh
+        assert "99" not in out
 
 
 def test_deterministic_output(capsys):
@@ -190,6 +193,24 @@ def test_time_budget_stops_hn_while_it_runs(capsys):
     code, _, err = run(capsys, "tables", "hn", "--max", "200", "--max-seconds", "0.5")
     assert code == EXIT_RESOURCE
     assert "resource cap" in err
+    assert time.monotonic() - started < 3.0
+
+
+def test_asm_ruler_size_cap_applies_before_construction(capsys):
+    started = time.monotonic()
+    code, _, err = run(capsys, "tables", "asm-ruler", "--n", "60", "--max-elements", "100")
+    assert code == EXIT_RESOURCE
+    assert "35990 elements" in err
+    assert time.monotonic() - started < 1.0
+
+
+def test_time_budget_stops_the_solver_while_it_runs(capsys):
+    code, _, err = run(capsys, "grundy", "setpartitions:8", "ruler", "--max-seconds", "0.05")
+    assert code == EXIT_RESOURCE
+    assert "resource cap" in err
+    started = time.monotonic()
+    code, _, err = run(capsys, "tables", "asm-ruler", "--n", "20", "--max-seconds", "0.05")
+    assert code == EXIT_RESOURCE
     assert time.monotonic() - started < 3.0
 
 

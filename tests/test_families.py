@@ -122,6 +122,10 @@ def test_asm_covers_match_candidate_rule():
             for c in asm_cover_candidates(n, e):
                 expected.add((idx[c], idx[e]))
         assert set(p.covers()) == expected
+        # the poset is closed from those candidates, so check the order
+        # itself against the coordinate rule
+        for j, b in enumerate(p.labels):
+            assert p.down_mask(j) == sum(1 << i for i, a in enumerate(p.labels) if asm_leq(a, b))
 
 
 def test_asm_maps_are_involutive_order_automorphisms():

@@ -1,8 +1,13 @@
+import itertools
+import random
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grundylab.errors import TooLargeError
+from grundylab import games
+from grundylab.errors import BudgetExceededError, TooLargeError
 from grundylab.families import (
     asm_elements,
     asm_poset,
@@ -29,8 +34,8 @@ from grundylab.games import (
     solve_elementwise,
     turning_turtles,
 )
-from grundylab.nimber import ruler_phi
-from grundylab.poset import FinitePoset
+from grundylab.nimber import mex, ruler_phi
+from grundylab.poset import FinitePoset, iter_bits
 
 
 def ft_suite():
@@ -86,20 +91,73 @@ def cover_dags(draw, max_n=10):
     return FinitePoset.from_covers(n, [(perm[i], perm[j]) for i, j in edges])
 
 
+def random_families():
+    """tt, ideal and ruler on a random poset p, plus a product family of two
+    of them on p x q."""
+
+    def make(p, q, name1, name2):
+        fams = [build(p) for build in BUILDERS.values()]
+        fams.append(product_family(p, BUILDERS[name1](p), q, BUILDERS[name2](q))[1])
+        return fams
+
+    names = st.sampled_from(sorted(BUILDERS))
+    return st.builds(make, cover_dags(), cover_dags(max_n=4), names, names)
+
+
 @settings(max_examples=60, deadline=None)
-@given(
-    cover_dags(),
-    cover_dags(max_n=4),
-    st.sampled_from(sorted(BUILDERS)),
-    st.sampled_from(sorted(BUILDERS)),
-)
-def test_builtin_buckets_match_from_masks(p, q, name1, name2):
-    fams = [build(p) for build in BUILDERS.values()]
-    fams.append(product_family(p, BUILDERS[name1](p), q, BUILDERS[name2](q))[1])
+@given(random_families())
+def test_builtin_buckets_match_from_masks(fams):
     for fam in fams:
         ref = TurningFamily.from_masks(fam.poset, fam.masks)
         assert sorted_buckets(fam) == sorted_buckets(ref)
         assert solve_elementwise(fam).values == solve_elementwise(ref).values
+
+
+def member_loop_solve(fam):
+    """The literal recursion, the oracle for the bit-plane kernel: mex over
+    the sets with maximum x of the nim-sum of their other members' values,
+    summed member by member."""
+    p = fam.poset
+    g = [0] * p.n
+    for x in p.linear_extension_order():
+        opts = []
+        for m in fam.by_max[x]:
+            s = 0
+            for t in iter_bits(m & ~(1 << x)):
+                s ^= g[t]
+            opts.append(s)
+        g[x] = mex(opts)
+    return g
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_families())
+def test_bit_plane_solver_matches_member_loop(fams):
+    for fam in fams:
+        assert solve_elementwise(fam).values == member_loop_solve(fam)
+
+
+def test_bit_plane_solver_matches_member_loop_on_wide_values():
+    # values of 64 and more: seven or more bit planes are live at once
+    rng = random.Random(7)
+    covers = [(i, j) for j in range(1, 300) for i in rng.sample(range(max(0, j - 5), j), min(j, 2))]
+    for p in (chain(130), FinitePoset.from_covers(300, covers)):
+        ruler = ruler_family(p)
+        values = solve_elementwise(ruler).values
+        assert max(values) >= 64
+        assert values == member_loop_solve(ruler)
+        tt = turning_turtles(p)
+        assert solve_elementwise(tt).values == member_loop_solve(tt)
+
+
+def test_solve_budget_stops_inside_the_element_loop(monkeypatch):
+    # a clock that advances one second per reading: the deadline is 5.5, so
+    # the check before the sixth of the 40 elements raises
+    ticks = itertools.count()
+    monkeypatch.setattr(games, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
+    with pytest.raises(BudgetExceededError, match="5.5s"):
+        solve_elementwise(ruler_family(chain(40)), max_seconds=5.5)
+    assert next(ticks) == 7
 
 
 def test_from_masks_rejects_sets_without_a_maximum():
