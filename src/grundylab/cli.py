@@ -17,12 +17,14 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass, field
+from math import isqrt
 
-from . import __version__, closedforms, families, games, nimber, partitions
+from . import __version__, checks, closedforms, families, games, nimber, partitions
 from .errors import (
     BudgetExceededError,
     CapExceededError,
     GrundylabError,
+    PosetValidationError,
     TooLargeError,
 )
 from .poset import FinitePoset
@@ -85,7 +87,11 @@ def parse_poset_spec(spec: str, max_elements: int) -> FinitePoset:
             guard(int(rest))
             return families.chain(int(rest))
         if head == "divisors":
-            return families.divisor_poset(int(rest))
+            n = int(rest)
+            trials = isqrt(n)
+            if trials > max_elements:
+                raise TooLargeError(f"{spec} needs {trials} trial divisions (cap {max_elements})")
+            return families.divisor_poset(n)
         if head == "subspaces":
             ns, qs = rest.split(":")
             return families.subspace_lattice(int(ns), int(qs), max_elements=max_elements)
@@ -97,17 +103,14 @@ def parse_poset_spec(spec: str, max_elements: int) -> FinitePoset:
             return families.asm_poset(n)
         if head == "file":
             with open(rest, "r", encoding="utf-8") as fh:
-                return FinitePoset.from_json(fh.read())
+                text = fh.read()
+            try:
+                return FinitePoset.from_json(text, max_elements=max_elements)
+            except (KeyError, TypeError, PosetValidationError) as exc:
+                raise ValueError(f"malformed poset file: {exc}") from exc
     except (ValueError, OSError) as exc:
         raise SpecError(f"bad poset spec {spec!r}: {exc}") from exc
     raise SpecError(f"unknown poset spec {spec!r}")
-
-
-_FAMILY_BUILDERS = {
-    "tt": games.turning_turtles,
-    "ideal": games.order_ideal_family,
-    "ruler": games.ruler_family,
-}
 
 
 def _meta(**kw) -> dict:
@@ -122,7 +125,7 @@ def cmd_grundy(args) -> int:
     poset = parse_poset_spec(args.poset, args.max_elements)
     if poset.n > args.max_elements:
         raise TooLargeError(f"poset has {poset.n} elements (cap {args.max_elements})")
-    fam = _FAMILY_BUILDERS[args.family](poset)
+    fam = checks.FAMILY_BUILDERS[args.family](poset)
     table = games.solve_elementwise(fam, max_seconds=args.max_seconds)
     rows = [(str(poset.label(x)), table.values[x]) for x in range(poset.n)]
     report = TableReport(
@@ -156,9 +159,9 @@ def _table_hn(args) -> TableReport:
     return TableReport(("n", "h"), rows, meta)
 
 
-# The paper lists h(1..17).  h(18..20) from the DP were checked once against
-# the M_n recurrence (`partitions.s_of_mu`), which takes 20-60 s per n there.
-_HN_PAPER_MAX = 17
+# The paper lists h(1..17), `checks.H_ROW`.  h(18..20) from the DP were checked
+# once against the M_n recurrence (`partitions.s_of_mu`), 20-60 s per n there.
+_HN_PAPER_MAX = len(checks.H_ROW)
 _HN_RECURRENCE_MAX = 20
 
 
@@ -221,168 +224,9 @@ def cmd_tables(args) -> int:
     return EXIT_OK
 
 
-# -- verification suites -------------------------------------------------------
-
-
-def _verify_nimber() -> list[tuple[str, bool, str]]:
-    checks = []
-    grid_ok = all(nimber.nim_add(x, y) == x ^ y for x in range(512) for y in range(512))
-    checks.append(("nim-add equals carry-free binary addition (a,b < 512)", grid_ok, ""))
-    bad = next(
-        (
-            (x, y)
-            for x in range(64)
-            for y in range(64)
-            if nimber.nim_add_inductive(x, y) != x ^ y
-        ),
-        None,
-    )
-    checks.append(("inductive nim-add matches fast path (a,b < 64)", bad is None, str(bad)))
-    bad = next(
-        (
-            (x, y)
-            for x in range(48)
-            for y in range(48)
-            if nimber.nim_mul(x, y) != nimber.nim_mul_inductive(x, y)
-        ),
-        None,
-    )
-    checks.append(("inductive nim-mul matches fast path (a,b < 48)", bad is None, str(bad)))
-    laws_ok = all(
-        nimber.nim_mul(x, y) == nimber.nim_mul(y, x)
-        and nimber.nim_mul(nimber.nim_mul(x, y), z) == nimber.nim_mul(x, nimber.nim_mul(y, z))
-        and nimber.nim_mul(x ^ y, z) == nimber.nim_mul(x, z) ^ nimber.nim_mul(y, z)
-        for x in range(16)
-        for y in range(16)
-        for z in range(16)
-    )
-    checks.append(("nim-mul laws: commutative, associative, distributive (a,b,c < 16)", laws_ok, ""))
-    row = [nimber.ruler_phi(x) for x in range(1, 16)]
-    checks.append(
-        ("ruler sequence values for x = 1..15", row == [1, 2, 1, 4, 1, 2, 1, 8, 1, 2, 1, 4, 1, 2, 1], str(row))
-    )
-    return checks
-
-
-def _ft_suite_games():
-    yield "chain4", families.chain(4), ("tt", "ideal", "ruler")
-    yield "divisors12", families.divisor_poset(12), ("ruler", "ideal")
-    yield "setpartitions3", families.set_partition_poset(3), ("ruler",)
-    yield "asm4", families.asm_poset(4), ("ideal", "ruler")
-    yield "subspaces2q2", families.subspace_lattice(2, 2), ("ruler",)
-
-
-def _verify_ft() -> list[tuple[str, bool, str]]:
-    checks = []
-    for name, poset, fams in _ft_suite_games():
-        tau = poset.linear_extension()
-        for fam_name in fams:
-            fam = _FAMILY_BUILDERS[fam_name](poset)
-            table = games.solve_elementwise(fam)
-            game = games.GenericGame.from_turning_family(fam)
-            bad = None
-            for pos in range(1 << poset.n):
-                if games.brute_force_grundy(game, pos) != games.grundy_position(table, pos):
-                    bad = pos
-                    break
-            checks.append(
-                (
-                    f"elementwise solution equals brute force on {name} {fam_name} (all positions)",
-                    bad is None,
-                    f"position {bad}" if bad is not None else "",
-                )
-            )
-            dec = all(
-                games.potential(poset, tau, opt) < games.potential(poset, tau, pos)
-                for pos in range(1 << poset.n)
-                for opt in games.moves(fam, pos)
-            )
-            checks.append((f"potential strictly decreases on {name} {fam_name}", dec, ""))
-    g1 = games.GenericGame.from_turning_family(games.ruler_family(families.chain(3)))
-    g2 = games.GenericGame.from_turning_family(games.ruler_family(families.chain(4)))
-    both = games.combined(g1, g2)
-    sum_ok = all(
-        games.brute_force_grundy(both, p1 * g2.n_positions + p2)
-        == games.brute_force_grundy(g1, p1) ^ games.brute_force_grundy(g2, p2)
-        for p1 in range(g1.n_positions)
-        for p2 in range(g2.n_positions)
-    )
-    checks.append(("combined-game values are the nim-sums of the parts", sum_ok, ""))
-    return checks
-
-
-def _verify_closed_forms() -> list[tuple[str, bool, str]]:
-    checks = []
-    t = games.solve_elementwise(games.ruler_family(families.chain(32)))
-    checks.append(
-        (
-            "chain ruler equals the ruler sequence (n = 32)",
-            t.values == [nimber.ruler_phi(x) for x in range(1, 33)],
-            "",
-        )
-    )
-    for n in (12, 30, 60):
-        poset = families.divisor_poset(n)
-        t = games.solve_elementwise(games.ruler_family(poset))
-        expect = [closedforms.divisor_ruler_grundy(n, d) for d in poset.labels]
-        checks.append((f"divisor ruler closed form on divisors of {n}", t.values == expect, ""))
-    for q in (2, 3):
-        st = closedforms.subspace_recurrence(q, 40)
-        cf = [closedforms.subspace_ruler_grundy(q, d) for d in range(41)]
-        checks.append((f"subspace recurrence equals closed form (q={q}, d <= 40)", st.g == cf, ""))
-    poset = families.subspace_lattice(3, 2)
-    dims = families.subspace_dimensions(3, 2)
-    t = games.solve_elementwise(games.ruler_family(poset))
-    by_dim_ok = all(t.values[i] == closedforms.subspace_ruler_grundy(2, dims[i]) for i in range(poset.n))
-    checks.append(("full solver on the subspace lattice (n=3, q=2) matches by dimension", by_dim_ok, ""))
-    for n in (3, 4, 5):
-        poset = families.asm_poset(n)
-        t = games.solve_elementwise(games.order_ideal_family(poset))
-        ok = all(
-            t.values[x] == closedforms.asm_ideal_grundy(n, poset.labels[x]) for x in range(poset.n)
-        )
-        checks.append((f"ideal-game closed form on the ASM poset (n={n})", ok, ""))
-    rep = closedforms.ruler_mex_characterization(256)
-    checks.append(
-        ("suffix nim-sum characterization of the ruler sequence (n <= 256)", rep.ok, "; ".join(rep.failures[:3]))
-    )
-    return checks
-
-
-def _verify_partitions() -> list[tuple[str, bool, str]]:
-    checks = []
-    s4 = [partitions.s_of_mu(4, mu, [0, 1, 2, 1]) for mu in partitions.partitions_of(4)]
-    checks.append(("worked option sums over the partitions of 4", s4 == [0, 1, 3, 1, 2], str(s4)))
-    h = partitions.h_sequence(8)
-    checks.append(
-        ("one-block values h(1..8)", h[1:] == [1, 2, 1, 4, 1, 2, 1, 7], str(h[1:]))
-    )
-    for n in (4, 5):
-        poset = families.set_partition_poset(n)
-        t = games.solve_elementwise(games.ruler_family(poset))
-        top = poset.maximum()
-        checks.append(
-            (
-                f"h({n}) equals the solver value at the one-block partition",
-                t.values[top] == h[n],
-                "",
-            )
-        )
-    return checks
-
-
-_SUITES = {
-    "nimber": (_verify_nimber,),
-    "ft": (_verify_ft,),
-    "closed-forms": (_verify_closed_forms,),
-    "partitions": (_verify_partitions,),
-    "all": (_verify_nimber, _verify_ft, _verify_closed_forms, _verify_partitions),
-}
-
-
 def cmd_verify(args) -> int:
     failures = 0
-    for runner in _SUITES[args.suite]:
+    for runner in checks.SUITES[args.suite]:
         for name, ok, detail in runner():
             tag = "PASS" if ok else "FAIL"
             line = f"{tag}  {name}"
@@ -410,7 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("grundy", help="per-element Grundy table for a poset game")
     g.add_argument("poset", help="chain:N | divisors:N | subspaces:N:Q | setpartitions:N | asm:N | file:PATH")
-    g.add_argument("family", choices=sorted(_FAMILY_BUILDERS))
+    g.add_argument("family", choices=sorted(checks.FAMILY_BUILDERS))
     g.add_argument("--format", choices=("text", "csv", "json"), default="text")
     add_caps(g)
     g.set_defaults(func=cmd_grundy)
@@ -424,7 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_tables)
 
     v = sub.add_parser("verify", help="run verification suites")
-    v.add_argument("suite", choices=sorted(_SUITES))
+    v.add_argument("suite", choices=sorted(checks.SUITES))
     v.set_defaults(func=cmd_verify)
     return parser
 

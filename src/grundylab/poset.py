@@ -15,7 +15,7 @@ import heapq
 import json
 from dataclasses import dataclass
 
-from .errors import NotComparableError, PosetValidationError
+from .errors import NotComparableError, PosetValidationError, TooLargeError
 
 VALIDATE_LIMIT = 512
 
@@ -212,24 +212,12 @@ class FinitePoset:
         return tau
 
     def linear_extension_order(self):
-        """Element ids listed bottom-up: each element after everything below it."""
-        n = self.n
-        indeg = [0] * n
-        succ = [[] for _ in range(n)]
-        for i, j in self.covers():
-            succ[i].append(j)
-            indeg[j] += 1
-        heap = [i for i in range(n) if indeg[i] == 0]
-        heapq.heapify(heap)
-        order = []
-        while heap:
-            i = heapq.heappop(heap)
-            order.append(i)
-            for j in succ[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    heapq.heappush(heap, j)
-        return order
+        """Element ids listed bottom-up: each element after everything below it.
+
+        x < y makes down(x) a proper subset of down(y), so sorting by the
+        size of the down-set (a stable sort, so ties by id) is a linear
+        extension."""
+        return sorted(range(self.n), key=lambda x: self._down[x].bit_count())
 
     def product(self, other: "FinitePoset") -> "FinitePoset":
         """Componentwise order on pairs; (a, b) gets id a * other.n + b."""
@@ -257,9 +245,16 @@ class FinitePoset:
         return json.dumps(obj, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str) -> "FinitePoset":
+    def from_json(cls, text: str, max_elements: int | None = None) -> "FinitePoset":
+        """Parse {"n": ..., "covers": [[i, j], ...], "labels": [...]}; `n`
+        is checked against `max_elements` before any mask is built."""
         obj = json.loads(text)
-        return cls.from_covers(obj["n"], obj["covers"], labels=obj.get("labels"))
+        n = obj["n"]
+        if type(n) is not int or n < 0:
+            raise PosetValidationError(f"n must be a non-negative integer, got {n!r}")
+        if max_elements is not None and n > max_elements:
+            raise TooLargeError(f"poset has {n} elements (cap {max_elements})")
+        return cls.from_covers(n, obj["covers"], labels=obj.get("labels"))
 
     def label(self, x: int):
         return self.labels[x] if self.labels is not None else x

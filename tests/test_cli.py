@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import pickle
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from grundylab import __version__
+from grundylab import __version__, checks
 from grundylab.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -160,6 +161,61 @@ def test_verify_suites_pass(capsys):
     code, out, _ = run(capsys, "verify", "partitions")
     assert code == EXIT_OK
     assert out.strip().endswith("0 failure(s)")
+
+
+# sha256 of the `verify all` stdout; the check names and their order are
+# part of the command's output
+VERIFY_ALL_SHA256 = "b59abfefb83d993459992890a21d3b88098c39b6c52d7981cba91976fdec7680"
+
+
+def test_verify_all_output_is_pinned(capsys):
+    code, out, _ = run(capsys, "verify", "all")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_ALL_SHA256
+
+
+def test_verify_reports_a_failing_check(capsys, monkeypatch):
+    def broken_row():
+        yield "ruler sequence values for x = 1..15", False, "[1, 2, 3]"
+
+    monkeypatch.setitem(checks.SUITES, "nimber", (checks.ruler_row_checks, broken_row))
+    code, out, _ = run(capsys, "verify", "nimber")
+    assert code == EXIT_VERIFY_FAILED
+    assert out.splitlines() == [
+        "PASS  ruler sequence values for x = 1..15",
+        "FAIL  ruler sequence values for x = 1..15  [[1, 2, 3]]",
+        "FAILED: 1 failure(s)",
+    ]
+
+
+@pytest.mark.parametrize(
+    "doc, reason",
+    [
+        ({"n": 2, "covers": [[0, 1], [1, 0]]}, "cycle"),
+        ({"covers": []}, "'n'"),
+        ({"n": 3, "covers": [[0, 5]]}, "bad cover edge"),
+        ({"n": "3", "covers": []}, "non-negative integer"),
+    ],
+)
+def test_bad_poset_file_is_a_usage_error(tmp_path, capsys, doc, reason):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(capsys, "grundy", f"file:{path}", "ruler")
+    assert code == EXIT_USAGE
+    assert err.startswith("error: ") and reason in err
+
+
+def test_spec_size_caps_apply_before_construction(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"n": 10**9, "covers": []}))
+    started = time.monotonic()
+    code, _, err = run(capsys, "grundy", f"file:{path}", "ruler", "--max-elements", "100")
+    assert code == EXIT_RESOURCE
+    assert "1000000000 elements" in err
+    code, _, err = run(capsys, "grundy", f"divisors:{10**18}", "tt", "--max-elements", "10")
+    assert code == EXIT_RESOURCE
+    assert "1000000000 trial divisions (cap 10)" in err
+    assert time.monotonic() - started < 1.0
 
 
 def test_usage_errors(capsys):

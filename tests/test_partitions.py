@@ -5,6 +5,7 @@ from types import SimpleNamespace
 
 import pytest
 
+from grundylab.checks import H_ROW
 from grundylab.errors import BudgetExceededError, WeightMismatchError
 from grundylab.families import (
     restricted_growth_strings,
@@ -30,7 +31,7 @@ from grundylab.partitions import (
     type_of,
 )
 
-H_TABLE = [1, 2, 1, 4, 1, 2, 1, 7, 15, 16, 8, 5, 19, 5, 37, 17, 14]
+H_TABLE = list(H_ROW)
 
 
 def bell(n):
