@@ -96,7 +96,10 @@ def parse_poset_spec(spec: str, max_elements: int) -> FinitePoset:
             ns, qs = rest.split(":")
             return families.subspace_lattice(int(ns), int(qs), max_elements=max_elements)
         if head == "setpartitions":
-            return families.set_partition_poset(int(rest))
+            n = int(rest)
+            if n <= families.MAX_SET_PARTITION_N:
+                guard(families.bell_number(n))
+            return families.set_partition_poset(n)
         if head == "asm":
             n = int(rest)
             guard(n * (n + 1) * (n - 1) // 6)

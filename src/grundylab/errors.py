@@ -21,10 +21,6 @@ class UnsupportedFieldError(GrundylabError):
     """Requested field order is not a supported prime power."""
 
 
-class NotComparableError(GrundylabError):
-    """Interval endpoints are not comparable in the poset."""
-
-
 class NotGradedError(GrundylabError):
     """The poset admits no rank function."""
 

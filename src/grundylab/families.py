@@ -7,7 +7,8 @@ matrix lattice, called the ASM poset here).  Plus the coordinate maps on the
 ASM poset and exact q-binomials with their parities.
 
 All constructors are pure and return immutable FinitePoset instances with
-human-readable labels.
+human-readable labels.  Each states its covers and leaves both closures to
+`FinitePoset.from_covers`.
 """
 
 from __future__ import annotations
@@ -27,17 +28,18 @@ def chain(n: int) -> FinitePoset:
     """Total order on n elements, labeled 1..n."""
     if n < 1:
         raise ValueError("chain needs n >= 1")
-    down = [(2 << i) - 1 for i in range(n)]
-    return FinitePoset(down, labels=list(range(1, n + 1)), validate_limit=-1)
+    covers = [(i, i + 1) for i in range(n - 1)]
+    return FinitePoset.from_covers(n, covers, labels=list(range(1, n + 1)))
 
 
 def antichain(n: int) -> FinitePoset:
-    down = [1 << i for i in range(n)]
-    return FinitePoset(down, labels=list(range(1, n + 1)), validate_limit=-1)
+    return FinitePoset.from_covers(n, [], labels=list(range(1, n + 1)))
 
 
 def divisor_poset(n: int) -> FinitePoset:
-    """Divisors of n ordered by divisibility, labeled by their values."""
+    """Divisors of n ordered by divisibility, labeled by their values.
+
+    d is covered by d * p for each prime p dividing n / d."""
     if n < 1:
         raise ValueError("divisor poset needs n >= 1")
     divs = set()
@@ -45,14 +47,13 @@ def divisor_poset(n: int) -> FinitePoset:
         if n % d == 0:
             divs.update((d, n // d))
     divs = sorted(divs)
-    down = []
-    for j, dj in enumerate(divs):
-        m = 0
-        for i, di in enumerate(divs):
-            if dj % di == 0:
-                m |= 1 << i
-        down.append(m)
-    return FinitePoset(down, labels=divs, validate_limit=-1)
+    primes = []  # a divisor > 1 that no smaller prime divides is prime
+    for d in divs[1:]:
+        if all(d % p for p in primes):
+            primes.append(d)
+    index = {d: i for i, d in enumerate(divs)}
+    covers = [(index[d], index[d * p]) for d in divs for p in primes if n // d % p == 0]
+    return FinitePoset.from_covers(len(divs), covers, labels=divs)
 
 
 # -- subspace lattices ----------------------------------------------------
@@ -111,19 +112,20 @@ def subspace_lattice(n: int, q: int, max_elements: int = MAX_POSET_ELEMENTS) -> 
     total = sum(q_binomial(n, r, q) for r in range(n + 1))
     if total > max_elements:
         raise TooLargeError(f"B_{n}({q}) has {total} elements (cap {max_elements})")
-    subspaces = []
-    for r in range(n + 1):
-        subspaces.extend(sorted(gf.rref_matrices(f, n, r)))
-    down = []
-    for j, big in enumerate(subspaces):
-        m = 0
-        for i, small in enumerate(subspaces):
-            if len(small) <= len(big) and gf.subspace_leq(f, small, big):
-                m |= 1 << i
-        down.append(m)
-    labels = [_subspace_label(s, q) for s in subspaces]
-    p = FinitePoset(down, labels=labels, validate_limit=-1)
-    return p
+    layers = [sorted(gf.rref_matrices(f, n, r)) for r in range(n + 1)]
+    covers = []
+    start = 0
+    for lower, upper in zip(layers, layers[1:]):
+        above = start + len(lower)
+        covers += [
+            (start + i, above + j)
+            for j, big in enumerate(upper)
+            for i, small in enumerate(lower)
+            if gf.subspace_leq(f, small, big)
+        ]
+        start = above
+    labels = [_subspace_label(s, q) for layer in layers for s in layer]
+    return FinitePoset.from_covers(total, covers, labels=labels)
 
 
 def subspace_dimensions(n: int, q: int) -> list[int]:
@@ -179,6 +181,17 @@ def blocks_to_rgs(blocks, n: int) -> tuple:
 
 def _block_label(blocks) -> str:
     return "|".join(",".join(str(e) for e in b) for b in blocks)
+
+
+def bell_number(n: int) -> int:
+    """Number of set partitions of an n-set, read off the Bell triangle."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for v in row:
+            nxt.append(nxt[-1] + v)
+        row = nxt
+    return row[0]
 
 
 def set_partition_poset(n: int, max_n: int = MAX_SET_PARTITION_N) -> FinitePoset:

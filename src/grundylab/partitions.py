@@ -78,11 +78,6 @@ def multiplicities(lam) -> Counter:
     return Counter(lam)
 
 
-def partition_union(lam, mu) -> tuple[int, ...]:
-    """Multiset union: multiplicities add."""
-    return tuple(sorted(lam + mu, reverse=True))
-
-
 def _avail_tuple(counter: Counter) -> tuple:
     return tuple(sorted(((p, c) for p, c in counter.items() if c), reverse=True))
 
@@ -288,11 +283,4 @@ def h_sequence(n_max: int, max_seconds: float | None = None) -> list[int]:
 def refinement_poset(n: int) -> FinitePoset:
     """Par_n under refinement, as a FinitePoset labeled by the partitions."""
     pars = partitions_of(n)
-    down = []
-    for lam in pars:
-        m = 0
-        for i, mu in enumerate(pars):
-            if refines(mu, lam):
-                m |= 1 << i
-        down.append(m)
-    return FinitePoset(down, labels=pars)
+    return FinitePoset.from_relation(len(pars), lambda i, j: refines(pars[i], pars[j]), labels=pars)

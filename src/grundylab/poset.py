@@ -2,31 +2,27 @@
 
 Elements are integer ids 0..n-1; an optional `labels` list maps ids back to
 domain objects (divisors, subspaces, set partitions, lattice points).  The
-order relation is stored as one bitmask per element (`down[i]` holds every
-t <= i, `up[i]` every t >= i), which keeps comparability O(1) and interval
-extraction a single AND.
+order relation is stored as two bitmasks per element: `down[i]` holds every
+t <= i and `up[i]` every t >= i.  Comparability is one bit test and the
+interval [x, y] is `down_mask(y) & up_mask(x)`.
+
+Every constructor states the order by its covers (any edge set whose
+reflexive-transitive closure is the order will do) and hands them to
+`from_covers`, the one place masks are built: its topological sort is also
+its cycle check, the down masks close along that order and the up masks
+along its reverse.  `from_relation` reads an arbitrary relation, always
+validates it as a partial order and passes its Hasse diagram on;
+`from_json` reads covers from a file.  `FinitePoset(down, up, labels)` only
+stores what these give it.
 
 Posets are immutable after construction; every query is read-only.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
-from dataclasses import dataclass
 
-from .errors import NotComparableError, PosetValidationError, TooLargeError
-
-VALIDATE_LIMIT = 512
-
-
-@dataclass(frozen=True)
-class Interval:
-    """Closed interval [lo, hi]: all t with lo <= t <= hi."""
-
-    lo: int
-    hi: int
-    members: frozenset
+from .errors import PosetValidationError, TooLargeError
 
 
 def iter_bits(mask: int):
@@ -36,39 +32,53 @@ def iter_bits(mask: int):
         mask ^= lsb
 
 
+def _hasse(down):
+    """Covering pairs (i, j), i covered by j, of the order with these down masks."""
+    out = []
+    for j, m in enumerate(down):
+        strict = m & ~(1 << j)
+        shadow = 0
+        for t in iter_bits(strict):
+            shadow |= down[t] & ~(1 << t)
+        out.extend((i, j) for i in iter_bits(strict & ~shadow))
+    return out
+
+
+def _validate(down):
+    """Raise PosetValidationError unless the down masks form a partial order."""
+    for j, m in enumerate(down):
+        if not (m >> j) & 1:
+            raise PosetValidationError(f"relation not reflexive at {j}")
+        for i in iter_bits(m):
+            if i != j and (down[i] >> j) & 1:
+                raise PosetValidationError(f"antisymmetry fails on ({i}, {j})")
+            if down[i] | m != m:
+                raise PosetValidationError(f"transitivity fails via {i} <= {j}")
+
+
 class FinitePoset:
     __slots__ = ("n", "labels", "_down", "_up", "_covers")
 
-    def __init__(self, down_masks, labels=None, validate_limit: int = VALIDATE_LIMIT):
-        """Build from per-element down-sets; prefer from_relation/from_covers."""
-        self.n = len(down_masks)
-        self._down = list(down_masks)
-        self.labels = list(labels) if labels is not None else None
-        if self.labels is not None and len(self.labels) != self.n:
-            raise ValueError("labels length mismatch")
-        if self.n <= validate_limit:
-            self._validate()
-        up = [0] * self.n
-        for j, m in enumerate(self._down):
-            for i in iter_bits(m):
-                up[i] |= 1 << j
+    def __init__(self, down, up, labels=None):
+        """Store closed masks as given; internal, build through from_covers,
+        from_relation or from_json, which check their input."""
+        self.n = len(down)
+        self._down = down
         self._up = up
+        self.labels = list(labels) if labels is not None else None
         self._covers = None
 
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_relation(cls, n, leq, labels=None, validate_limit: int = VALIDATE_LIMIT):
-        """Build from a comparison callback or an n x n truth matrix."""
-        if callable(leq):
-            down = [
-                sum(1 << i for i in range(n) if leq(i, j)) for j in range(n)
-            ]
-        else:
-            down = [
-                sum(1 << i for i in range(n) if leq[i][j]) for j in range(n)
-            ]
-        return cls(down, labels=labels, validate_limit=validate_limit)
+    def from_relation(cls, n, leq, labels=None):
+        """Build from a comparison callback or an n x n truth matrix.
+
+        The relation is always checked to be a partial order."""
+        rel = leq if callable(leq) else lambda i, j: leq[i][j]
+        down = [sum(1 << i for i in range(n) if rel(i, j)) for j in range(n)]
+        _validate(down)
+        return cls.from_covers(n, _hasse(down), labels=labels)
 
     @classmethod
     def from_covers(cls, n, covers, labels=None):
@@ -76,6 +86,8 @@ class FinitePoset:
 
         Rejects inputs whose edge set contains a directed cycle.
         """
+        if labels is not None and len(labels) != n:
+            raise ValueError("labels length mismatch")
         succ = [[] for _ in range(n)]
         indeg = [0] * n
         for i, j in covers:
@@ -83,37 +95,26 @@ class FinitePoset:
                 raise PosetValidationError(f"bad cover edge ({i}, {j})")
             succ[i].append(j)
             indeg[j] += 1
-        order = [i for i in range(n) if indeg[i] == 0]
-        heapq.heapify(order)
+        ready = [i for i in range(n) if indeg[i] == 0]
         topo = []
-        while order:
-            i = heapq.heappop(order)
+        while ready:
+            i = ready.pop()
             topo.append(i)
             for j in succ[i]:
                 indeg[j] -= 1
                 if indeg[j] == 0:
-                    heapq.heappush(order, j)
+                    ready.append(j)
         if len(topo) != n:
             raise PosetValidationError("cover edges contain a cycle")
         down = [1 << i for i in range(n)]
         for i in topo:
             for j in succ[i]:
                 down[j] |= down[i]
-        # closure is transitive and acyclic by construction; skip re-validation
-        return cls(down, labels=labels, validate_limit=-1)
-
-    def _validate(self):
-        n = self.n
-        down = self._down
-        for i in range(n):
-            if not (down[i] >> i) & 1:
-                raise PosetValidationError(f"relation not reflexive at {i}")
-        for j in range(n):
-            for i in iter_bits(down[j]):
-                if i != j and (down[i] >> j) & 1:
-                    raise PosetValidationError(f"antisymmetry fails on ({i}, {j})")
-                if down[i] | down[j] != down[j]:
-                    raise PosetValidationError(f"transitivity fails via {i} <= {j}")
+        up = [1 << i for i in range(n)]
+        for i in reversed(topo):
+            for j in succ[i]:
+                up[i] |= up[j]
+        return cls(down, up, labels=labels)
 
     # -- basic queries ----------------------------------------------------
 
@@ -134,34 +135,14 @@ class FinitePoset:
     def principal_ideal(self, x: int) -> frozenset:
         return frozenset(iter_bits(self._down[x]))
 
-    def principal_filter(self, x: int) -> frozenset:
-        return frozenset(iter_bits(self._up[x]))
-
-    def interval(self, x: int, y: int) -> Interval:
-        if not self.leq(x, y):
-            raise NotComparableError(f"{x} is not <= {y}")
-        return Interval(x, y, frozenset(iter_bits(self._down[y] & self._up[x])))
-
     def covers(self):
         """All covering pairs (x, y) with x covered by y, sorted."""
         if self._covers is None:
-            out = []
-            for j in range(self.n):
-                strict = self._down[j] & ~(1 << j)
-                shadow = 0
-                for t in iter_bits(strict):
-                    shadow |= self._down[t] & ~(1 << t)
-                for i in iter_bits(strict & ~shadow):
-                    out.append((i, j))
-            out.sort()
-            self._covers = out
+            self._covers = sorted(_hasse(self._down))
         return list(self._covers)
 
     def minimal_elements(self):
         return [i for i in range(self.n) if self._down[i] == 1 << i]
-
-    def maximal_elements(self):
-        return [i for i in range(self.n) if self._up[i] == 1 << i]
 
     def minimum(self):
         """The unique global minimum if one exists, else None."""
@@ -220,21 +201,17 @@ class FinitePoset:
         return sorted(range(self.n), key=lambda x: self._down[x].bit_count())
 
     def product(self, other: "FinitePoset") -> "FinitePoset":
-        """Componentwise order on pairs; (a, b) gets id a * other.n + b."""
+        """Componentwise order on pairs; (a, b) gets id a * other.n + b.
+
+        (a, b) is covered by (c, b) when a is covered by c, and by (a, d)
+        when b is covered by d."""
         n2 = other.n
-        down = []
-        for a in range(self.n):
-            da = self._down[a]
-            for b in range(other.n):
-                db = other._down[b]
-                m = 0
-                for c in iter_bits(da):
-                    m |= db << (c * n2)
-                down.append(m)
+        covers = [(a * n2 + b, c * n2 + b) for a, c in self.covers() for b in range(n2)]
+        covers += [(a * n2 + b, a * n2 + d) for a in range(self.n) for b, d in other.covers()]
         labels = None
         if self.labels is not None and other.labels is not None:
             labels = [(la, lb) for la in self.labels for lb in other.labels]
-        return FinitePoset(down, labels=labels, validate_limit=-1)
+        return FinitePoset.from_covers(self.n * n2, covers, labels=labels)
 
     # -- serialization ----------------------------------------------------
 

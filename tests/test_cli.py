@@ -218,6 +218,14 @@ def test_spec_size_caps_apply_before_construction(tmp_path, capsys):
     assert time.monotonic() - started < 1.0
 
 
+def test_set_partition_cap_applies_before_construction(capsys):
+    started = time.monotonic()
+    code, _, err = run(capsys, "grundy", "setpartitions:9", "tt", "--max-elements", "100")
+    assert code == EXIT_RESOURCE
+    assert "21147 elements (cap 100)" in err
+    assert time.monotonic() - started < 1.0
+
+
 def test_usage_errors(capsys):
     code, _, err = run(capsys, "grundy", "pentagon:9", "ruler")
     assert code == EXIT_USAGE

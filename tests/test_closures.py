@@ -1,0 +1,158 @@
+"""Differential test of the closures `FinitePoset.from_covers` builds.
+
+Every constructor only states covers, so each down mask is checked against
+the family's own order relation over all pairs, and each up mask against
+the transpose of the down masks.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from grundylab import gf
+from grundylab.families import (
+    antichain,
+    asm_leq,
+    asm_poset,
+    chain,
+    divisor_poset,
+    restricted_growth_strings,
+    rgs_to_blocks,
+    set_partition_poset,
+    subspace_lattice,
+)
+from grundylab.partitions import partitions_of, refinement_poset, refines
+from grundylab.poset import FinitePoset, iter_bits
+
+
+def transpose(down):
+    """Up masks read off the down masks one relation at a time."""
+    up = [0] * len(down)
+    for j, m in enumerate(down):
+        for i in iter_bits(m):
+            up[i] |= 1 << j
+    return up
+
+
+def assert_closures(p, leq):
+    n = p.n
+    down = [p.down_mask(y) for y in range(n)]
+    assert down == [sum(1 << x for x in range(n) if leq(x, y)) for y in range(n)]
+    assert [p.up_mask(x) for x in range(n)] == transpose(down)
+
+
+def chain_case(n):
+    return chain(n), lambda x, y: x <= y
+
+
+def antichain_case(n):
+    return antichain(n), lambda x, y: x == y
+
+
+def divisor_case(n):
+    p = divisor_poset(n)
+    return p, lambda x, y: p.labels[y] % p.labels[x] == 0
+
+
+def subspace_case(n, q):
+    f = gf.field(q)
+    subs = [s for r in range(n + 1) for s in sorted(gf.rref_matrices(f, n, r))]
+    return subspace_lattice(n, q), lambda x, y: gf.subspace_leq(f, subs[x], subs[y])
+
+
+def set_partition_case(n):
+    rgs = list(restricted_growth_strings(n))
+
+    def leq(x, y):
+        return all(len({rgs[y][e - 1] for e in block}) == 1 for block in rgs_to_blocks(rgs[x]))
+
+    return set_partition_poset(n), leq
+
+
+def asm_case(n):
+    p = asm_poset(n)
+    return p, lambda x, y: asm_leq(p.labels[x], p.labels[y])
+
+
+def refinement_case(n):
+    pars = partitions_of(n)
+    return refinement_poset(n), lambda x, y: refines(pars[x], pars[y])
+
+
+def product_case(left, right):
+    (p, p_leq), (q, q_leq) = left, right
+
+    def leq(x, y):
+        (a, b), (c, d) = divmod(x, q.n), divmod(y, q.n)
+        return p_leq(a, c) and q_leq(b, d)
+
+    return p.product(q), leq
+
+
+CASES = {
+    "chain:1": lambda: chain_case(1),
+    "chain:9": lambda: chain_case(9),
+    "antichain:0": lambda: antichain_case(0),
+    "antichain:6": lambda: antichain_case(6),
+    "divisors:1": lambda: divisor_case(1),
+    "divisors:97": lambda: divisor_case(97),
+    "divisors:720720": lambda: divisor_case(720720),
+    **{f"subspaces:{n}:2": (lambda n=n: subspace_case(n, 2)) for n in range(5)},
+    **{f"subspaces:{n}:3": (lambda n=n: subspace_case(n, 3)) for n in range(4)},
+    **{f"subspaces:{n}:4": (lambda n=n: subspace_case(n, 4)) for n in range(4)},
+    **{f"setpartitions:{n}": (lambda n=n: set_partition_case(n)) for n in range(1, 7)},
+    **{f"asm:{n}": (lambda n=n: asm_case(n)) for n in range(2, 9)},
+    **{f"refinement:{n}": (lambda n=n: refinement_case(n)) for n in range(1, 9)},
+    "chain:3*divisors:12": lambda: product_case(chain_case(3), divisor_case(12)),
+    "antichain:2*chain:3": lambda: product_case(antichain_case(2), chain_case(3)),
+    "subspaces:2:2*asm:4": lambda: product_case(subspace_case(2, 2), asm_case(4)),
+    "chain:2*(chain:2*antichain:2)": lambda: product_case(
+        chain_case(2), product_case(chain_case(2), antichain_case(2))
+    ),
+    "chain:4*antichain:0": lambda: product_case(chain_case(4), antichain_case(0)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_constructor_closures_match_their_relation(name):
+    assert_closures(*CASES[name]())
+
+
+@st.composite
+def cover_dags(draw):
+    """Edges of a DAG on shuffled ids, duplicates and non-cover edges included."""
+    n = draw(st.integers(0, 24))
+    if n == 0:
+        return 0, []
+    perm = draw(st.permutations(range(n)))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n))
+    return n, [(perm[min(a, b)], perm[max(a, b)]) for a, b in pairs if a != b]
+
+
+def reachability(n, edges):
+    succ = [[] for _ in range(n)]
+    for i, j in edges:
+        succ[i].append(j)
+    reach = []
+    for s in range(n):
+        seen, stack = {s}, [s]
+        while stack:
+            for j in succ[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        reach.append(seen)
+    return lambda x, y: y in reach[x]
+
+
+@settings(max_examples=150, deadline=None)
+@given(cover_dags())
+def test_random_dag_closures_match_reachability(dag):
+    n, edges = dag
+    leq = reachability(n, edges)
+    p = FinitePoset.from_covers(n, edges)
+    assert_closures(p, leq)
+    assert set(p.covers()) <= set(edges)
+    for q in (FinitePoset.from_covers(n, p.covers()), FinitePoset.from_relation(n, leq)):
+        assert [q.down_mask(x) for x in range(n)] == [p.down_mask(x) for x in range(n)]
+        assert [q.up_mask(x) for x in range(n)] == [p.up_mask(x) for x in range(n)]

@@ -23,7 +23,6 @@ from grundylab.partitions import (
     multiplicities,
     multiplicity_M,
     option_sums,
-    partition_union,
     partitions_of,
     refinement_poset,
     refines,
@@ -60,9 +59,8 @@ def test_iter_partitions_is_lazy_and_matches_partitions_of():
     assert first == (1000,)
 
 
-def test_multiplicities_and_union():
+def test_multiplicities():
     assert multiplicities((2, 1, 1)) == Counter({1: 2, 2: 1})
-    assert partition_union((2, 1, 1), (3, 2, 2, 1, 1, 1)) == (3, 2, 2, 2, 1, 1, 1, 1, 1)
 
 
 def test_refines_examples():
