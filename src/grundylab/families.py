@@ -201,8 +201,10 @@ def set_partition_poset(n: int, max_n: int = MAX_SET_PARTITION_N) -> FinitePoset
     the all-singletons partition is the minimum and the one-block partition
     the maximum.  Covers merge exactly two blocks.
     """
-    if not 1 <= n <= max_n:
-        raise TooLargeError(f"set partition poset supported for 1 <= n <= {max_n}")
+    if n < 1:
+        raise ValueError("set partition poset needs n >= 1")
+    if n > max_n:
+        raise TooLargeError(f"set partition poset supported for n <= {max_n}")
     elems = list(restricted_growth_strings(n))
     index = {r: i for i, r in enumerate(elems)}
     covers = []

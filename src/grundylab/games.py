@@ -2,11 +2,12 @@
 
 A position is a subset of the board, held as an int bitmask; a move picks a
 turning set whose maximum element is currently in the position and flips it
-(symmetric difference, i.e. XOR of masks).  A `TurningFamily` keeps its sets
-bucketed by maximum; `TurningFamily.from_masks` checks sets made elsewhere.
-`solve_elementwise` computes the per-element Grundy values by the
-mex-of-nim-sums recursion, after which the value of any position is the
-nim-sum of its elements' values.
+(symmetric difference, i.e. XOR of masks).  A `TurningFamily` is a rule:
+`bucket(y)` makes the sets with maximum y from the poset's masks when it is
+called, and no built-in family stores its sets; `TurningFamily.from_masks`
+checks sets made elsewhere.  `solve_elementwise` computes the per-element
+Grundy values by the mex-of-nim-sums recursion, asking for each bucket once,
+after which the value of any position is the nim-sum of its elements' values.
 `brute_force_grundy` ignores all of that and evaluates positions by the raw
 mex recursion over the option graph; the test suite plays the two against
 each other.
@@ -15,6 +16,7 @@ each other.
 from __future__ import annotations
 
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, TooLargeError
@@ -25,21 +27,20 @@ MAX_BRUTE_FORCE_POSITIONS = 1 << 20
 
 
 class TurningFamily:
-    """A collection of element subsets of one poset, bucketed by maximum.
+    """The turning sets of one poset, made one maximum at a time.
 
-    `by_max[y]` lists the bitmasks of the turning sets whose maximum element
-    is y; a move may flip them only while y is in the position.  The built-in
-    families know each set's maximum when they make it and fill the buckets
-    directly.  Sets from outside the library go through `from_masks`, which
-    finds each maximum and refuses a set that has none.
+    `bucket(y)` returns the bitmasks of the turning sets whose maximum
+    element is y; a move may flip them only while y is in the position.  The
+    built-in families are rules: each makes a bucket from the poset's down
+    and up masks when it is asked for, and none stores its sets.  Sets from
+    outside the library go through `from_masks`, which finds each maximum,
+    refuses a set that has none, and serves the stored lists by the same
+    interface.
     """
 
-    def __init__(self, poset: FinitePoset, by_max: list[list[int]]):
+    def __init__(self, poset: FinitePoset, bucket: Callable[[int], list[int]]):
         self.poset = poset
-        self.by_max = by_max
-        # elements that are the maximum of some turning set; positions
-        # avoiding all of them are the ending positions
-        self.heads_mask = sum(1 << y for y, bucket in enumerate(by_max) if bucket)
+        self.bucket = bucket
 
     @classmethod
     def from_masks(cls, poset: FinitePoset, masks) -> "TurningFamily":
@@ -56,47 +57,42 @@ class TurningFamily:
             if not tops:
                 raise ValueError(f"turning set {idx} ({m:#b}) has no unique maximum")
             by_max[tops[0]].append(m)
-        return cls(poset, by_max)
+        return cls(poset, by_max.__getitem__)
 
     @property
     def masks(self) -> list[int]:
         """Every turning set, bucket by bucket."""
-        return [m for bucket in self.by_max for m in bucket]
+        return [m for y in range(self.poset.n) for m in self.bucket(y)]
 
     def __len__(self):
-        return sum(map(len, self.by_max))
+        return sum(len(self.bucket(y)) for y in range(self.poset.n))
 
 
 def turning_turtles(p: FinitePoset) -> TurningFamily:
     """Turning sets {x, y} for all comparable pairs x <= y (singletons when
     x = y)."""
-    return TurningFamily(
-        p, [[(1 << x) | (1 << y) for x in iter_bits(p.down_mask(y))] for y in range(p.n)]
-    )
+    return TurningFamily(p, lambda y: [(1 << x) | (1 << y) for x in iter_bits(p.down_mask(y))])
 
 
 def order_ideal_family(p: FinitePoset) -> TurningFamily:
     """One turning set per element: its principal order ideal."""
-    return TurningFamily(p, [[p.down_mask(y)] for y in range(p.n)])
+    return TurningFamily(p, lambda y: [p.down_mask(y)])
 
 
 def ruler_family(p: FinitePoset) -> TurningFamily:
     """All closed intervals [x, y] with x <= y."""
-    by_max = []
-    for y in range(p.n):
+
+    def bucket(y):
         dm = p.down_mask(y)
-        by_max.append([dm & p.up_mask(x) for x in iter_bits(dm)])
-    return TurningFamily(p, by_max)
+        return [dm & p.up_mask(x) for x in iter_bits(dm)]
+
+    return TurningFamily(p, bucket)
 
 
 def moves(fam: TurningFamily, position: int) -> list[int]:
     """All positions reachable in one move: flip any set whose maximum is in
     the position.  Empty exactly when the position avoids every maximum."""
-    out = []
-    for x in iter_bits(position & fam.heads_mask):
-        for m in fam.by_max[x]:
-            out.append(position ^ m)
-    return out
+    return [position ^ m for x in iter_bits(position) for m in fam.bucket(x)]
 
 
 def potential(p: FinitePoset, tau, position: int) -> int:
@@ -140,7 +136,7 @@ def solve_elementwise(fam: TurningFamily, max_seconds: float | None = None) -> G
     for x in p.linear_extension_order():
         if deadline is not None and time.monotonic() > deadline:
             raise BudgetExceededError(f"solve not finished within {max_seconds}s")
-        bucket = fam.by_max[x]
+        bucket = fam.bucket(x)
         sums = [0] * len(bucket)
         bit = 1
         for plane in planes:
@@ -188,7 +184,9 @@ class GenericGame:
         total = 1 << n
         if total > cap:
             raise TooLargeError(f"2^{n} positions exceed cap {cap}")
-        options = [tuple(moves(fam, pos)) for pos in range(total)]
+        # every position reads several buckets: make each one once
+        stored = TurningFamily(fam.poset, [fam.bucket(y) for y in range(n)].__getitem__)
+        options = [tuple(moves(stored, pos)) for pos in range(total)]
         return cls(options)
 
 
@@ -255,19 +253,24 @@ def product_family(
 ):
     """Family {T1 x T2} on the product poset.
 
-    T1 x T2 has maximum (max T1, max T2), so product bucket a * n2 + b is
-    filled from bucket a of f1 and bucket b of f2.  The per-element Grundy
-    value of (x1, x2) is the nim-product of the component values;
-    `solve_elementwise` on the result verifies that.
+    T1 x T2 has maximum (max T1, max T2), so the bucket of element
+    a * n2 + b is made from bucket a of f1 and bucket b of f2 when it is
+    asked for.  The per-element Grundy value of (x1, x2) is the nim-product
+    of the component values; `solve_elementwise` on the result verifies that.
     """
     prod = p1.product(p2)
     n2 = p2.n
-    by_max = []
-    for bucket1 in f1.by_max:
-        shifts = [[a * n2 for a in iter_bits(m1)] for m1 in bucket1]
-        for bucket2 in f2.by_max:
-            by_max.append([sum(m2 << s for s in sh) for sh in shifts for m2 in bucket2])
-    return prod, TurningFamily(prod, by_max)
+
+    def bucket(y):
+        a, b = divmod(y, n2)
+        bucket2 = f2.bucket(b)
+        out = []
+        for m1 in f1.bucket(a):
+            shifts = [x * n2 for x in iter_bits(m1)]
+            out.extend(sum(m2 << s for s in shifts) for m2 in bucket2)
+        return out
+
+    return prod, TurningFamily(prod, bucket)
 
 
 def product_grundy_prediction(t1: GrundyTable, t2: GrundyTable) -> list[int]:

@@ -5,21 +5,18 @@ library uses.  `nim_add_inductive` and `nim_mul_inductive` evaluate the
 defining mex recursions literally; they are quadratic, capped, and exist
 purely as correctness oracles for the fast paths.
 
-All functions are pure.  The oracle tables and the `nim_mul` memo grow
-monotonically under a lock, so concurrent readers are safe once an entry
-exists.
+All functions are pure.  The oracle tables and the `nim_mul` memo only
+grow; a grown oracle table is built on the side and published by one
+assignment, so an interrupted growth leaves the previous table intact.
 """
 
 from __future__ import annotations
-
-import threading
 
 from .errors import CapExceededError
 
 NIM_ADD_ORACLE_CAP = 1024
 NIM_MUL_ORACLE_CAP = 256
 
-_table_lock = threading.Lock()
 _nim_add_table: list[list[int]] = []
 _nim_mul_table: list[list[int]] = []
 
@@ -78,9 +75,7 @@ def nim_add_inductive(a: int, b: int, cap: int = NIM_ADD_ORACLE_CAP) -> int:
         raise CapExceededError(f"inductive nim-add capped at {cap}, got ({a}, {b})")
     need = max(a, b) + 1
     if len(_nim_add_table) < need:
-        with _table_lock:
-            if len(_nim_add_table) < need:
-                _grow_nim_add_table(need)
+        _grow_nim_add_table(need)
     return _nim_add_table[a][b]
 
 
@@ -89,8 +84,7 @@ def _grow_nim_mul_table(limit: int) -> None:
     # Only the cells outside the current table are computed, in row-major
     # order.  Along row a, diffs[a'] holds t[a][b'] ^ t[a'][b'] for every
     # b' < b, so the options at (a, b) are t[a'][b] ^ diffs[a'].  The grown
-    # table is built on the side and published by one assignment, so readers
-    # that skip the lock never see an unfilled cell.
+    # table is built on the side and published by one assignment.
     global _nim_mul_table
     done = len(_nim_mul_table)
     t = [row + [0] * (limit - done) for row in _nim_mul_table]
@@ -121,9 +115,7 @@ def nim_mul_inductive(a: int, b: int, cap: int = NIM_MUL_ORACLE_CAP) -> int:
         raise CapExceededError(f"inductive nim-mul capped at {cap}, got ({a}, {b})")
     need = max(a, b) + 1
     if len(_nim_mul_table) < need:
-        with _table_lock:
-            if len(_nim_mul_table) < need:
-                _grow_nim_mul_table(need)
+        _grow_nim_mul_table(need)
     return _nim_mul_table[a][b]
 
 

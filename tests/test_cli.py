@@ -230,6 +230,10 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "grundy", "pentagon:9", "ruler")
     assert code == EXIT_USAGE
     assert "bad poset spec" in err or "unknown poset spec" in err
+    for spec in ("setpartitions:0", "setpartitions:-2"):
+        code, _, err = run(capsys, "grundy", spec, "ruler")
+        assert code == EXIT_USAGE
+        assert "bad poset spec" in err
     with pytest.raises(SystemExit) as exc:
         main(["grundy", "chain:4", "nosuchfamily"])
     assert exc.value.code == EXIT_USAGE
@@ -276,6 +280,41 @@ def test_time_budget_stops_the_solver_while_it_runs(capsys):
     code, _, err = run(capsys, "tables", "asm-ruler", "--n", "20", "--max-seconds", "0.05")
     assert code == EXIT_RESOURCE
     assert time.monotonic() - started < 3.0
+    # the budget covers making the turning sets: the intervals of asm:30
+    # are made bucket by bucket inside the solve, never all up front
+    started = time.monotonic()
+    code, _, err = run(capsys, "grundy", "asm:30", "ruler", "--max-seconds", "0.05")
+    assert code == EXIT_RESOURCE
+    assert time.monotonic() - started < 1.5
+
+
+# Runs its argv as a child and prints the child's exit code and ru_maxrss.
+# A child's peak RSS includes the image of the process that started it, so
+# the test starts this small launcher rather than the CLI itself.
+RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_ruler_solve_holds_one_bucket_at_a_time():
+    # asm:20 has 1330 elements and 235 543 intervals; stored all at once
+    # they lift the peak RSS of this run from about 17 MB to about 52 MB
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    cli = [sys.executable, "-m", "grundylab.cli", "grundy", "asm:20", "ruler"]
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_LAUNCHER, *cli],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, maxrss_kib = map(int, proc.stdout.split())
+    assert code == EXIT_OK
+    assert maxrss_kib / 1024 < 35
 
 
 def test_exit_code_constants_are_distinct():

@@ -86,6 +86,9 @@ def test_set_partition_poset():
     assert not p4.leq(coarse, fine)
     with pytest.raises(TooLargeError):
         set_partition_poset(10)
+    for n in (0, -2):
+        with pytest.raises(ValueError):
+            set_partition_poset(n)
 
 
 def test_asm_element_counts():

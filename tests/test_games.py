@@ -59,7 +59,7 @@ def test_family_counts():
 
 
 def sorted_buckets(fam):
-    return [sorted(bucket) for bucket in fam.by_max]
+    return [sorted(fam.bucket(y)) for y in range(fam.poset.n)]
 
 
 def test_check_sharp():
@@ -121,7 +121,7 @@ def member_loop_solve(fam):
     g = [0] * p.n
     for x in p.linear_extension_order():
         opts = []
-        for m in fam.by_max[x]:
+        for m in fam.bucket(x):
             s = 0
             for t in iter_bits(m & ~(1 << x)):
                 s ^= g[t]
@@ -189,7 +189,7 @@ def test_ending_positions_avoid_maxima():
     for p, fams in ft_suite():
         for name in fams:
             fam = BUILDERS[name](p)
-            heads = fam.heads_mask
+            heads = sum(1 << y for y in range(p.n) if fam.bucket(y))
             for pos in range(1 << p.n):
                 assert (moves(fam, pos) == []) == (pos & heads == 0)
 

@@ -1,12 +1,8 @@
-import sys
-import threading
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grundylab import nimber
 from grundylab.errors import CapExceededError
 from grundylab.nimber import (
     mex,
@@ -93,36 +89,6 @@ def test_nim_mul_matches_inductive_oracle():
     for a in range(48):
         for b in range(48):
             assert nim_mul(a, b) == nim_mul_inductive(a, b)
-
-
-def test_nim_mul_table_growth_never_exposes_unfilled_cells(monkeypatch):
-    # readers that find the table large enough skip the lock, so a grown
-    # table must be complete before it becomes visible
-    monkeypatch.setattr(nimber, "_nim_mul_table", [])
-    stop = threading.Event()
-    bad = []
-
-    def read():
-        while not stop.is_set():
-            top = len(nimber._nim_mul_table) - 1
-            if top > 0 and nim_mul_inductive(top, top) != nim_mul(top, top):
-                bad.append(top)
-
-    readers = [threading.Thread(target=read) for _ in range(3)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for r in readers:
-            r.start()
-        for n in range(1, 40):
-            nim_mul_inductive(n, 0)
-    finally:
-        stop.set()
-        for r in readers:
-            r.join(timeout=30)
-        sys.setswitchinterval(interval)
-    assert not any(r.is_alive() for r in readers)
-    assert bad == []
 
 
 def test_nim_mul_small_table():
