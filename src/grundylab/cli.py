@@ -9,13 +9,21 @@ Poset specs: chain:N | divisors:N | subspaces:N:Q | setpartitions:N | asm:N
 | file:PATH (JSON {"n":..., "covers":[[i,j],...], "labels":[...]}).
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap.
+
+`--max-seconds` budgets the whole subcommand by one process timer whose
+SIGALRM handler raises BudgetExceededError wherever the work is; the table
+is written after the timer is disarmed.  `signal.setitimer` is POSIX-only
+(the tool is run and tested on Linux), and `main` must run in the main
+thread.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -26,6 +34,7 @@ from .errors import (
     GrundylabError,
     PosetValidationError,
     TooLargeError,
+    UnsupportedFieldError,
 )
 from .poset import FinitePoset
 
@@ -93,8 +102,9 @@ def parse_poset_spec(spec: str, max_elements: int) -> FinitePoset:
                 raise TooLargeError(f"{spec} needs {trials} trial divisions (cap {max_elements})")
             return families.divisor_poset(n)
         if head == "subspaces":
-            ns, qs = rest.split(":")
-            return families.subspace_lattice(int(ns), int(qs), max_elements=max_elements)
+            n, q = (int(v) for v in rest.split(":"))
+            guard(sum(families.q_binomial(n, r, q) for r in range(n + 1)))
+            return families.subspace_lattice(n, q)
         if head == "setpartitions":
             n = int(rest)
             if n <= families.MAX_SET_PARTITION_N:
@@ -111,7 +121,7 @@ def parse_poset_spec(spec: str, max_elements: int) -> FinitePoset:
                 return FinitePoset.from_json(text, max_elements=max_elements)
             except (KeyError, TypeError, PosetValidationError) as exc:
                 raise ValueError(f"malformed poset file: {exc}") from exc
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, UnsupportedFieldError) as exc:
         raise SpecError(f"bad poset spec {spec!r}: {exc}") from exc
     raise SpecError(f"unknown poset spec {spec!r}")
 
@@ -124,20 +134,18 @@ def _meta(**kw) -> dict:
 # -- subcommands --------------------------------------------------------------
 
 
-def cmd_grundy(args) -> int:
+def cmd_grundy(args) -> TableReport:
     poset = parse_poset_spec(args.poset, args.max_elements)
     if poset.n > args.max_elements:
         raise TooLargeError(f"poset has {poset.n} elements (cap {args.max_elements})")
     fam = checks.FAMILY_BUILDERS[args.family](poset)
-    table = games.solve_elementwise(fam, max_seconds=args.max_seconds)
+    table = games.solve_elementwise(fam)
     rows = [(str(poset.label(x)), table.values[x]) for x in range(poset.n)]
-    report = TableReport(
+    return TableReport(
         ("element_label", "grundy"),
         rows,
         _meta(poset=args.poset, family=args.family, elements=poset.n),
     )
-    sys.stdout.write(report.render(args.format))
-    return EXIT_OK
 
 
 def _table_phi(args) -> TableReport:
@@ -154,7 +162,7 @@ def _table_gq(args) -> TableReport:
 
 
 def _table_hn(args) -> TableReport:
-    h = partitions.h_sequence(args.max, max_seconds=args.max_seconds)
+    h = partitions.h_sequence(args.max)
     rows = [(n, h[n]) for n in range(1, args.max + 1)]
     meta = _meta(table="hn", max=args.max)
     if args.max > _HN_PAPER_MAX:
@@ -195,7 +203,7 @@ def _table_asm_ideal(args) -> TableReport:
 def _table_asm_ruler(args) -> TableReport:
     n = args.n
     poset = parse_poset_spec(f"asm:{n}", args.max_elements)
-    table = games.solve_elementwise(games.ruler_family(poset), max_seconds=args.max_seconds)
+    table = games.solve_elementwise(games.ruler_family(poset))
     fiber = {}
     for x in range(poset.n):
         fiber.setdefault(families.asm_pi(n, poset.labels[x]), x)
@@ -221,10 +229,9 @@ _TABLES = {
 }
 
 
-def cmd_tables(args) -> int:
+def cmd_tables(args) -> TableReport:
     builder, _ = _TABLES[args.name]
-    sys.stdout.write(builder(args).render(args.format))
-    return EXIT_OK
+    return builder(args)
 
 
 def cmd_verify(args) -> int:
@@ -280,6 +287,26 @@ _TABLE_DEFAULTS = {"phi": 15, "gq": 14, "hn": 17}
 _ASM_DEFAULTS = {"asm-ideal": 10, "asm-ruler": 8}
 
 
+@contextmanager
+def _time_budget(seconds: float):
+    """Raise BudgetExceededError in the block once `seconds` have passed; a
+    signal that lands while the timer is being disarmed is ignored."""
+    armed = True
+
+    def out_of_time(signum, frame):
+        if armed:
+            raise BudgetExceededError(f"command not finished within {seconds}s")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, seconds)
+        yield
+    finally:
+        armed = False
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -292,14 +319,23 @@ def main(argv=None) -> int:
             parser.error("--max must be positive")
         if args.name in _ASM_DEFAULTS and args.n < 2:
             parser.error("--n must be at least 2")
+    budget = getattr(args, "max_seconds", None)
+    # 1e9 s is about 31 years; setitimer rejects 1e15 s as out of range
+    if budget is not None and not 0 < budget <= 1e9:
+        parser.error("--max-seconds must be positive and at most 1e9")
     try:
-        return args.func(args)
+        with _time_budget(budget) if budget is not None else nullcontext():
+            result = args.func(args)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (TooLargeError, CapExceededError, BudgetExceededError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    if isinstance(result, TableReport):
+        sys.stdout.write(result.render(args.format))
+        return EXIT_OK
+    return result
 
 
 def console_main() -> None:

@@ -100,7 +100,7 @@ def _subspace_label(rows, q: int) -> str:
     return ";".join("".join(digits[v] for v in row) for row in rows)
 
 
-def subspace_lattice(n: int, q: int, max_elements: int = MAX_POSET_ELEMENTS) -> FinitePoset:
+def subspace_lattice(n: int, q: int) -> FinitePoset:
     """All subspaces of F_q^n ordered by inclusion.
 
     Elements are canonical RREF matrices, listed by increasing dimension and
@@ -109,9 +109,6 @@ def subspace_lattice(n: int, q: int, max_elements: int = MAX_POSET_ELEMENTS) -> 
     if n < 0:
         raise ValueError("dimension must be non-negative")
     f = gf.field(q)
-    total = sum(q_binomial(n, r, q) for r in range(n + 1))
-    if total > max_elements:
-        raise TooLargeError(f"B_{n}({q}) has {total} elements (cap {max_elements})")
     layers = [sorted(gf.rref_matrices(f, n, r)) for r in range(n + 1)]
     covers = []
     start = 0
@@ -125,7 +122,7 @@ def subspace_lattice(n: int, q: int, max_elements: int = MAX_POSET_ELEMENTS) -> 
         ]
         start = above
     labels = [_subspace_label(s, q) for layer in layers for s in layer]
-    return FinitePoset.from_covers(total, covers, labels=labels)
+    return FinitePoset.from_covers(len(labels), covers, labels=labels)
 
 
 def subspace_dimensions(n: int, q: int) -> list[int]:
@@ -194,7 +191,7 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-def set_partition_poset(n: int, max_n: int = MAX_SET_PARTITION_N) -> FinitePoset:
+def set_partition_poset(n: int) -> FinitePoset:
     """Set partitions of {1..n} under refinement.
 
     pi <= sigma iff every block of pi is contained in a block of sigma, so
@@ -203,8 +200,8 @@ def set_partition_poset(n: int, max_n: int = MAX_SET_PARTITION_N) -> FinitePoset
     """
     if n < 1:
         raise ValueError("set partition poset needs n >= 1")
-    if n > max_n:
-        raise TooLargeError(f"set partition poset supported for n <= {max_n}")
+    if n > MAX_SET_PARTITION_N:
+        raise TooLargeError(f"set partition poset supported for n <= {MAX_SET_PARTITION_N}")
     elems = list(restricted_growth_strings(n))
     index = {r: i for i, r in enumerate(elems)}
     covers = []

@@ -10,16 +10,15 @@ Grundy values by the mex-of-nim-sums recursion, asking for each bucket once,
 after which the value of any position is the nim-sum of its elements' values.
 `brute_force_grundy` ignores all of that and evaluates positions by the raw
 mex recursion over the option graph; the test suite plays the two against
-each other.
+each other.  The CLI's `--max-seconds` timer may interrupt any of them.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-from .errors import BudgetExceededError, TooLargeError
+from .errors import TooLargeError
 from .nimber import mex, nim_mul
 from .poset import FinitePoset, iter_bits
 
@@ -115,7 +114,7 @@ class GrundyTable:
         return grundy_position(self, position_mask)
 
 
-def solve_elementwise(fam: TurningFamily, max_seconds: float | None = None) -> GrundyTable:
+def solve_elementwise(fam: TurningFamily) -> GrundyTable:
     """Per-element Grundy values g(x) = mex over turning sets with maximum x
     of the nim-sum of values strictly inside the set.
 
@@ -125,17 +124,11 @@ def solve_elementwise(fam: TurningFamily, max_seconds: float | None = None) -> G
     solved elements whose value has bit b set, so bit b of the nim-sum over
     a set is the parity of the set's members in `planes[b]`.  x itself is
     in no plane while its sets are summed.
-
-    Raises BudgetExceededError when the wall-time budget runs out; the
-    budget is checked once per element, so it stops work in progress.
     """
     p = fam.poset
     g = [0] * p.n
     planes = []
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
     for x in p.linear_extension_order():
-        if deadline is not None and time.monotonic() > deadline:
-            raise BudgetExceededError(f"solve not finished within {max_seconds}s")
         bucket = fam.bucket(x)
         sums = [0] * len(bucket)
         bit = 1

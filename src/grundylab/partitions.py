@@ -26,20 +26,20 @@ Lucas' theorem that count is odd exactly when t_i & c_i == t_i for every i;
 nim arithmetic has characteristic 2, so only those T contribute.  s_n(mu) is
 the same sum without the top coarsening T = "all remaining blocks", so once
 h(n) is known, F(mu) = s_n(mu) + h(n) for every mu of weight n, and the memo
-F, keyed by the partition tuples, is shared by every n.
+F, keyed by the partition tuples, is shared by every n and dies with the
+call, so a DP stopped by the CLI's `--max-seconds` timer leaves nothing.
 
 Partitions are plain tuples of parts in weakly decreasing order.
 """
 
 from __future__ import annotations
 
-import time
 from collections import Counter
 from functools import lru_cache
 from itertools import groupby
 from math import factorial
 
-from .errors import BudgetExceededError, WeightMismatchError
+from .errors import WeightMismatchError
 from .nimber import mex, nim_mul, nim_product
 from .poset import FinitePoset
 
@@ -258,21 +258,12 @@ def option_sums(n: int, h, coarse):
         yield mu, acc
 
 
-def h_sequence(n_max: int, max_seconds: float | None = None) -> list[int]:
-    """h(1..n_max), indexable by n (index 0 is unused).
-
-    Raises BudgetExceededError when the wall-time budget runs out; the
-    budget is checked once per partition, so it stops work in progress.
-    """
-    deadline = None if max_seconds is None else time.monotonic() + max_seconds
+def h_sequence(n_max: int) -> list[int]:
+    """h(1..n_max), indexable by n (index 0 is unused)."""
     h = [0]
     coarse = {(): 1}
     for n in range(1, n_max + 1):
-        sums = {}
-        for mu, s in option_sums(n, h, coarse):
-            if deadline is not None and time.monotonic() > deadline:
-                raise BudgetExceededError(f"h({n}) not reached within {max_seconds}s")
-            sums[mu] = s
+        sums = dict(option_sums(n, h, coarse))
         hn = mex(sums.values())
         h.append(hn)
         for mu, s in sums.items():

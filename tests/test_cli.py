@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import pickle
+import signal
 import subprocess
 import sys
 import time
@@ -215,6 +216,9 @@ def test_spec_size_caps_apply_before_construction(tmp_path, capsys):
     code, _, err = run(capsys, "grundy", f"divisors:{10**18}", "tt", "--max-elements", "10")
     assert code == EXIT_RESOURCE
     assert "1000000000 trial divisions (cap 10)" in err
+    code, _, err = run(capsys, "grundy", "subspaces:6:2", "ideal", "--max-elements", "100")
+    assert code == EXIT_RESOURCE
+    assert "2825 elements (cap 100)" in err
     assert time.monotonic() - started < 1.0
 
 
@@ -230,7 +234,7 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "grundy", "pentagon:9", "ruler")
     assert code == EXIT_USAGE
     assert "bad poset spec" in err or "unknown poset spec" in err
-    for spec in ("setpartitions:0", "setpartitions:-2"):
+    for spec in ("setpartitions:0", "setpartitions:-2", "subspaces:3:6", "subspaces:3:1", "subspaces:3:64"):
         code, _, err = run(capsys, "grundy", spec, "ruler")
         assert code == EXIT_USAGE
         assert "bad poset spec" in err
@@ -286,6 +290,56 @@ def test_time_budget_stops_the_solver_while_it_runs(capsys):
     code, _, err = run(capsys, "grundy", "asm:30", "ruler", "--max-seconds", "0.05")
     assert code == EXIT_RESOURCE
     assert time.monotonic() - started < 1.5
+
+
+def test_time_budget_covers_poset_construction(capsys):
+    # both runs spend their budget building the poset, before any solve
+    started = time.monotonic()
+    code, _, err = run(capsys, "grundy", "subspaces:6:2", "ideal", "--max-seconds", "0.5")
+    assert code == EXIT_RESOURCE
+    assert "within 0.5s" in err
+    assert time.monotonic() - started < 3.0
+    started = time.monotonic()
+    code, _, err = run(capsys, "grundy", "setpartitions:9", "tt", "--max-seconds", "0.05")
+    assert code == EXIT_RESOURCE
+    assert time.monotonic() - started < 1.0
+
+
+@pytest.mark.parametrize("seconds", ["0", "-1", "nan", "inf", "1e20"])
+def test_time_budget_must_be_positive_and_finite(capsys, seconds):
+    # setitimer(0) disarms the timer, so 0 would mean no budget at all
+    with pytest.raises(SystemExit) as exc:
+        main(["grundy", "chain:4", "ruler", "--max-seconds", seconds])
+    assert exc.value.code == EXIT_USAGE
+    assert "--max-seconds must be positive" in capsys.readouterr().err
+
+
+def test_time_budget_restores_the_timer_and_the_handler(capsys):
+    def sentinel(signum, frame):
+        raise AssertionError("SIGALRM reached the handler installed before main")
+
+    before = signal.signal(signal.SIGALRM, sentinel)
+    try:
+        for argv, expected in [
+            (("grundy", "chain:4", "ruler", "--max-seconds", "60"), EXIT_OK),
+            (("tables", "hn", "--max", "200", "--max-seconds", "0.05"), EXIT_RESOURCE),
+            (("tables", "hn", "--max-seconds", "0.000001"), EXIT_RESOURCE),
+            (("grundy", "pentagon:9", "ruler", "--max-seconds", "60"), EXIT_USAGE),
+        ]:
+            code, _, _ = run(capsys, *argv)
+            assert code == expected
+            assert signal.getitimer(signal.ITIMER_REAL) == (0.0, 0.0)
+            assert signal.getsignal(signal.SIGALRM) is sentinel
+    finally:
+        signal.signal(signal.SIGALRM, before)
+
+
+def test_generous_time_budget_leaves_stdout_unchanged(capsys):
+    for argv in (("grundy", "subspaces:4:2", "ruler"), ("tables", "hn", "--max", "20")):
+        _, plain, _ = run(capsys, *argv)
+        code, budgeted, _ = run(capsys, *argv, "--max-seconds", "600")
+        assert code == EXIT_OK
+        assert budgeted == plain
 
 
 # Runs its argv as a child and prints the child's exit code and ru_maxrss.

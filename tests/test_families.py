@@ -50,11 +50,6 @@ def test_subspace_lattice_b32():
     assert ranks == dims
 
 
-def test_subspace_lattice_size_guard():
-    with pytest.raises(TooLargeError):
-        subspace_lattice(4, 2, max_elements=10)
-
-
 def test_rgs_enumeration():
     all3 = list(restricted_growth_strings(3))
     assert all3 == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]

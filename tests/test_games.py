@@ -1,13 +1,10 @@
-import itertools
 import random
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grundylab import games
-from grundylab.errors import BudgetExceededError, TooLargeError
+from grundylab.errors import TooLargeError
 from grundylab.families import (
     asm_elements,
     asm_poset,
@@ -148,16 +145,6 @@ def test_bit_plane_solver_matches_member_loop_on_wide_values():
         assert values == member_loop_solve(ruler)
         tt = turning_turtles(p)
         assert solve_elementwise(tt).values == member_loop_solve(tt)
-
-
-def test_solve_budget_stops_inside_the_element_loop(monkeypatch):
-    # a clock that advances one second per reading: the deadline is 5.5, so
-    # the check before the sixth of the 40 elements raises
-    ticks = itertools.count()
-    monkeypatch.setattr(games, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
-    with pytest.raises(BudgetExceededError, match="5.5s"):
-        solve_elementwise(ruler_family(chain(40)), max_seconds=5.5)
-    assert next(ticks) == 7
 
 
 def test_from_masks_rejects_sets_without_a_maximum():

@@ -1,19 +1,16 @@
-import itertools
 import random
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 
 from grundylab.checks import H_ROW
-from grundylab.errors import BudgetExceededError, WeightMismatchError
+from grundylab.errors import WeightMismatchError
 from grundylab.families import (
     restricted_growth_strings,
     rgs_to_blocks,
     set_partition_poset,
 )
 from grundylab.games import ruler_family, solve_elementwise
-from grundylab import partitions
 from grundylab.nimber import mex
 from grundylab.partitions import (
     decompositions,
@@ -194,20 +191,6 @@ def test_h_sequence_past_the_paper_table():
     h = h_sequence(24)
     assert h[1:18] == H_TABLE
     assert h[18:] == [1, 11, 26, 92, 21, 256, 95]
-
-
-def test_h_sequence_budget_guard():
-    with pytest.raises(BudgetExceededError):
-        h_sequence(40, max_seconds=0.0)
-
-
-def test_h_sequence_budget_stops_inside_one_n(monkeypatch):
-    # a clock that advances one second per reading: the budget runs out at
-    # the sixth partition, which is the third of the three partitions of 3
-    ticks = itertools.count()
-    monkeypatch.setattr(partitions, "time", SimpleNamespace(monotonic=lambda: next(ticks)))
-    with pytest.raises(BudgetExceededError, match=r"h\(3\)"):
-        h_sequence(40, max_seconds=5.5)
 
 
 def test_h_matches_ruler_solver_on_set_partitions():
