@@ -1,5 +1,6 @@
 import pytest
 
+from grundylab.cli import parse_poset_spec
 from grundylab.errors import TooLargeError
 from grundylab.families import (
     asm_cover_candidates,
@@ -48,6 +49,14 @@ def test_subspace_lattice_b32():
     assert p.label(p.minimum()) == "0"
     ranks = p.rank_function()
     assert ranks == dims
+
+
+def test_subspace_lattice_size_guard():
+    # The element cap on subspaces:N:Q is checked from the q-binomial count
+    # in parse_poset_spec, before any subspace is enumerated.
+    with pytest.raises(TooLargeError, match=r"67 elements \(cap 10\)"):
+        parse_poset_spec("subspaces:4:2", max_elements=10)
+    assert parse_poset_spec("subspaces:4:2", max_elements=67).n == 67
 
 
 def test_rgs_enumeration():
