@@ -103,6 +103,8 @@ def parse_poset_spec(spec: str, max_elements: int) -> FinitePoset:
             return families.divisor_poset(n)
         if head == "subspaces":
             n, q = (int(v) for v in rest.split(":"))
+            if n > max_elements.bit_length():  # F_q^n has at least 2^n subspaces
+                raise TooLargeError(f"{spec} has at least 2^{n} elements (cap {max_elements})")
             guard(sum(families.q_binomial(n, r, q) for r in range(n + 1)))
             return families.subspace_lattice(n, q)
         if head == "setpartitions":

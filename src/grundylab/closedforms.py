@@ -9,7 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import NoMinimumError, NotADivisorError, NotGradedError
-from .families import q_binomial_parity
+from .families import asm_rank, q_binomial_parity
 from .nimber import mex, nim_product, nu2, ruler_phi
 from .poset import FinitePoset
 
@@ -106,10 +106,7 @@ def order_ideal_parity(p: FinitePoset, x: int, lower_values) -> int:
 def asm_ideal_grundy(n: int, e) -> int:
     """Order-ideal game on the ASM poset: value 1 iff the rank is 0 or
     equals 2z +/- 1."""
-    x, y, z = e
-    if x < 0 or y < 0 or z < 0 or x + y + z > n - 2:
-        raise ValueError(f"{e} is not in the poset for n={n}")
-    rank = n - 2 - (x + y)
+    rank, z = asm_rank(n, e), e[2]
     return 1 if rank == 0 or rank == 2 * z + 1 or rank == 2 * z - 1 else 0
 
 

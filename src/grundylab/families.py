@@ -8,7 +8,8 @@ ASM poset and exact q-binomials with their parities.
 
 All constructors are pure and return immutable FinitePoset instances with
 human-readable labels.  Each states its covers and leaves both closures to
-`FinitePoset.from_covers`.
+`FinitePoset.from_covers`.  Set partitions and subspaces read their covers
+off canonical forms: restricted growth strings and span bitmasks.
 """
 
 from __future__ import annotations
@@ -20,7 +21,9 @@ from . import gf
 from .errors import TooLargeError
 from .poset import FinitePoset
 
-MAX_POSET_ELEMENTS = 500_000
+# The down and up masks of an n-element poset take n^2/8 to n^2/4 bytes
+# (each mask of element i has bit i set), 1.25-2.5 GB at this cap.
+MAX_POSET_ELEMENTS = 100_000
 MAX_SET_PARTITION_N = 9
 
 
@@ -59,16 +62,16 @@ def divisor_poset(n: int) -> FinitePoset:
 # -- subspace lattices ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def q_binomial(n: int, r: int, q: int) -> int:
-    """Exact Gaussian binomial via the q-Pascal recurrence."""
+    """Exact Gaussian binomial; each partial product is itself [n, k+1]_q."""
     if q < 2:
         raise ValueError("q_binomial needs q >= 2")
     if r < 0 or r > n:
         return 0
-    if n == 0:
-        return 1 if r == 0 else 0
-    return q_binomial(n - 1, r - 1, q) + q ** r * q_binomial(n - 1, r, q)
+    g = 1
+    for k in range(r):
+        g = g * (q ** (n - k) - 1) // (q ** (k + 1) - 1)
+    return g
 
 
 @lru_cache(maxsize=None)
@@ -110,15 +113,16 @@ def subspace_lattice(n: int, q: int) -> FinitePoset:
         raise ValueError("dimension must be non-negative")
     f = gf.field(q)
     layers = [sorted(gf.rref_matrices(f, n, r)) for r in range(n + 1)]
+    spans = [[gf.span_mask(f, n, s) for s in layer] for layer in layers]
     covers = []
     start = 0
-    for lower, upper in zip(layers, layers[1:]):
+    for lower, upper in zip(spans, spans[1:]):
         above = start + len(lower)
         covers += [
             (start + i, above + j)
             for j, big in enumerate(upper)
             for i, small in enumerate(lower)
-            if gf.subspace_leq(f, small, big)
+            if small & big == small
         ]
         start = above
     labels = [_subspace_label(s, q) for layer in layers for s in layer]
@@ -127,11 +131,7 @@ def subspace_lattice(n: int, q: int) -> FinitePoset:
 
 def subspace_dimensions(n: int, q: int) -> list[int]:
     """Dimension of each element of subspace_lattice(n, q), in element order."""
-    f = gf.field(q)
-    dims = []
-    for r in range(n + 1):
-        dims.extend([r] * sum(1 for _ in gf.rref_matrices(f, n, r)))
-    return dims
+    return [r for r in range(n + 1) for _ in range(q_binomial(n, r, q))]
 
 
 # -- set partitions -------------------------------------------------------
@@ -165,17 +165,6 @@ def rgs_to_blocks(rgs) -> tuple:
     return tuple(tuple(b) for b in blocks)
 
 
-def blocks_to_rgs(blocks, n: int) -> tuple:
-    owner = {}
-    order = sorted(blocks, key=min)
-    for b_idx, block in enumerate(order):
-        for e in block:
-            owner[e] = b_idx
-    if sorted(owner) != list(range(1, n + 1)):
-        raise ValueError("blocks do not partition 1..n")
-    return tuple(owner[i] for i in range(1, n + 1))
-
-
 def _block_label(blocks) -> str:
     return "|".join(",".join(str(e) for e in b) for b in blocks)
 
@@ -196,7 +185,8 @@ def set_partition_poset(n: int) -> FinitePoset:
 
     pi <= sigma iff every block of pi is contained in a block of sigma, so
     the all-singletons partition is the minimum and the one-block partition
-    the maximum.  Covers merge exactly two blocks.
+    the maximum.  A cover merges block b into an earlier block a: b becomes
+    a and the later blocks move down one, so the RGS stays canonical.
     """
     if n < 1:
         raise ValueError("set partition poset needs n >= 1")
@@ -204,16 +194,12 @@ def set_partition_poset(n: int) -> FinitePoset:
         raise TooLargeError(f"set partition poset supported for n <= {MAX_SET_PARTITION_N}")
     elems = list(restricted_growth_strings(n))
     index = {r: i for i, r in enumerate(elems)}
-    covers = []
-    for i, rgs in enumerate(elems):
-        blocks = rgs_to_blocks(rgs)
-        k = len(blocks)
-        for a in range(k):
-            for b in range(a + 1, k):
-                merged = list(blocks[:a]) + list(blocks[a + 1:b]) + list(blocks[b + 1:])
-                merged.append(tuple(sorted(blocks[a] + blocks[b])))
-                j = index[blocks_to_rgs(merged, n)]
-                covers.append((i, j))
+    covers = [
+        (i, index[tuple(a if v == b else v - (v > b) for v in r)])
+        for i, r in enumerate(elems)
+        for b in range(1, max(r) + 1)
+        for a in range(b)
+    ]
     labels = [_block_label(rgs_to_blocks(r)) for r in elems]
     return FinitePoset.from_covers(len(elems), covers, labels=labels)
 

@@ -7,7 +7,9 @@ Conway polynomials, so element encodings are reproducible.
 
 Subspaces of F_q^n are represented by their reduced row echelon basis (a
 tuple of row tuples), which is a unique canonical form: enumeration by pivot
-columns times free entries produces each subspace exactly once.
+columns times free entries produces each subspace exactly once.  With spans
+as int bitmasks (`span_mask`) containment is `a & b == a`; `subspace_leq`
+row-reduces instead and is kept as the independent oracle for that test.
 """
 
 from __future__ import annotations
@@ -172,6 +174,16 @@ def rref_matrices(f: FiniteField, n: int, r: int):
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
             yield tuple(tuple(row) for row in rows)
+
+
+def span_mask(f: FiniteField, n: int, rows) -> int:
+    """The span of linearly independent `rows` as a bitmask over F_q^n: bit k
+    is the vector whose base-q digits, lowest first, are k."""
+    span = [(0,) * n]
+    for row in rows:
+        span = [tuple(f.add(x, f.mul(c, y)) for x, y in zip(v, row))
+                for v in span for c in f.elements()]
+    return sum(1 << sum(x * f.q ** j for j, x in enumerate(v)) for v in span)
 
 
 def reduce_row(f: FiniteField, row, basis):

@@ -219,6 +219,14 @@ def test_spec_size_caps_apply_before_construction(tmp_path, capsys):
     code, _, err = run(capsys, "grundy", "subspaces:6:2", "ideal", "--max-elements", "100")
     assert code == EXIT_RESOURCE
     assert "2825 elements (cap 100)" in err
+    # refused by 2^N alone: the q-binomial sum is never taken
+    code, _, err = run(capsys, "grundy", "subspaces:2000:2", "tt")
+    assert code == EXIT_RESOURCE
+    assert "at least 2^2000 elements (cap 100000)" in err
+    # the default cap bounds the masks, which take at least 1.25 GB at it
+    code, _, err = run(capsys, "grundy", "chain:100001", "tt")
+    assert code == EXIT_RESOURCE
+    assert "100001 elements (cap 100000)" in err
     assert time.monotonic() - started < 1.0
 
 
@@ -295,7 +303,7 @@ def test_time_budget_stops_the_solver_while_it_runs(capsys):
 def test_time_budget_covers_poset_construction(capsys):
     # both runs spend their budget building the poset, before any solve
     started = time.monotonic()
-    code, _, err = run(capsys, "grundy", "subspaces:6:2", "ideal", "--max-seconds", "0.5")
+    code, _, err = run(capsys, "grundy", "subspaces:7:2", "ideal", "--max-seconds", "0.5")
     assert code == EXIT_RESOURCE
     assert "within 0.5s" in err
     assert time.monotonic() - started < 3.0

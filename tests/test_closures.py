@@ -100,6 +100,10 @@ CASES = {
     **{f"subspaces:{n}:2": (lambda n=n: subspace_case(n, 2)) for n in range(5)},
     **{f"subspaces:{n}:3": (lambda n=n: subspace_case(n, 3)) for n in range(4)},
     **{f"subspaces:{n}:4": (lambda n=n: subspace_case(n, 4)) for n in range(4)},
+    # an odd prime and two prime powers, for span_mask's base-q vector encoding
+    "subspaces:3:5": lambda: subspace_case(3, 5),
+    "subspaces:2:8": lambda: subspace_case(2, 8),
+    "subspaces:2:9": lambda: subspace_case(2, 9),
     **{f"setpartitions:{n}": (lambda n=n: set_partition_case(n)) for n in range(1, 7)},
     **{f"asm:{n}": (lambda n=n: asm_case(n)) for n in range(2, 9)},
     **{f"refinement:{n}": (lambda n=n: refinement_case(n)) for n in range(1, 9)},

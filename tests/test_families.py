@@ -11,7 +11,6 @@ from grundylab.families import (
     asm_poset,
     asm_rank,
     asm_xi,
-    blocks_to_rgs,
     chain,
     divisor_poset,
     q_binomial,
@@ -70,7 +69,11 @@ def test_rgs_enumeration():
 def test_rgs_block_round_trip():
     for rgs in restricted_growth_strings(5):
         blocks = rgs_to_blocks(rgs)
-        assert blocks_to_rgs(blocks, 5) == rgs
+        # block r[i-1] holds i, and the blocks are ordered by least element
+        assert tuple(next(k for k, b in enumerate(blocks) if i in b) for i in range(1, 6)) == rgs
+        assert sorted(e for b in blocks for e in b) == [1, 2, 3, 4, 5]
+        assert all(list(b) == sorted(b) for b in blocks)
+        assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
 
 
 def test_set_partition_poset():
@@ -206,6 +209,13 @@ def test_q_binomial():
         for n in range(8):
             assert q_binomial(n, 0, q) == q_binomial(n, n, q) == 1
             assert q_binomial(n, n + 1, q) == 0
+    # the product formula against the q-Pascal recurrence
+    for q in (2, 3, 4, 5, 7, 9, 16, 32):
+        for n in range(1, 40):
+            for r in range(1, n):
+                assert q_binomial(n, r, q) == (
+                    q_binomial(n - 1, r - 1, q) + q**r * q_binomial(n - 1, r, q)
+                )
 
 
 def test_q_binomial_parity():
