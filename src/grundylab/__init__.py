@@ -70,7 +70,6 @@ from .games import (
 from .gf import FiniteField, field, prime_power, rref_matrices, subspace_leq
 from .nimber import (
     mex,
-    msb,
     nim_add,
     nim_add_inductive,
     nim_mul,

@@ -121,7 +121,7 @@ def parse_poset_spec(spec: str, max_elements: int) -> FinitePoset:
                 text = fh.read()
             try:
                 return FinitePoset.from_json(text, max_elements=max_elements)
-            except (KeyError, TypeError, PosetValidationError) as exc:
+            except (KeyError, TypeError, RecursionError, PosetValidationError) as exc:
                 raise ValueError(f"malformed poset file: {exc}") from exc
     except (ValueError, OSError, UnsupportedFieldError) as exc:
         raise SpecError(f"bad poset spec {spec!r}: {exc}") from exc
@@ -232,6 +232,11 @@ _TABLES = {
 
 
 def cmd_tables(args) -> TableReport:
+    # checked before any row is built; asm-ruler's asm:N poset meets the spec guard
+    if args.name != "asm-ruler":
+        rows = args.n * (args.n - 1) // 2 if args.name == "asm-ideal" else args.max + (args.name == "gq")
+        if rows > args.max_elements:
+            raise TooLargeError(f"tables {args.name} has {rows} rows (cap {args.max_elements})")
     builder, _ = _TABLES[args.name]
     return builder(args)
 

@@ -5,9 +5,12 @@ library uses.  `nim_add_inductive` and `nim_mul_inductive` evaluate the
 defining mex recursions literally; they are quadratic, capped, and exist
 purely as correctness oracles for the fast paths.
 
-All functions are pure.  The oracle tables and the `nim_mul` memo only
-grow; a grown oracle table is built on the side and published by one
-assignment, so an interrupted growth leaves the previous table intact.
+Each oracle reads its table through one lookup.  A cell reads only cells
+with smaller coordinates, so a table that is too small is rebuilt from
+scratch to the next power of two (at most log2(cap) + 1 builds in an
+ascending sweep) and published by one assignment; an interrupted build
+leaves the old table in place.  Both builders keep option sets as int
+bitmasks.  These tables and the `nim_mul` memo are the only state.
 """
 
 from __future__ import annotations
@@ -15,10 +18,9 @@ from __future__ import annotations
 from .errors import CapExceededError
 
 NIM_ADD_ORACLE_CAP = 1024
-NIM_MUL_ORACLE_CAP = 256
+NIM_MUL_ORACLE_CAP = 256  # = 2^(2^3), so every product below it stays below it
 
-_nim_add_table: list[list[int]] = []
-_nim_mul_table: list[list[int]] = []
+_tables: dict[str, list[list[int]]] = {}
 
 
 def mex(values) -> int:
@@ -45,10 +47,19 @@ def nim_sum(xs) -> int:
     return acc
 
 
-def _grow_nim_add_table(limit: int) -> None:
+def _lookup(name: str, build, cap: int, a: int, b: int) -> int:
+    if a < 0 or b < 0:
+        raise ValueError("nimbers are non-negative")
+    if a >= cap or b >= cap:
+        raise CapExceededError(f"inductive {name} capped at {cap}, got ({a}, {b})")
+    table = _tables.get(name, ())
+    if max(a, b) >= len(table):
+        table = _tables[name] = build(min(cap, 1 << max(a, b).bit_length()))
+    return table[a][b]
+
+
+def _build_nim_add_table(limit: int) -> list[list[int]]:
     # Cell (a, b) takes the mex over column {t[a'][b]} and row {t[a][b']}.
-    # Option sets are kept as int bitmasks so each cell costs O(1) big-int ops.
-    global _nim_add_table
     table = [[0] * limit for _ in range(limit)]
     colmask = [0] * limit
     for a in range(limit):
@@ -58,65 +69,52 @@ def _grow_nim_add_table(limit: int) -> None:
             m = rowmask | colmask[b]
             v = ((m + 1) & ~m).bit_length() - 1
             row[b] = v
-            bit = 1 << v
-            rowmask |= bit
-            colmask[b] |= bit
-    _nim_add_table = table
+            rowmask |= 1 << v
+            colmask[b] |= 1 << v
+    return table
 
 
-def nim_add_inductive(a: int, b: int, cap: int = NIM_ADD_ORACLE_CAP) -> int:
-    """Nim-sum by the literal mex recursion over smaller arguments.
-
-    Oracle for `nim_add`; refuses inputs at or above `cap`.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("nimbers are non-negative")
-    if a >= cap or b >= cap:
-        raise CapExceededError(f"inductive nim-add capped at {cap}, got ({a}, {b})")
-    need = max(a, b) + 1
-    if len(_nim_add_table) < need:
-        _grow_nim_add_table(need)
-    return _nim_add_table[a][b]
+def nim_add_inductive(a: int, b: int) -> int:
+    """Nim-sum by the literal mex recursion: the oracle for `nim_add`, below NIM_ADD_ORACLE_CAP."""
+    return _lookup("nim-add", _build_nim_add_table, NIM_ADD_ORACLE_CAP, a, b)
 
 
-def _grow_nim_mul_table(limit: int) -> None:
-    # t[a][b] = mex{ t[a'][b] ^ t[a][b'] ^ t[a'][b'] : a' < a, b' < b }.
-    # Only the cells outside the current table are computed, in row-major
-    # order.  Along row a, diffs[a'] holds t[a][b'] ^ t[a'][b'] for every
-    # b' < b, so the options at (a, b) are t[a'][b] ^ diffs[a'].  The grown
-    # table is built on the side and published by one assignment.
-    global _nim_mul_table
-    done = len(_nim_mul_table)
-    t = [row + [0] * (limit - done) for row in _nim_mul_table]
-    t += [[0] * limit for _ in range(limit - done)]
-    for a in range(1, limit):
-        row = t[a]
-        start = done if a < done else 1
-        diffs = [[x ^ y for x, y in zip(row[:start], t[a2])] for a2 in range(a)]
-        for b in range(start, limit):
-            opts = set()
-            for a2 in range(a):
-                opts.update(map(t[a2][b].__xor__, diffs[a2]))
-            v = mex(opts)
+# _SWAPS[c] holds (low, 2^k) for each set bit 2^k of c (8 bits below the
+# cap), where low masks the positions below NIM_MUL_ORACLE_CAP with bit k clear.
+_LOW = [sum(1 << x for x in range(NIM_MUL_ORACLE_CAP) if not x >> k & 1) for k in range(8)]
+_SWAPS = [[(_LOW[k], 1 << k) for k in range(8) if c >> k & 1] for c in range(NIM_MUL_ORACLE_CAP)]
+
+
+def _xor_translate(mask: int, c: int) -> int:
+    """Bitmask of {x ^ c for x in mask}, for x and c below NIM_MUL_ORACLE_CAP."""
+    for low, shift in _SWAPS[c]:
+        mask = (mask & low) << shift | (mask >> shift) & low
+    return mask
+
+
+def _build_nim_mul_table(limit: int) -> list[list[int]]:
+    # t[a][b] = mex{ t[a'][b] ^ t[a][b'] ^ t[a'][b'] : a' < a, b' < b }.  Along
+    # row a, diffs[a'] is the bitmask of t[a][b'] ^ t[a'][b'] over b' < b, so
+    # the options at (a, b) are diffs[a'] XOR-translated by t[a'][b].
+    t: list[list[int]] = []
+    for a in range(limit):
+        row = [0] * limit
+        diffs = [0] * a
+        for b in range(limit):
+            column = [r[b] for r in t]
+            m = 0
+            for d, c in zip(diffs, column):
+                m |= _xor_translate(d, c)
+            v = ((m + 1) & ~m).bit_length() - 1
             row[b] = v
-            for a2 in range(a):
-                diffs[a2].append(v ^ t[a2][b])
-    _nim_mul_table = t
+            diffs = [d | 1 << (v ^ c) for d, c in zip(diffs, column)]
+        t.append(row)
+    return t
 
 
-def nim_mul_inductive(a: int, b: int, cap: int = NIM_MUL_ORACLE_CAP) -> int:
-    """Nim-product by the literal double-mex recursion.
-
-    Oracle for `nim_mul`; refuses inputs at or above `cap`.
-    """
-    if a < 0 or b < 0:
-        raise ValueError("nimbers are non-negative")
-    if a >= cap or b >= cap:
-        raise CapExceededError(f"inductive nim-mul capped at {cap}, got ({a}, {b})")
-    need = max(a, b) + 1
-    if len(_nim_mul_table) < need:
-        _grow_nim_mul_table(need)
-    return _nim_mul_table[a][b]
+def nim_mul_inductive(a: int, b: int) -> int:
+    """Nim-product by the literal double-mex recursion: the oracle for `nim_mul`, below NIM_MUL_ORACLE_CAP."""
+    return _lookup("nim-mul", _build_nim_mul_table, NIM_MUL_ORACLE_CAP, a, b)
 
 
 _nim_mul_memo: dict[tuple[int, int], int] = {}
@@ -171,9 +169,3 @@ def ruler_phi(x: int) -> int:
         raise ValueError("ruler_phi requires a positive integer")
     return x & -x
 
-
-def msb(x: int) -> int:
-    """Index of the most significant set bit of x >= 1."""
-    if x < 1:
-        raise ValueError("msb requires a positive integer")
-    return x.bit_length() - 1

@@ -206,6 +206,32 @@ def test_bad_poset_file_is_a_usage_error(tmp_path, capsys, doc, reason):
     assert err.startswith("error: ") and reason in err
 
 
+def test_deeply_nested_poset_file_is_a_usage_error(tmp_path, capsys):
+    # the JSON decoder gives up with RecursionError, not a ValueError
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200_000)
+    code, _, err = run(capsys, "grundy", f"file:{path}", "tt")
+    assert code == EXIT_USAGE
+    assert err.startswith("error: bad poset spec") and "recursion" in err
+
+
+def test_table_row_caps_apply_before_any_row(capsys):
+    started = time.monotonic()
+    for argv, rows in (
+        (("phi", "--max", str(10**5)), 10**5),
+        (("gq", "--max", "10"), 11),
+        (("hn", "--max", "11"), 11),
+        (("asm-ideal", "--n", "6"), 15),
+    ):
+        code, out, err = run(capsys, "tables", *argv, "--max-elements", "10")
+        assert code == EXIT_RESOURCE and out == ""
+        assert f"tables {argv[0]} has {rows} rows (cap 10)" in err
+    # at the cap the tables are built
+    for argv in (("phi", "--max", "10"), ("gq", "--max", "9"), ("hn", "--max", "10"), ("asm-ideal", "--n", "5")):
+        assert run(capsys, "tables", *argv, "--max-elements", "10")[0] == EXIT_OK
+    assert time.monotonic() - started < 1.0
+
+
 def test_spec_size_caps_apply_before_construction(tmp_path, capsys):
     path = tmp_path / "huge.json"
     path.write_text(json.dumps({"n": 10**9, "covers": []}))

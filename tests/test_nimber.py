@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grundylab.errors import CapExceededError
+from grundylab import nimber
+from grundylab.errors import BudgetExceededError, CapExceededError
 from grundylab.nimber import (
     mex,
-    msb,
     nim_add,
     nim_add_inductive,
     nim_mul,
@@ -63,8 +63,66 @@ def test_nim_add_inductive_matches_xor():
 def test_nim_add_inductive_cap():
     with pytest.raises(CapExceededError):
         nim_add_inductive(0, 10_000)
-    with pytest.raises(CapExceededError):
-        nim_add_inductive(7, 7, cap=4)
+
+
+def test_inductive_oracles_refuse_negative_arguments():
+    for oracle in (nim_add_inductive, nim_mul_inductive):
+        for a, b in ((-1, 0), (0, -1), (-3, -3)):
+            with pytest.raises(ValueError):
+                oracle(a, b)
+
+
+@pytest.mark.parametrize(
+    "oracle, builder, fast, limit",
+    [
+        (nim_add_inductive, "_build_nim_add_table", nim_add, 256),
+        (nim_mul_inductive, "_build_nim_mul_table", nim_mul, 32),
+    ],
+)
+def test_ascending_sweep_builds_each_table_log_times(monkeypatch, oracle, builder, fast, limit):
+    # a table grows to the next power of two, so log2(limit) + 1 builds
+    build = getattr(nimber, builder)
+    sizes = []
+
+    def counting(size):
+        sizes.append(size)
+        return build(size)
+
+    monkeypatch.setattr(nimber, "_tables", {})
+    monkeypatch.setattr(nimber, builder, counting)
+    for a in range(limit):
+        for b in range(limit):
+            assert oracle(a, b) == fast(a, b)
+    assert sizes == [1 << k for k in range(limit.bit_length())]
+
+
+def test_an_interrupted_build_leaves_the_previous_table(monkeypatch):
+    monkeypatch.setattr(nimber, "_tables", {})
+    assert nim_mul_inductive(5, 7) == nim_mul(5, 7)
+    table = nimber._tables["nim-mul"]
+    build = nimber._build_nim_mul_table
+
+    def interrupted(size):
+        build(size // 2)
+        raise BudgetExceededError("interrupted mid-build")
+
+    monkeypatch.setattr(nimber, "_build_nim_mul_table", interrupted)
+    with pytest.raises(BudgetExceededError):
+        nim_mul_inductive(3, 40)
+    assert nimber._tables["nim-mul"] is table
+    assert [nim_mul_inductive(a, b) for a in range(8) for b in range(8)] == [
+        nim_mul(a, b) for a in range(8) for b in range(8)
+    ]
+
+
+below_mul_cap = st.integers(min_value=0, max_value=nimber.NIM_MUL_ORACLE_CAP - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sets(below_mul_cap), below_mul_cap)
+def test_xor_translation_of_a_bitmask(values, c):
+    mask = sum(1 << x for x in values)
+    assert nimber._xor_translate(mask, c) == sum(1 << (x ^ c) for x in values)
 
 
 def test_nim_sum():
@@ -162,14 +220,11 @@ def test_mex_subset_monotone(s, t):
 def test_binary_helpers():
     assert nu2(26) == 1
     assert ruler_phi(26) == 2
-    assert msb(26) == 4
     assert ruler_phi(8) == 8
     assert ruler_phi(12) == 4
-    assert msb(1) == 0
     for k in range(10):
-        assert msb(1 << k) == k
         assert ruler_phi(1 << k) == 1 << k
-    for bad in (nu2, ruler_phi, msb):
+    for bad in (nu2, ruler_phi):
         with pytest.raises(ValueError):
             bad(0)
 
