@@ -117,10 +117,14 @@ def parse_poset_spec(spec: str, max_elements: int) -> FinitePoset:
             guard(n * (n + 1) * (n - 1) // 6)
             return families.asm_poset(n)
         if head == "file":
-            with open(rest, "r", encoding="utf-8") as fh:
-                text = fh.read()
+            # also bounds the covers list; setpartitions:9 serialises to ~145 bytes per element
+            limit = 1024 * max(max_elements, 0)
+            with open(rest, "rb") as fh:
+                data = fh.read(limit + 1)
+            if len(data) > limit:
+                raise TooLargeError(f"{spec} is over {limit} bytes, 1024 per element (cap {max_elements})")
             try:
-                return FinitePoset.from_json(text, max_elements=max_elements)
+                return FinitePoset.from_json(data.decode("utf-8"), max_elements=max_elements)
             except (KeyError, TypeError, RecursionError, PosetValidationError) as exc:
                 raise ValueError(f"malformed poset file: {exc}") from exc
     except (ValueError, OSError, UnsupportedFieldError) as exc:
@@ -222,22 +226,23 @@ def _table_asm_ruler(args) -> TableReport:
     return TableReport(("s", "t", "grundy"), rows, meta)
 
 
+# name -> (builder, size flag, its default, row count from the flag's value);
+# asm-ruler has no row count: its asm:N poset meets the spec guard
 _TABLES = {
-    "phi": (_table_phi, "ruler sequence"),
-    "gq": (_table_gq, "subspace-ruler values by dimension"),
-    "hn": (_table_hn, "one-block set-partition ruler values"),
-    "asm-ideal": (_table_asm_ideal, "ideal-game indicator on rank/z fibers"),
-    "asm-ruler": (_table_asm_ruler, "ruler values on rank/z fibers"),
+    "phi": (_table_phi, "max", 15, lambda m: m),
+    "gq": (_table_gq, "max", 14, lambda m: m + 1),
+    "hn": (_table_hn, "max", 17, lambda m: m),
+    "asm-ideal": (_table_asm_ideal, "n", 10, lambda n: n * (n - 1) // 2),
+    "asm-ruler": (_table_asm_ruler, "n", 8, None),
 }
 
 
 def cmd_tables(args) -> TableReport:
-    # checked before any row is built; asm-ruler's asm:N poset meets the spec guard
-    if args.name != "asm-ruler":
-        rows = args.n * (args.n - 1) // 2 if args.name == "asm-ideal" else args.max + (args.name == "gq")
+    builder, flag, _, count = _TABLES[args.name]
+    if count is not None:  # checked before any row is built
+        rows = count(getattr(args, flag))
         if rows > args.max_elements:
             raise TooLargeError(f"tables {args.name} has {rows} rows (cap {args.max_elements})")
-    builder, _ = _TABLES[args.name]
     return builder(args)
 
 
@@ -290,10 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_TABLE_DEFAULTS = {"phi": 15, "gq": 14, "hn": 17}
-_ASM_DEFAULTS = {"asm-ideal": 10, "asm-ruler": 8}
-
-
 @contextmanager
 def _time_budget(seconds: float):
     """Raise BudgetExceededError in the block once `seconds` have passed; a
@@ -318,13 +319,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.command == "tables":
-        if args.name in _TABLE_DEFAULTS and args.max is None:
-            args.max = _TABLE_DEFAULTS[args.name]
-        if args.name in _ASM_DEFAULTS and args.n is None:
-            args.n = _ASM_DEFAULTS[args.name]
-        if args.name in _TABLE_DEFAULTS and args.max < 1:
+        _, flag, default, _ = _TABLES[args.name]
+        if getattr(args, flag) is None:
+            setattr(args, flag, default)
+        if flag == "max" and args.max < 1:
             parser.error("--max must be positive")
-        if args.name in _ASM_DEFAULTS and args.n < 2:
+        if flag == "n" and args.n < 2:
             parser.error("--n must be at least 2")
     budget = getattr(args, "max_seconds", None)
     # 1e9 s is about 31 years; setitimer rejects 1e15 s as out of range

@@ -9,11 +9,13 @@ interval [x, y] is `down_mask(y) & up_mask(x)`.
 Every constructor states the order by its covers (any edge set whose
 reflexive-transitive closure is the order will do) and hands them to
 `from_covers`, the one place masks are built: its topological sort is also
-its cycle check, the down masks close along that order and the up masks
-along its reverse.  `from_relation` reads an arbitrary relation, always
-validates it as a partial order and passes its Hasse diagram on;
-`from_json` reads covers from a file.  `FinitePoset(down, up, labels)` only
-stores what these give it.
+its cycle check, the masks close along that order, and it keeps the edges
+as one tuple of predecessors per element.  `covers()` filters those: every
+cover is an edge of any generating set, and edge (i, j) is a cover exactly
+when i is below no other predecessor of j.  `from_relation` reads an
+arbitrary relation, always validates it as a partial order and passes every
+strict pair on; `from_json` reads covers from a file.
+`FinitePoset(down, up, preds, labels)` only stores what these give it.
 
 Posets are immutable after construction; every query is read-only.
 """
@@ -32,18 +34,6 @@ def iter_bits(mask: int):
         mask ^= lsb
 
 
-def _hasse(down):
-    """Covering pairs (i, j), i covered by j, of the order with these down masks."""
-    out = []
-    for j, m in enumerate(down):
-        strict = m & ~(1 << j)
-        shadow = 0
-        for t in iter_bits(strict):
-            shadow |= down[t] & ~(1 << t)
-        out.extend((i, j) for i in iter_bits(strict & ~shadow))
-    return out
-
-
 def _validate(down):
     """Raise PosetValidationError unless the down masks form a partial order."""
     for j, m in enumerate(down):
@@ -57,16 +47,16 @@ def _validate(down):
 
 
 class FinitePoset:
-    __slots__ = ("n", "labels", "_down", "_up", "_covers")
+    __slots__ = ("n", "labels", "_down", "_up", "_preds")
 
-    def __init__(self, down, up, labels=None):
-        """Store closed masks as given; internal, build through from_covers,
-        from_relation or from_json, which check their input."""
+    def __init__(self, down, up, preds, labels=None):
+        """Store closed masks and edges as given; internal, build through
+        from_covers, from_relation or from_json, which check their input."""
         self.n = len(down)
         self._down = down
         self._up = up
+        self._preds = preds
         self.labels = list(labels) if labels is not None else None
-        self._covers = None
 
     # -- construction -----------------------------------------------------
 
@@ -78,43 +68,46 @@ class FinitePoset:
         rel = leq if callable(leq) else lambda i, j: leq[i][j]
         down = [sum(1 << i for i in range(n) if rel(i, j)) for j in range(n)]
         _validate(down)
-        return cls.from_covers(n, _hasse(down), labels=labels)
+        strict = [(i, j) for j, m in enumerate(down) for i in iter_bits(m) if i != j]
+        return cls.from_covers(n, strict, labels=labels)
 
     @classmethod
     def from_covers(cls, n, covers, labels=None):
         """Reflexive-transitive closure of edges (i, j), each read as i below j.
 
-        Rejects inputs whose edge set contains a directed cycle.
+        The edges are kept as one deduplicated tuple of predecessors per
+        element.  Rejects inputs whose edge set contains a directed cycle.
         """
         if labels is not None and len(labels) != n:
             raise ValueError("labels length mismatch")
-        succ = [[] for _ in range(n)]
-        indeg = [0] * n
+        preds = [[] for _ in range(n)]
+        outdeg = [0] * n
         for i, j in covers:
             if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise PosetValidationError(f"bad cover edge ({i}, {j})")
-            succ[i].append(j)
-            indeg[j] += 1
-        ready = [i for i in range(n) if indeg[i] == 0]
-        topo = []
+            preds[j].append(i)
+            outdeg[i] += 1
+        # top-down: each element is listed after every element above it
+        ready = [j for j in range(n) if outdeg[j] == 0]
+        order = []
         while ready:
-            i = ready.pop()
-            topo.append(i)
-            for j in succ[i]:
-                indeg[j] -= 1
-                if indeg[j] == 0:
-                    ready.append(j)
-        if len(topo) != n:
+            j = ready.pop()
+            order.append(j)
+            for i in preds[j]:
+                outdeg[i] -= 1
+                if outdeg[i] == 0:
+                    ready.append(i)
+        if len(order) != n:
             raise PosetValidationError("cover edges contain a cycle")
         down = [1 << i for i in range(n)]
-        for i in topo:
-            for j in succ[i]:
+        for j in reversed(order):
+            for i in preds[j]:
                 down[j] |= down[i]
         up = [1 << i for i in range(n)]
-        for i in reversed(topo):
-            for j in succ[i]:
+        for j in order:
+            for i in preds[j]:
                 up[i] |= up[j]
-        return cls(down, up, labels=labels)
+        return cls(down, up, [tuple(dict.fromkeys(p)) for p in preds], labels=labels)
 
     # -- basic queries ----------------------------------------------------
 
@@ -136,10 +129,16 @@ class FinitePoset:
         return frozenset(iter_bits(self._down[x]))
 
     def covers(self):
-        """All covering pairs (x, y) with x covered by y, sorted."""
-        if self._covers is None:
-            self._covers = sorted(_hasse(self._down))
-        return list(self._covers)
+        """All covering pairs (x, y) with x covered by y, sorted: the kept
+        edges (x, y) where x is below no other kept predecessor of y."""
+        down = self._down
+        out = []
+        for y, preds in enumerate(self._preds):
+            shadow = 0
+            for k in preds:
+                shadow |= down[k] & ~(1 << k)
+            out.extend((x, y) for x in preds if not (shadow >> x) & 1)
+        return sorted(out)
 
     def minimal_elements(self):
         return [i for i in range(self.n) if self._down[i] == 1 << i]

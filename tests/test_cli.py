@@ -215,6 +215,52 @@ def test_deeply_nested_poset_file_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("error: bad poset spec") and "recursion" in err
 
 
+def test_poset_file_is_read_up_to_1024_bytes_per_element(tmp_path, capsys):
+    doc = json.dumps({"n": 2, "covers": [[0, 1]]})
+    path = tmp_path / "padded.json"
+    path.write_text(doc.ljust(3 * 1024))
+    code, out, _ = run(capsys, "grundy", f"file:{path}", "tt", "--max-elements", "3")
+    assert code == EXIT_OK and out
+    path.write_text(doc.ljust(3 * 1024 + 1))
+    code, out, err = run(capsys, "grundy", f"file:{path}", "tt", "--max-elements", "3")
+    assert code == EXIT_RESOURCE and out == ""
+    assert err.startswith("resource cap: ") and "over 3072 bytes" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_poset_file_stops_at_the_byte_bound(capsys):
+    started = time.monotonic()
+    code, _, err = run(capsys, "grundy", "file:/dev/zero", "ideal", "--max-elements", "100")
+    assert code == EXIT_RESOURCE
+    assert "over 102400 bytes" in err
+    assert time.monotonic() - started < 1.0
+
+
+def test_table_size_flags_defaults_and_floors(capsys):
+    for name, meta in (
+        ("phi", {"max": 15}),
+        ("gq", {"max": 14}),
+        ("hn", {"max": 17}),
+        ("asm-ideal", {"n": 10}),
+        ("asm-ruler", {"n": 8}),
+    ):
+        # the other table kind's flag is ignored, whatever its value
+        other = "--n" if "max" in meta else "--max"
+        code, out, _ = run(capsys, "tables", name, other, "0", "--format", "json")
+        assert code == EXIT_OK
+        assert {k: json.loads(out)["metadata"][k] for k in meta} == meta
+    for name, flag, value, message in (
+        ("phi", "--max", "0", "--max must be positive"),
+        ("hn", "--max", "-3", "--max must be positive"),
+        ("asm-ideal", "--n", "1", "--n must be at least 2"),
+        ("asm-ruler", "--n", "0", "--n must be at least 2"),
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", name, flag, value])
+        assert exc.value.code == EXIT_USAGE
+        assert message in capsys.readouterr().err
+
+
 def test_table_row_caps_apply_before_any_row(capsys):
     started = time.monotonic()
     for argv, rows in (

@@ -2,8 +2,12 @@
 
 Every constructor only states covers, so each down mask is checked against
 the family's own order relation over all pairs, and each up mask against
-the transpose of the down masks.
+the transpose of the down masks.  `covers()`, which filters the edges the
+poset was built from, is checked against the Hasse diagram of the closed
+down masks.
 """
+
+import hashlib
 
 import pytest
 from hypothesis import given, settings
@@ -34,11 +38,25 @@ def transpose(down):
     return up
 
 
+def hasse(down):
+    """Covering pairs (i, j), i covered by j, of the order with these down
+    masks: i < j with nothing strictly between them."""
+    out = []
+    for j, m in enumerate(down):
+        strict = m & ~(1 << j)
+        shadow = 0
+        for t in iter_bits(strict):
+            shadow |= down[t] & ~(1 << t)
+        out.extend((i, j) for i in iter_bits(strict & ~shadow))
+    return sorted(out)
+
+
 def assert_closures(p, leq):
     n = p.n
     down = [p.down_mask(y) for y in range(n)]
     assert down == [sum(1 << x for x in range(n) if leq(x, y)) for y in range(n)]
     assert [p.up_mask(x) for x in range(n)] == transpose(down)
+    assert p.covers() == hasse(down)
 
 
 def chain_case(n):
@@ -160,3 +178,26 @@ def test_random_dag_closures_match_reachability(dag):
     for q in (FinitePoset.from_covers(n, p.covers()), FinitePoset.from_relation(n, leq)):
         assert [q.down_mask(x) for x in range(n)] == [p.down_mask(x) for x in range(n)]
         assert [q.up_mask(x) for x in range(n)] == [p.up_mask(x) for x in range(n)]
+        assert q.covers() == p.covers()
+
+
+# SHA-256 of `to_json()` as written when covers were read off the closed
+# masks by the Hasse oracle above
+TO_JSON_SHA256 = {
+    "asm:8": (lambda: asm_poset(8), "aed5b0cee8c6932a8cd096c9ebb0633ec57f60eb89d5a0ffc6c28fd394e652e4"),
+    "setpartitions:5": (
+        lambda: set_partition_poset(5),
+        "b3226c84ed8c7b178f259ab463890bde7a4090d2a4c919546ecce45826dd52ba",
+    ),
+    "subspaces:3:2": (
+        lambda: subspace_lattice(3, 2),
+        "b6af0052ae1dfa35abdfb248cd50426bc16f7487a63ab2c9e1a2c0776b883962",
+    ),
+    "divisors:360": (lambda: divisor_poset(360), "d0395be6cee87acecfba45d34039b8b120496457f586718cbcf2a711110f393f"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TO_JSON_SHA256))
+def test_to_json_is_unchanged(name):
+    build, digest = TO_JSON_SHA256[name]
+    assert hashlib.sha256(build().to_json().encode()).hexdigest() == digest
