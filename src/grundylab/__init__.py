@@ -18,15 +18,8 @@ from .closedforms import (
 )
 from .errors import (
     BudgetExceededError,
-    CapExceededError,
     GrundylabError,
-    NoMinimumError,
-    NotADivisorError,
-    NotGradedError,
-    PosetValidationError,
     TooLargeError,
-    UnsupportedFieldError,
-    WeightMismatchError,
 )
 from .families import (
     antichain,

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NoMinimumError, NotADivisorError, NotGradedError
 from .families import asm_rank, q_binomial_parity
 from .nimber import mex, nim_product, nu2, ruler_phi
 from .poset import FinitePoset
@@ -23,7 +22,7 @@ def divisor_ruler_grundy(n: int, y: int) -> int:
     """Ruler on the divisors of n: nim-product of ruler values over the
     prime exponents of the divisor y, each shifted by one."""
     if n < 1 or y < 1 or n % y != 0:
-        raise NotADivisorError(f"{y} does not divide {n}")
+        raise ValueError(f"{y} does not divide {n}")
     exps = []
     m = y
     d = 2
@@ -87,10 +86,10 @@ def graded_order_ideal_grundy(p: FinitePoset) -> list[int]:
     """Order-ideal game on a graded poset with a unique minimum: value 1 at
     the minimum, 0 everywhere else."""
     if p.rank_function() is None:
-        raise NotGradedError("poset is not graded")
+        raise ValueError("poset is not graded")
     bottom = p.minimum()
     if bottom is None:
-        raise NoMinimumError("poset has no unique minimum")
+        raise ValueError("poset has no unique minimum")
     return [1 if x == bottom else 0 for x in range(p.n)]
 
 

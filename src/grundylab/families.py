@@ -14,7 +14,6 @@ off canonical forms: restricted growth strings and span bitmasks.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from math import isqrt
 
 from . import gf
@@ -74,26 +73,17 @@ def q_binomial(n: int, r: int, q: int) -> int:
     return g
 
 
-@lru_cache(maxsize=None)
-def _pascal_parity(n: int, r: int) -> int:
-    if r < 0 or r > n:
-        return 0
-    if n == 0:
-        return 1 if r == 0 else 0
-    return _pascal_parity(n - 1, r - 1) ^ _pascal_parity(n - 1, r)
-
-
 def q_binomial_parity(n: int, r: int, q: int) -> int:
     """Gaussian binomial mod 2.
 
-    For even q every in-range coefficient is odd; for odd q the parity obeys
-    the ordinary Pascal recurrence mod 2, independent of q.
+    For even q every in-range coefficient is odd.  For odd q it is the
+    ordinary binomial mod 2 (the q-binomial is a polynomial in q with integer
+    coefficients), which by Lucas is odd exactly when r and n - r share no
+    binary digit.
     """
     if r < 0 or r > n:
         return 0
-    if q % 2 == 0:
-        return 1
-    return _pascal_parity(n, r)
+    return 1 if q % 2 == 0 or r & (n - r) == 0 else 0
 
 
 def _subspace_label(rows, q: int) -> str:

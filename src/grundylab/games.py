@@ -47,12 +47,13 @@ class TurningFamily:
 
         Raises ValueError naming the first set with no unique maximum (an
         empty set, a set with no top element, or one with a bit outside the
-        poset).
+        poset, as every negative int has).
         """
         n = poset.n
         by_max = [[] for _ in range(n)]
         for idx, m in enumerate(masks):
-            tops = [t for t in iter_bits(m) if t < n and m & ~poset.down_mask(t) == 0]
+            # iter_bits never ends on a negative int: refuse outside bits first
+            tops = [] if m >> n else [t for t in iter_bits(m) if m & ~poset.down_mask(t) == 0]
             if not tops:
                 raise ValueError(f"turning set {idx} ({m:#b}) has no unique maximum")
             by_max[tops[0]].append(m)
@@ -158,7 +159,6 @@ class GenericGame:
     """Explicit impartial game: positions 0..n-1 and their option lists."""
 
     options: list[tuple[int, ...]]
-    start: int | None = None
     _memo: dict = field(default_factory=dict, repr=False)
 
     @property

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from itertools import combinations, product
 
-from .errors import UnsupportedFieldError
 
 # Conway polynomial coefficients, constant term first.
 _CONWAY = {
@@ -55,11 +54,11 @@ class FiniteField:
     def __init__(self, q: int):
         pk = prime_power(q)
         if pk is None or q > MAX_FIELD_ORDER:
-            raise UnsupportedFieldError(f"q={q} is not a supported prime power (q <= {MAX_FIELD_ORDER})")
+            raise ValueError(f"q={q} is not a supported prime power (q <= {MAX_FIELD_ORDER})")
         self.q = q
         self.p, self.k = pk
         if self.k > 1 and q not in _CONWAY:
-            raise UnsupportedFieldError(f"no modulus on record for q={q}")
+            raise ValueError(f"no modulus on record for q={q}")
         self._mul = [[self._poly_mul(a, b) for b in range(q)] for a in range(q)]
         self._add = [[self._poly_add(a, b) for b in range(q)] for a in range(q)]
         self._neg = [self._find_neg(a) for a in range(q)]

@@ -15,7 +15,7 @@ bitmasks.  These tables and the `nim_mul` memo are the only state.
 
 from __future__ import annotations
 
-from .errors import CapExceededError
+from .errors import TooLargeError
 
 NIM_ADD_ORACLE_CAP = 1024
 NIM_MUL_ORACLE_CAP = 256  # = 2^(2^3), so every product below it stays below it
@@ -51,7 +51,7 @@ def _lookup(name: str, build, cap: int, a: int, b: int) -> int:
     if a < 0 or b < 0:
         raise ValueError("nimbers are non-negative")
     if a >= cap or b >= cap:
-        raise CapExceededError(f"inductive {name} capped at {cap}, got ({a}, {b})")
+        raise TooLargeError(f"inductive {name} capped at {cap}, got ({a}, {b})")
     table = _tables.get(name, ())
     if max(a, b) >= len(table):
         table = _tables[name] = build(min(cap, 1 << max(a, b).bit_length()))

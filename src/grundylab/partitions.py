@@ -39,7 +39,6 @@ from functools import lru_cache
 from itertools import groupby
 from math import factorial
 
-from .errors import WeightMismatchError
 from .nimber import mex, nim_mul, nim_product
 from .poset import FinitePoset
 
@@ -108,7 +107,7 @@ def refines(mu, lam) -> bool:
     """True when mu refines lam: the parts of lam can be split into groups
     of parts of mu, using every part of mu exactly once."""
     if sum(mu) != sum(lam):
-        raise WeightMismatchError(f"|{mu}| != |{lam}|")
+        raise ValueError(f"|{mu}| != |{lam}|")
     lam = tuple(sorted(lam, reverse=True))
 
     def rec(i, counter):
@@ -193,7 +192,7 @@ def multiplicity_M(lam, mu) -> int:
     multiplicities of repeated components.
     """
     if sum(lam) != sum(mu):
-        raise WeightMismatchError(f"|{lam}| != |{mu}|")
+        raise ValueError(f"|{lam}| != |{mu}|")
     total = 0
     numerator = _mult_factorial(mu)
     for nu in decompositions(lam, mu):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import PosetValidationError, TooLargeError
+from .errors import TooLargeError
 
 
 def iter_bits(mask: int):
@@ -35,15 +35,15 @@ def iter_bits(mask: int):
 
 
 def _validate(down):
-    """Raise PosetValidationError unless the down masks form a partial order."""
+    """Raise ValueError unless the down masks form a partial order."""
     for j, m in enumerate(down):
         if not (m >> j) & 1:
-            raise PosetValidationError(f"relation not reflexive at {j}")
+            raise ValueError(f"relation not reflexive at {j}")
         for i in iter_bits(m):
             if i != j and (down[i] >> j) & 1:
-                raise PosetValidationError(f"antisymmetry fails on ({i}, {j})")
+                raise ValueError(f"antisymmetry fails on ({i}, {j})")
             if down[i] | m != m:
-                raise PosetValidationError(f"transitivity fails via {i} <= {j}")
+                raise ValueError(f"transitivity fails via {i} <= {j}")
 
 
 class FinitePoset:
@@ -84,7 +84,7 @@ class FinitePoset:
         outdeg = [0] * n
         for i, j in covers:
             if not (0 <= i < n and 0 <= j < n) or i == j:
-                raise PosetValidationError(f"bad cover edge ({i}, {j})")
+                raise ValueError(f"bad cover edge ({i}, {j})")
             preds[j].append(i)
             outdeg[i] += 1
         # top-down: each element is listed after every element above it
@@ -98,7 +98,7 @@ class FinitePoset:
                 if outdeg[i] == 0:
                     ready.append(i)
         if len(order) != n:
-            raise PosetValidationError("cover edges contain a cycle")
+            raise ValueError("cover edges contain a cycle")
         down = [1 << i for i in range(n)]
         for j in reversed(order):
             for i in preds[j]:
@@ -144,25 +144,14 @@ class FinitePoset:
         return [i for i in range(self.n) if self._down[i] == 1 << i]
 
     def minimum(self):
-        """The unique global minimum if one exists, else None."""
-        if self.n == 0:
-            return None
-        acc = self._down[0]
-        for m in self._down[1:]:
-            acc &= m
-        if acc == 0:
-            return None
-        return (acc & -acc).bit_length() - 1
+        """The element whose up mask holds every element, else None."""
+        full = (1 << self.n) - 1
+        return next((x for x, m in enumerate(self._up) if m == full), None)
 
     def maximum(self):
-        if self.n == 0:
-            return None
-        acc = self._up[0]
-        for m in self._up[1:]:
-            acc &= m
-        if acc == 0:
-            return None
-        return (acc & -acc).bit_length() - 1
+        """The element whose down mask holds every element, else None."""
+        full = (1 << self.n) - 1
+        return next((x for x, m in enumerate(self._down) if m == full), None)
 
     # -- structure --------------------------------------------------------
 
@@ -227,7 +216,7 @@ class FinitePoset:
         obj = json.loads(text)
         n = obj["n"]
         if type(n) is not int or n < 0:
-            raise PosetValidationError(f"n must be a non-negative integer, got {n!r}")
+            raise ValueError(f"n must be a non-negative integer, got {n!r}")
         if max_elements is not None and n > max_elements:
             raise TooLargeError(f"poset has {n} elements (cap {max_elements})")
         return cls.from_covers(n, obj["covers"], labels=obj.get("labels"))

@@ -196,14 +196,19 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch):
         ({"covers": []}, "'n'"),
         ({"n": 3, "covers": [[0, 5]]}, "bad cover edge"),
         ({"n": "3", "covers": []}, "non-negative integer"),
+        (b'{"n": 2, "covers": [[0, 1]', "Expecting ',' delimiter"),
+        ({"n": 2, "covers": [], "labels": ["a"]}, "labels length mismatch"),
+        (b"\xff", "'utf-8' codec can't decode"),
     ],
 )
 def test_bad_poset_file_is_a_usage_error(tmp_path, capsys, doc, reason):
     path = tmp_path / "poset.json"
-    path.write_text(json.dumps(doc))
-    code, _, err = run(capsys, "grundy", f"file:{path}", "ruler")
-    assert code == EXIT_USAGE
-    assert err.startswith("error: ") and reason in err
+    path.write_bytes(doc if isinstance(doc, bytes) else json.dumps(doc).encode())
+    code, out, err = run(capsys, "grundy", f"file:{path}", "ruler")
+    assert code == EXIT_USAGE and out == ""
+    # every content error of a file is reported as a malformed file
+    assert err.startswith(f"error: bad poset spec {f'file:{path}'!r}: malformed poset file: ")
+    assert reason in err
 
 
 def test_deeply_nested_poset_file_is_a_usage_error(tmp_path, capsys):
@@ -300,6 +305,13 @@ def test_spec_size_caps_apply_before_construction(tmp_path, capsys):
     assert code == EXIT_RESOURCE
     assert "100001 elements (cap 100000)" in err
     assert time.monotonic() - started < 1.0
+
+
+def test_divisors_cap_names_the_spec(capsys):
+    code, out, err = run(capsys, "grundy", "divisors:12", "tt", "--max-elements", "4")
+    assert code == EXIT_RESOURCE and out == ""
+    assert err == "resource cap: divisors:12 has 6 elements (cap 4)\n"
+    assert run(capsys, "grundy", "divisors:12", "tt", "--max-elements", "6")[0] == EXIT_OK
 
 
 def test_set_partition_cap_applies_before_construction(capsys):
@@ -449,6 +461,28 @@ def test_ruler_solve_holds_one_bucket_at_a_time():
     code, maxrss_kib = map(int, proc.stdout.split())
     assert code == EXIT_OK
     assert maxrss_kib / 1024 < 35
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_oversized_poset_file_is_refused_unread(tmp_path):
+    # a sparse 200 MB file under the default cap: reading it up to the byte
+    # bound before refusing it lifts the peak RSS of this run to about 113 MB
+    path = tmp_path / "sparse.json"
+    with open(path, "wb") as fh:
+        fh.truncate(200 * 1024 * 1024)
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    cli = [sys.executable, "-m", "grundylab.cli", "grundy", f"file:{path}", "ideal"]
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_LAUNCHER, *cli],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, maxrss_kib = map(int, proc.stdout.split())
+    assert code == EXIT_RESOURCE
+    assert "is over 102400000 bytes, 1024 per element (cap 100000)" in proc.stderr
+    assert maxrss_kib / 1024 < 40
 
 
 def test_exit_code_constants_are_distinct():

@@ -228,3 +228,11 @@ def test_q_binomial_parity():
         for n in range(12):
             for r in range(-1, n + 2):
                 assert q_binomial_parity(n, r, q) == q_binomial(n, r, q) % 2
+
+
+def test_q_binomial_parity_matches_exact_values_up_to_n_89():
+    for q in (2, 3, 4, 5, 9):
+        row = [1]  # [n, r]_q for r = 0..n, by the q-Pascal rule
+        for n in range(90):
+            assert [q_binomial_parity(n, r, q) for r in range(n + 1)] == [v % 2 for v in row]
+            row = [1] + [row[r - 1] + q**r * row[r] for r in range(1, n + 1)] + [1]

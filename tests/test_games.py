@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -152,6 +156,20 @@ def test_from_masks_rejects_sets_without_a_maximum():
     for bad in (0, 0b100):
         with pytest.raises(ValueError, match="turning set 1"):
             TurningFamily.from_masks(c2, [0b11, bad])
+
+
+def test_from_masks_refuses_a_negative_mask():
+    # a negative int has endless set bits, so walking them never ends; the
+    # child process and its timeout keep such a hang from stalling the suite
+    code = (
+        "from grundylab.families import chain\n"
+        "from grundylab.games import TurningFamily\n"
+        "TurningFamily.from_masks(chain(3), [0b1, -1])\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 1
+    assert "ValueError: turning set 1 (-0b1) has no unique maximum" in proc.stderr
 
 
 def test_moves():

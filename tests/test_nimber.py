@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grundylab import nimber
-from grundylab.errors import BudgetExceededError, CapExceededError
+from grundylab.errors import BudgetExceededError, TooLargeError
 from grundylab.nimber import (
     mex,
     nim_add,
@@ -61,7 +61,7 @@ def test_nim_add_inductive_matches_xor():
 
 
 def test_nim_add_inductive_cap():
-    with pytest.raises(CapExceededError):
+    with pytest.raises(TooLargeError, match=r"inductive nim-add capped at 1024, got \(0, 10000\)"):
         nim_add_inductive(0, 10_000)
 
 
@@ -139,7 +139,7 @@ def test_nim_mul_inductive_identities():
 
 
 def test_nim_mul_inductive_cap():
-    with pytest.raises(CapExceededError):
+    with pytest.raises(TooLargeError, match=r"inductive nim-mul capped at 256, got \(300, 1\)"):
         nim_mul_inductive(300, 1)
 
 
