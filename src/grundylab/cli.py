@@ -80,7 +80,8 @@ class SpecError(GrundylabError):
 
 def parse_poset_spec(spec: str, max_elements: int) -> FinitePoset:
     """The one place the element cap is checked: before construction where
-    the spec gives the size, on the built poset for divisors."""
+    the spec gives the size, on the `n` a `file:` declares before any mask
+    is built, and on the built poset for divisors."""
     head, _, rest = spec.partition(":")
 
     def guard(size: int) -> None:
@@ -127,7 +128,7 @@ def parse_poset_spec(spec: str, max_elements: int) -> FinitePoset:
             if size > limit:
                 raise TooLargeError(f"{spec} is over {limit} bytes, 1024 per element (cap {max_elements})")
             try:
-                return FinitePoset.from_json(data.decode("utf-8"), max_elements=max_elements)
+                return FinitePoset.from_json(data.decode("utf-8"), guard)
             except (ValueError, KeyError, TypeError, RecursionError) as exc:
                 raise ValueError(f"malformed poset file: {exc}") from exc
     except (ValueError, OSError) as exc:
@@ -207,15 +208,21 @@ def _table_asm_ideal(args) -> TableReport:
     return TableReport(("r", "s", "grundy"), rows, _meta(table="asm-ideal", n=n))
 
 
-def _table_asm_ruler(args) -> TableReport:
+def _table_asm_ruler(args) -> TableReport | int:
     n = args.n
     poset = parse_poset_spec(f"asm:{n}", args.max_elements)
     table = games.solve_elementwise(games.ruler_family(poset))
-    fiber = {}
+    fibers = {}
     for x in range(poset.n):
-        fiber.setdefault(families.asm_pi(n, poset.labels[x]), x)
+        fibers.setdefault(families.asm_pi(n, poset.labels[x]), []).append(table.values[x])
+    # a row prints one value per (rank, z) fiber, so every element must share it
+    bad = {key: vals for key, vals in fibers.items() if len(set(vals)) > 1}
+    for key, vals in sorted(bad.items()):
+        print(f"error: asm-ruler fiber {key} is not constant: {vals}", file=sys.stderr)
+    if bad:
+        return EXIT_VERIFY_FAILED
     rows = [
-        (r, s, table.values[fiber[(r, s)]])
+        (r, s, fibers[(r, s)][0])
         for r in range(n - 1)
         for s in range(r + 1)
     ]
@@ -238,7 +245,7 @@ _TABLES = {
 }
 
 
-def cmd_tables(args) -> TableReport:
+def cmd_tables(args) -> TableReport | int:
     builder, flag, _, count = _TABLES[args.name]
     if count is not None:  # checked before any row is built
         rows = count(getattr(args, flag))

@@ -108,23 +108,7 @@ def refines(mu, lam) -> bool:
     of parts of mu, using every part of mu exactly once."""
     if sum(mu) != sum(lam):
         raise ValueError(f"|{mu}| != |{lam}|")
-    lam = tuple(sorted(lam, reverse=True))
-
-    def rec(i, counter):
-        if i == len(lam):
-            return not any(counter.values())
-        for comp in _sub_partitions(_avail_tuple(counter), lam[i]):
-            for p in comp:
-                counter[p] -= 1
-            if rec(i + 1, counter):
-                for p in comp:
-                    counter[p] += 1
-                return True
-            for p in comp:
-                counter[p] += 1
-        return False
-
-    return rec(0, Counter(mu))
+    return bool(decompositions(lam, mu))
 
 
 def decompositions(lam, mu) -> list[tuple[tuple[int, ...], ...]]:
@@ -271,6 +255,16 @@ def h_sequence(n_max: int) -> list[int]:
 
 
 def refinement_poset(n: int) -> FinitePoset:
-    """Par_n under refinement, as a FinitePoset labeled by the partitions."""
+    """Par_n under refinement, as a FinitePoset labeled by the partitions.
+
+    A cover merges two parts: the part count drops by exactly one, so every
+    merge is a cover, and merges generate the order."""
     pars = partitions_of(n)
-    return FinitePoset.from_relation(len(pars), lambda i, j: refines(pars[i], pars[j]), labels=pars)
+    index = {lam: i for i, lam in enumerate(pars)}
+    covers = []
+    for i, lam in enumerate(pars):
+        for b in range(1, len(lam)):
+            for a in range(b):
+                merged = lam[:a] + lam[a + 1 : b] + lam[b + 1 :] + (lam[a] + lam[b],)
+                covers.append((i, index[tuple(sorted(merged, reverse=True))]))
+    return FinitePoset.from_covers(len(pars), covers, labels=pars)

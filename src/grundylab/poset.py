@@ -12,9 +12,8 @@ reflexive-transitive closure is the order will do) and hands them to
 its cycle check, the masks close along that order, and it keeps the edges
 as one tuple of predecessors per element.  `covers()` filters those: every
 cover is an edge of any generating set, and edge (i, j) is a cover exactly
-when i is below no other predecessor of j.  `from_relation` reads an
-arbitrary relation, always validates it as a partial order and passes every
-strict pair on; `from_json` reads covers from a file.
+when i is below no other predecessor of j.  `from_json` reads covers from a
+file and `product` states the covers of a product.
 `FinitePoset(down, up, preds, labels)` only stores what these give it.
 
 Posets are immutable after construction; every query is read-only.
@@ -24,8 +23,6 @@ from __future__ import annotations
 
 import json
 
-from .errors import TooLargeError
-
 
 def iter_bits(mask: int):
     while mask:
@@ -34,24 +31,12 @@ def iter_bits(mask: int):
         mask ^= lsb
 
 
-def _validate(down):
-    """Raise ValueError unless the down masks form a partial order."""
-    for j, m in enumerate(down):
-        if not (m >> j) & 1:
-            raise ValueError(f"relation not reflexive at {j}")
-        for i in iter_bits(m):
-            if i != j and (down[i] >> j) & 1:
-                raise ValueError(f"antisymmetry fails on ({i}, {j})")
-            if down[i] | m != m:
-                raise ValueError(f"transitivity fails via {i} <= {j}")
-
-
 class FinitePoset:
     __slots__ = ("n", "labels", "_down", "_up", "_preds")
 
     def __init__(self, down, up, preds, labels=None):
         """Store closed masks and edges as given; internal, build through
-        from_covers, from_relation or from_json, which check their input."""
+        from_covers, which checks its input."""
         self.n = len(down)
         self._down = down
         self._up = up
@@ -59,17 +44,6 @@ class FinitePoset:
         self.labels = list(labels) if labels is not None else None
 
     # -- construction -----------------------------------------------------
-
-    @classmethod
-    def from_relation(cls, n, leq, labels=None):
-        """Build from a comparison callback or an n x n truth matrix.
-
-        The relation is always checked to be a partial order."""
-        rel = leq if callable(leq) else lambda i, j: leq[i][j]
-        down = [sum(1 << i for i in range(n) if rel(i, j)) for j in range(n)]
-        _validate(down)
-        strict = [(i, j) for j, m in enumerate(down) for i in iter_bits(m) if i != j]
-        return cls.from_covers(n, strict, labels=labels)
 
     @classmethod
     def from_covers(cls, n, covers, labels=None):
@@ -210,15 +184,15 @@ class FinitePoset:
         return json.dumps(obj, sort_keys=True)
 
     @classmethod
-    def from_json(cls, text: str, max_elements: int | None = None) -> "FinitePoset":
+    def from_json(cls, text: str, guard=None) -> "FinitePoset":
         """Parse {"n": ..., "covers": [[i, j], ...], "labels": [...]}; `n`
-        is checked against `max_elements` before any mask is built."""
+        is passed to `guard`, which may raise, before any mask is built."""
         obj = json.loads(text)
         n = obj["n"]
         if type(n) is not int or n < 0:
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
-        if max_elements is not None and n > max_elements:
-            raise TooLargeError(f"poset has {n} elements (cap {max_elements})")
+        if guard is not None:
+            guard(n)
         return cls.from_covers(n, obj["covers"], labels=obj.get("labels"))
 
     def label(self, x: int):

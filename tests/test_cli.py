@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from grundylab import __version__, checks
+from grundylab import __version__, checks, games
 from grundylab.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -19,7 +19,7 @@ from grundylab.cli import (
     main,
 )
 from grundylab.closedforms import asm_ideal_grundy
-from grundylab.families import asm_poset
+from grundylab.families import asm_pi, asm_poset
 
 PHI_ROW = [1, 2, 1, 4, 1, 2, 1, 8, 1, 2, 1, 4, 1, 2, 1]
 
@@ -129,6 +129,23 @@ def test_tables_asm_ruler_symmetry(capsys):
     for (s, t), v in table.items():
         assert table[(s, s - t)] == v
     assert "provenance" in obj["metadata"]
+
+
+def test_tables_asm_ruler_refuses_a_non_constant_fiber(capsys, monkeypatch):
+    n = 5
+    keys = [asm_pi(n, e) for e in asm_poset(n).labels]
+    x = max(x for x, key in enumerate(keys) if keys.count(key) > 1)
+    solve = games.solve_elementwise
+
+    def planted(fam):
+        table = solve(fam)
+        table.values[x] ^= 1
+        return table
+
+    monkeypatch.setattr(games, "solve_elementwise", planted)
+    code, out, err = run(capsys, "tables", "asm-ruler", "--n", str(n))
+    assert code == EXIT_VERIFY_FAILED and out == ""
+    assert f"asm-ruler fiber {keys[x]} is not constant" in err
 
 
 def test_tables_ignore_a_planted_pickle(tmp_path, capsys, monkeypatch):
@@ -290,6 +307,7 @@ def test_spec_size_caps_apply_before_construction(tmp_path, capsys):
     code, _, err = run(capsys, "grundy", f"file:{path}", "ruler", "--max-elements", "100")
     assert code == EXIT_RESOURCE
     assert "1000000000 elements" in err
+    assert err == f"resource cap: file:{path} has 1000000000 elements (cap 100)\n"
     code, _, err = run(capsys, "grundy", f"divisors:{10**18}", "tt", "--max-elements", "10")
     assert code == EXIT_RESOURCE
     assert "1000000000 trial divisions (cap 10)" in err

@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from itertools import combinations
 
 import pytest
 
@@ -215,9 +216,20 @@ def test_grundy_values_constant_on_type_classes():
 
 
 def test_refinement_poset_is_valid_partial_order():
+    # the poset is built from part merges; `refines` (a decomposition
+    # search) is the independent relation its masks are checked against
     for n in range(1, 13):
-        p = refinement_poset(n)  # construction validates the axioms
-        assert p.n == len(partitions_of(n))
+        p = refinement_poset(n)
+        pars = partitions_of(n)
+        assert p.n == len(pars) and p.labels == list(pars)
+        for y in range(p.n):
+            assert p.down_mask(y) == sum(1 << x for x in range(p.n) if refines(pars[x], pars[y]))
+        merges = set()
+        for x, lam in enumerate(pars):
+            for a, b in combinations(range(len(lam)), 2):
+                rest = [v for k, v in enumerate(lam) if k not in (a, b)]
+                merges.add((x, pars.index(tuple(sorted(rest + [lam[a] + lam[b]], reverse=True)))))
+        assert set(p.covers()) == merges
     p4 = refinement_poset(4)
     labels = p4.labels
     idx = {lam: i for i, lam in enumerate(labels)}
