@@ -7,7 +7,7 @@ implementation splits numbers at Fermat 2-powers.  Both fast paths are
 checked here against the literal inductive definitions.
 """
 
-from grundylab import mex, nim_add, nim_add_inductive, nim_mul, nim_mul_inductive, nu2, ruler_phi
+from grundylab.nimber import mex, nim_add, nim_add_inductive, nim_mul, nim_mul_inductive, nu2, ruler_phi
 
 print("mex of some sets:")
 for s in [set(), {0, 1, 3}, {1, 2, 5}, set(range(6))]:

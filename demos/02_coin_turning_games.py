@@ -14,10 +14,10 @@ The per-element Grundy values determine every position's value by nim-sum;
 we verify that against raw game-tree search over all 2^6 positions.
 """
 
-from grundylab import (
+from grundylab.families import divisor_poset
+from grundylab.games import (
     GenericGame,
     brute_force_grundy,
-    divisor_poset,
     grundy_position,
     order_ideal_family,
     ruler_family,

@@ -8,19 +8,13 @@ depends only on the dimension, with a parity split on q: the ruler sequence
 again for even q, and a period-3 pattern for odd q.
 """
 
-from grundylab import (
-    chain,
-    chain_ruler_grundy,
-    divisor_poset,
-    divisor_ruler_grundy,
-    ruler_family,
-    solve_elementwise,
-    subspace_recurrence,
-    subspace_ruler_grundy,
-)
+from grundylab.closedforms import divisor_ruler_grundy, subspace_recurrence, subspace_ruler_grundy
+from grundylab.families import chain, divisor_poset
+from grundylab.games import ruler_family, solve_elementwise
+from grundylab.nimber import ruler_phi
 
 print("ruler on the 16-element chain:")
-print("  closed form:", [chain_ruler_grundy(x) for x in range(1, 17)])
+print("  closed form:", [ruler_phi(x) for x in range(1, 17)])
 print("  solver     :", solve_elementwise(ruler_family(chain(16))).values)
 
 n = 360  # 2^3 * 3^2 * 5
@@ -37,5 +31,5 @@ print("  q odd :", [subspace_ruler_grundy(3, k) for k in range(15)])
 
 print("\nthe recurrence rebuilds both rows from scratch:")
 for q in (2, 3):
-    state = subspace_recurrence(q, 14)
-    print(f"  q={q}:", state.g)
+    g, _ = subspace_recurrence(q, 14)
+    print(f"  q={q}:", g)

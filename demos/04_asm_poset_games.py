@@ -10,14 +10,9 @@ rank = 2z +/- 1.  The ruler has no known formula; its computed table is
 symmetric under (s, t) -> (s, s - t).
 """
 
-from grundylab import (
-    asm_ideal_grundy,
-    asm_pi,
-    asm_poset,
-    order_ideal_family,
-    ruler_family,
-    solve_elementwise,
-)
+from grundylab.closedforms import asm_ideal_grundy
+from grundylab.families import asm_pi, asm_poset
+from grundylab.games import order_ideal_family, ruler_family, solve_elementwise
 
 n = 10
 poset = asm_poset(n)

@@ -12,16 +12,9 @@ by a parity DP over block multisets.  No closed form for h(n) is known.
 
 import time
 
-from grundylab import (
-    g_of_type,
-    h_sequence,
-    multiplicity_M,
-    partitions_of,
-    ruler_family,
-    s_of_mu,
-    set_partition_poset,
-    solve_elementwise,
-)
+from grundylab.families import set_partition_poset
+from grundylab.games import ruler_family, solve_elementwise
+from grundylab.partitions import g_of_type, h_sequence, multiplicity_M, partitions_of, s_of_mu
 
 print("the n = 4 computation, step by step:")
 h3 = h_sequence(3)

@@ -25,7 +25,6 @@ import os
 import signal
 import sys
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, field
 from math import isqrt
 
 from . import __version__, checks, closedforms, families, games, nimber, partitions
@@ -38,13 +37,13 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-@dataclass
 class TableReport:
     """Deterministically ordered rows plus run metadata."""
 
-    columns: tuple[str, ...]
-    rows: list[tuple]
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, columns: tuple[str, ...], rows: list[tuple], metadata: dict):
+        self.columns = columns
+        self.rows = rows
+        self.metadata = metadata
 
     def to_text(self) -> str:
         lines = [f"# {k}: {self.metadata[k]}" for k in sorted(self.metadata)]

@@ -6,16 +6,9 @@ re-derives every one of them from `solve_elementwise` on small instances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .families import asm_rank, q_binomial_parity
 from .nimber import mex, nim_product, nu2, ruler_phi
 from .poset import FinitePoset
-
-
-def chain_ruler_grundy(x: int) -> int:
-    """Ruler on a chain: the ruler sequence itself."""
-    return ruler_phi(x)
 
 
 def divisor_ruler_grundy(n: int, y: int) -> int:
@@ -49,18 +42,9 @@ def subspace_ruler_grundy(q: int, d: int) -> int:
     return d % 3 + 1
 
 
-@dataclass
-class SubspaceRecurrenceState:
-    """Tables g_q(d) and s_q(d, m) built from the subspace-ruler recurrence."""
-
-    q: int
-    d_max: int
-    g: list[int]
-    s: dict[tuple[int, int], int]
-
-
-def subspace_recurrence(q: int, d_max: int) -> SubspaceRecurrenceState:
-    """Grundy values of subspace rulers by dimension, via the recurrence
+def subspace_recurrence(q: int, d_max: int) -> tuple[list[int], dict[tuple[int, int], int]]:
+    """The tables (g, s) of subspace-ruler Grundy values by dimension, via
+    the recurrence
 
         s(d, m) = nim-sum over k in [m, d) of parity(qbinom(d-m, k-m)) * g(k)
         g(d)    = mex { s(d, m) : m = 0..d }
@@ -79,7 +63,7 @@ def subspace_recurrence(q: int, d_max: int) -> SubspaceRecurrenceState:
                     acc ^= g[k]
             s[(d, m)] = acc
         g.append(mex(s[(d, m)] for m in range(d + 1)))
-    return SubspaceRecurrenceState(q, d_max, g, s)
+    return g, s
 
 
 def graded_order_ideal_grundy(p: FinitePoset) -> list[int]:
@@ -132,18 +116,16 @@ def suffix_nim_sum_set(n: int) -> set[int]:
     return out
 
 
-@dataclass
-class RulerMexReport:
-    n_max: int
-    ok: bool
-    failures: list[str]
+def ruler_mex_characterization(n_max: int) -> list[str]:
+    """Check, for every n <= n_max: the suffix nim-sums H(m, n) are pairwise
+    distinct; S(2^k) = {0..2^k - 1}; for k = nu2(n), S(2^k) is contained in
+    S(n) while 2^k is not; hence mex S(n) equals the ruler value of n.
+    Returns the failures, empty when every check holds.
 
-
-def ruler_mex_characterization(n_max: int) -> RulerMexReport:
-    """Check, for every n <= n_max: the suffix nim-sums H(m, n) are nonzero
-    for m < n and pairwise distinct; S(2^k) = {0..2^k - 1}; for k = nu2(n),
-    S(2^k) is contained in S(n) while 2^k is not; hence mex S(n) equals the
-    ruler value of n."""
+    Distinctness is `len(S(n)) == n`.  It also covers H(m, n) != 0 for
+    m < n: H(n, n) = 0 is in S(n), so any other zero is a repeat, and a
+    separate zero test would pass and fail on exactly the same n.
+    """
     failures: list[str] = []
     pow_sets = {}
     k = 0
@@ -153,14 +135,7 @@ def ruler_mex_characterization(n_max: int) -> RulerMexReport:
             failures.append(f"S(2^{k}) != {{0..2^{k}-1}}")
         k += 1
     for n in range(1, n_max + 1):
-        acc = 0
-        values = [0]
-        for x in range(n - 1, 0, -1):
-            acc ^= ruler_phi(x)
-            values.append(acc)
-        sn = set(values)
-        if 0 in values[1:]:
-            failures.append(f"H(m, {n}) = 0 for some m < {n}")
+        sn = suffix_nim_sum_set(n)
         if len(sn) != n:
             failures.append(f"suffix nim-sums not distinct at n={n}")
         kn = nu2(n)
@@ -170,4 +145,4 @@ def ruler_mex_characterization(n_max: int) -> RulerMexReport:
             failures.append(f"2^{kn} belongs to S({n})")
         if mex(sn) != ruler_phi(n):
             failures.append(f"mex S({n}) != ruler value")
-    return RulerMexReport(n_max, not failures, failures)
+    return failures

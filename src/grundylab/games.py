@@ -7,7 +7,8 @@ turning set whose maximum element is currently in the position and flips it
 called, and no built-in family stores its sets; `TurningFamily.from_masks`
 checks sets made elsewhere.  `solve_elementwise` computes the per-element
 Grundy values by the mex-of-nim-sums recursion, asking for each bucket once,
-after which the value of any position is the nim-sum of its elements' values.
+and returns them as a `GrundyTable`; `grundy_position(table, position)` is
+then the nim-sum of the position's elements' values.
 `brute_force_grundy` ignores all of that and evaluates positions by the raw
 mex recursion over the option graph; the test suite plays the two against
 each other.  The CLI's `--max-seconds` timer may interrupt any of them.
@@ -16,7 +17,6 @@ each other.  The CLI's `--max-seconds` timer may interrupt any of them.
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field
 
 from .errors import TooLargeError
 from .nimber import mex, nim_mul
@@ -95,7 +95,7 @@ def moves(fam: TurningFamily, position: int) -> list[int]:
     return [position ^ m for x in iter_bits(position) for m in fam.bucket(x)]
 
 
-def potential(p: FinitePoset, tau, position: int) -> int:
+def potential(tau, position: int) -> int:
     """Sum of 2^tau[x] over the position; strictly decreases along moves."""
     total = 0
     for x in iter_bits(position):
@@ -103,16 +103,12 @@ def potential(p: FinitePoset, tau, position: int) -> int:
     return total
 
 
-@dataclass
 class GrundyTable:
-    """Per-element Grundy values for one (poset, family) pair."""
+    """Per-element Grundy values of one game; `grundy_position` reads a
+    position's value off them."""
 
-    poset: FinitePoset
-    family: TurningFamily
-    values: list[int]
-
-    def position(self, position_mask: int) -> int:
-        return grundy_position(self, position_mask)
+    def __init__(self, values: list[int]):
+        self.values = values
 
 
 def solve_elementwise(fam: TurningFamily) -> GrundyTable:
@@ -140,7 +136,7 @@ def solve_elementwise(fam: TurningFamily) -> GrundyTable:
         planes.extend([0] * (v.bit_length() - len(planes)))
         for b in iter_bits(v):
             planes[b] |= 1 << x
-    return GrundyTable(p, fam, g)
+    return GrundyTable(g)
 
 
 def grundy_position(table: GrundyTable, position: int) -> int:
@@ -154,12 +150,12 @@ def grundy_position(table: GrundyTable, position: int) -> int:
 # -- generic games and the brute-force oracle -----------------------------
 
 
-@dataclass
 class GenericGame:
     """Explicit impartial game: positions 0..n-1 and their option lists."""
 
-    options: list[tuple[int, ...]]
-    _memo: dict = field(default_factory=dict, repr=False)
+    def __init__(self, options: list[tuple[int, ...]]):
+        self.options = options
+        self._memo: dict[int, int] = {}
 
     @property
     def n_positions(self) -> int:

@@ -62,7 +62,6 @@ class FiniteField:
         self._mul = [[self._poly_mul(a, b) for b in range(q)] for a in range(q)]
         self._add = [[self._poly_add(a, b) for b in range(q)] for a in range(q)]
         self._neg = [self._find_neg(a) for a in range(q)]
-        self._inv = [None] + [self._find_inv(a) for a in range(1, q)]
 
     def _digits(self, a: int):
         p = self.p
@@ -107,12 +106,6 @@ class FiniteField:
                 return b
         raise AssertionError("no additive inverse")
 
-    def _find_inv(self, a: int) -> int:
-        for b in range(1, self.q):
-            if self._mul[a][b] == 1:
-                return b
-        raise AssertionError("no multiplicative inverse")
-
     def add(self, a: int, b: int) -> int:
         return self._add[a][b]
 
@@ -124,11 +117,6 @@ class FiniteField:
 
     def neg(self, a: int) -> int:
         return self._neg[a]
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return self._inv[a]
 
     def elements(self):
         return range(self.q)

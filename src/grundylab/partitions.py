@@ -72,11 +72,6 @@ def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(iter_partitions(n))
 
 
-def multiplicities(lam) -> Counter:
-    """Part-size -> multiplicity view of a partition."""
-    return Counter(lam)
-
-
 def _avail_tuple(counter: Counter) -> tuple:
     return tuple(sorted(((p, c) for p, c in counter.items() if c), reverse=True))
 

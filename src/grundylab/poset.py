@@ -203,8 +203,5 @@ class FinitePoset:
             raise ValueError("poset has no labels")
         return self.labels.index(label)
 
-    def __len__(self):
-        return self.n
-
     def __repr__(self):
         return f"FinitePoset(n={self.n})"

@@ -95,10 +95,10 @@ def test_criterion_07_subspace_rulers():
         odd_row = [1, 2, 3] * 5
         for q in (2, 4):
             assert [subspace_ruler_grundy(q, d) for d in range(15)] == even_row
-            assert subspace_recurrence(q, 14).g == even_row
+            assert subspace_recurrence(q, 14)[0] == even_row
         for q in (3, 5):
             assert [subspace_ruler_grundy(q, d) for d in range(15)] == odd_row
-            assert subspace_recurrence(q, 14).g == odd_row
+            assert subspace_recurrence(q, 14)[0] == odd_row
         assert_all_pass(checks.subspace_solver_checks(n=3, q=2))
 
 

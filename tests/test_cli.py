@@ -148,6 +148,17 @@ def test_tables_asm_ruler_refuses_a_non_constant_fiber(capsys, monkeypatch):
     assert f"asm-ruler fiber {keys[x]} is not constant" in err
 
 
+# sha256 of the `tables asm-ruler --n 20` stdout (190 rows, values up to 72),
+# recorded with the bit-plane solve kernel; a new kernel must reproduce it
+ASM_RULER_20_SHA256 = "b9867ef2d2dcd2e3819032fe2786cca95095be52e2f0995023f0f84250ac0069"
+
+
+def test_tables_asm_ruler_n20_is_pinned(capsys):
+    code, out, _ = run(capsys, "tables", "asm-ruler", "--n", "20")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == ASM_RULER_20_SHA256
+
+
 def test_tables_ignore_a_planted_pickle(tmp_path, capsys, monkeypatch):
     # pickles with the current version stamp but wrong rows, under the
     # names an earlier release cached these tables by
@@ -517,3 +528,15 @@ def test_cli_import_does_not_load_numpy():
         check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_imports_load_only_what_they_name():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    probe = (
+        "import sys, grundylab\n"
+        "print(sorted(m for m in sys.modules if m.startswith('grundylab.')))\n"
+        "import grundylab.cli\n"
+        "print('dataclasses' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines() == ["[]", "False"]

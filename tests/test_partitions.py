@@ -1,5 +1,4 @@
 import random
-from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -17,7 +16,6 @@ from grundylab.partitions import (
     g_of_type,
     h_sequence,
     iter_partitions,
-    multiplicities,
     multiplicity_M,
     option_sums,
     partitions_of,
@@ -54,10 +52,6 @@ def test_iter_partitions_is_lazy_and_matches_partitions_of():
         assert all(sum(p) == n and list(p) == sorted(p, reverse=True) for p in partitions_of(n))
     first = next(iter_partitions(1000))
     assert first == (1000,)
-
-
-def test_multiplicities():
-    assert multiplicities((2, 1, 1)) == Counter({1: 2, 2: 1})
 
 
 def test_refines_examples():
