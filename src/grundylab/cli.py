@@ -45,8 +45,11 @@ class TableReport:
         self.rows = rows
         self.metadata = metadata
 
+    def _meta_lines(self) -> list[str]:
+        return [f"# {k}: {self.metadata[k]}" for k in sorted(self.metadata)]
+
     def to_text(self) -> str:
-        lines = [f"# {k}: {self.metadata[k]}" for k in sorted(self.metadata)]
+        lines = self._meta_lines()
         widths = [
             max(len(str(c)), *(len(str(r[i])) for r in self.rows)) if self.rows else len(str(c))
             for i, c in enumerate(self.columns)
@@ -57,7 +60,8 @@ class TableReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = [",".join(self.columns)]
+        lines = self._meta_lines()
+        lines.append(",".join(self.columns))
         lines.extend(",".join(str(v) for v in r) for r in self.rows)
         return "\n".join(lines) + "\n"
 
@@ -178,7 +182,8 @@ def _table_hn(args) -> TableReport:
 
 
 # The paper lists h(1..17), `checks.H_ROW`.  h(18..20) from the DP were checked
-# once against the M_n recurrence (`partitions.s_of_mu`), 20-60 s per n there.
+# once against the M_n recurrence (`partitions.s_of_mu`), 35-120 s per n there
+# on a shared 2-vCPU VM with Python 3.11.
 _HN_PAPER_MAX = len(checks.H_ROW)
 _HN_RECURRENCE_MAX = 20
 

@@ -165,14 +165,12 @@ class GenericGame:
         return [i for i, opts in enumerate(self.options) if not opts]
 
     @classmethod
-    def from_turning_family(
-        cls, fam: TurningFamily, cap: int = MAX_BRUTE_FORCE_POSITIONS
-    ) -> "GenericGame":
+    def from_turning_family(cls, fam: TurningFamily) -> "GenericGame":
         """Materialize all 2^|X| positions of a coin-turning game."""
         n = fam.poset.n
         total = 1 << n
-        if total > cap:
-            raise TooLargeError(f"2^{n} positions exceed cap {cap}")
+        if total > MAX_BRUTE_FORCE_POSITIONS:
+            raise TooLargeError(f"2^{n} positions exceed cap {MAX_BRUTE_FORCE_POSITIONS}")
         # every position reads several buckets: make each one once
         stored = TurningFamily(fam.poset, [fam.bucket(y) for y in range(n)].__getitem__)
         options = [tuple(moves(stored, pos)) for pos in range(total)]
@@ -219,14 +217,14 @@ def game_lengths(game: GenericGame) -> list[int]:
     return [memo[p] for p in range(game.n_positions)]
 
 
-def combined(g1: GenericGame, g2: GenericGame, cap: int = MAX_BRUTE_FORCE_POSITIONS) -> GenericGame:
+def combined(g1: GenericGame, g2: GenericGame) -> GenericGame:
     """Disjoint sum: move in one component, leave the other untouched.
 
     Position (p1, p2) gets id p1 * g2.n_positions + p2.
     """
     n1, n2 = g1.n_positions, g2.n_positions
-    if n1 * n2 > cap:
-        raise TooLargeError(f"{n1}*{n2} positions exceed cap {cap}")
+    if n1 * n2 > MAX_BRUTE_FORCE_POSITIONS:
+        raise TooLargeError(f"{n1}*{n2} positions exceed cap {MAX_BRUTE_FORCE_POSITIONS}")
     options = []
     for p1 in range(n1):
         o1 = g1.options[p1]

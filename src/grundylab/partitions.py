@@ -11,7 +11,9 @@ sequence h(n) = value of the one-block partition.  The paper computes it by
 where M_n(lam, mu) counts the set partitions of type lam above a fixed one
 of type mu, and m * a means a nim-added to itself m times (so only the
 parity of M matters).  `s_of_mu`, `multiplicity_M` and `decompositions`
-implement that recurrence literally and serve as the oracle.
+implement that recurrence literally and serve as the oracle;
+`decompositions` draws every component from `partitions_of`, the one
+partition enumerator here.
 
 `h_sequence` evaluates the same sums by a DP over block multisets (the
 exponential formula, Stanley EC2 5.1).  Fix a set partition of type S and
@@ -72,32 +74,6 @@ def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(iter_partitions(n))
 
 
-def _avail_tuple(counter: Counter) -> tuple:
-    return tuple(sorted(((p, c) for p, c in counter.items() if c), reverse=True))
-
-
-def _sub_partitions(avail: tuple, total: int) -> list[tuple[int, ...]]:
-    """Sub-multisets of `avail` (as (part, count) pairs, descending) summing
-    to `total`, each returned as a descending part tuple."""
-    res: list[tuple[int, ...]] = []
-
-    def rec(i, rem, acc):
-        if rem == 0:
-            res.append(tuple(acc))
-            return
-        if i == len(avail):
-            return
-        p, c = avail[i]
-        for take in range(min(c, rem // p), -1, -1):
-            acc.extend([p] * take)
-            rec(i + 1, rem - take * p, acc)
-            if take:
-                del acc[-take:]
-
-    rec(0, total, [])
-    return res
-
-
 def refines(mu, lam) -> bool:
     """True when mu refines lam: the parts of lam can be split into groups
     of parts of mu, using every part of mu exactly once."""
@@ -110,48 +86,26 @@ def decompositions(lam, mu) -> list[tuple[tuple[int, ...], ...]]:
     """All ways to write mu as a multiset union of sub-partitions, one of
     weight lam_i per part of lam, as canonical multisets.
 
-    Components are matched to parts of lam in decreasing order; inside a run
-    of equal parts the chosen components are forced weakly decreasing, so
-    each multiset appears exactly once and no dedup pass is needed.
+    Parts of lam are matched in decreasing order, each to a partition from
+    `partitions_of` whose parts are still unused in mu; inside a run of
+    equal parts the components are forced weakly decreasing, so each
+    multiset appears exactly once and no dedup pass is needed.
     """
     if sum(mu) != sum(lam):
         return []
-    lam = tuple(sorted(lam, reverse=True))
-    runs: list[list[int]] = []
-    for p in lam:
-        if runs and runs[-1][0] == p:
-            runs[-1][1] += 1
-        else:
-            runs.append([p, 1])
+    lam = sorted(lam, reverse=True)
     results: list[tuple[tuple[int, ...], ...]] = []
-    acc: list[tuple[int, ...]] = []
-    counter = Counter(mu)
 
-    def rec_runs(ri):
-        if ri == len(runs):
-            if not any(counter.values()):
-                results.append(tuple(acc))
+    def rec(i, left, acc):
+        if i == len(lam):
+            results.append(acc)
             return
-        value, count = runs[ri]
+        for comp in partitions_of(lam[i]):
+            use = Counter(comp)
+            if use <= left and not (i and lam[i] == lam[i - 1] and comp > acc[-1]):
+                rec(i + 1, left - use, acc + (comp,))
 
-        def rec_run(j, bound):
-            if j == count:
-                rec_runs(ri + 1)
-                return
-            for comp in _sub_partitions(_avail_tuple(counter), value):
-                if bound is not None and comp > bound:
-                    continue
-                for p in comp:
-                    counter[p] -= 1
-                acc.append(comp)
-                rec_run(j + 1, comp)
-                acc.pop()
-                for p in comp:
-                    counter[p] += 1
-
-        rec_run(0, None)
-
-    rec_runs(0)
+    rec(0, Counter(mu), ())
     return results
 
 

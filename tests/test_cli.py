@@ -30,6 +30,11 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
+def csv_body(out):
+    """The header and rows of CSV output, after its `# key: value` lines."""
+    return [line for line in out.strip().splitlines() if not line.startswith("# ")]
+
+
 def test_grundy_chain_ruler_is_phi_row(capsys):
     code, out, _ = run(capsys, "grundy", "chain:15", "ruler", "--format", "json")
     assert code == EXIT_OK
@@ -42,7 +47,7 @@ def test_grundy_chain_ruler_is_phi_row(capsys):
 def test_grundy_divisors_ideal(capsys):
     code, out, _ = run(capsys, "grundy", "divisors:12", "ideal", "--format", "csv")
     assert code == EXIT_OK
-    lines = out.strip().splitlines()
+    lines = csv_body(out)
     assert lines[0] == "element_label,grundy"
     assert lines[1:] == ["1,1", "2,0", "3,0", "4,0", "6,0", "12,0"]
 
@@ -71,13 +76,13 @@ def test_grundy_from_file(tmp_path, capsys):
     path.write_text(json.dumps({"n": 3, "covers": [[0, 1], [1, 2]], "labels": ["a", "b", "c"]}))
     code, out, _ = run(capsys, "grundy", f"file:{path}", "ruler", "--format", "csv")
     assert code == EXIT_OK
-    assert out.strip().splitlines()[1:] == ["a,1", "b,2", "c,1"]
+    assert csv_body(out)[1:] == ["a,1", "b,2", "c,1"]
 
 
 def test_tables_phi(capsys):
     code, out, _ = run(capsys, "tables", "phi", "--format", "csv")
     assert code == EXIT_OK
-    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    rows = [line.split(",") for line in csv_body(out)[1:]]
     assert [int(r[2]) for r in rows] == PHI_ROW
 
 
@@ -105,6 +110,18 @@ def test_tables_hn_past_the_paper_is_labelled(capsys):
     provenance = obj["metadata"]["provenance"]
     assert "h(18..20) confirmed by the M_n recurrence" in provenance
     assert "h(21..22) not independently confirmed" in provenance
+
+
+def test_tables_hn_csv_keeps_the_provenance(capsys):
+    code, out, _ = run(capsys, "tables", "hn", "--max", "22", "--format", "csv")
+    assert code == EXIT_OK
+    meta = [line for line in out.splitlines() if line.startswith("# ")]
+    assert any(
+        line.startswith("# provenance: ") and "h(21..22) not independently confirmed" in line
+        for line in meta
+    )
+    _, text, _ = run(capsys, "tables", "hn", "--max", "22")
+    assert meta == [line for line in text.splitlines() if line.startswith("# ")]
 
 
 def test_tables_asm_ideal(capsys):

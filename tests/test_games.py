@@ -248,8 +248,17 @@ def test_brute_force_basics():
     game = GenericGame.from_turning_family(fam)
     assert brute_force_grundy(game, 0) == 0
     assert 0 in game.ending_positions()
+    # 2^21 positions are over MAX_BRUTE_FORCE_POSITIONS = 2^20: refused
+    # before any position is built
     with pytest.raises(TooLargeError):
-        GenericGame.from_turning_family(fam, cap=2)
+        GenericGame.from_turning_family(ruler_family(chain(21)))
+
+
+def test_combined_refuses_over_the_position_cap():
+    # 2^11 * 2^11 = 4M pairs, refused before any pair is built
+    g = GenericGame.from_turning_family(ruler_family(chain(11)))
+    with pytest.raises(TooLargeError):
+        combined(g, g)
 
 
 def test_brute_force_detects_cycles():

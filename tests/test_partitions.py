@@ -87,6 +87,23 @@ def test_decompositions_components_recombine():
             assert len(seen) == len(decompositions(lam, mu))
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_decompositions_are_complete(n):
+    # independent reference: group the parts of mu by every restricted
+    # growth string, and bucket each canonical grouping by its sums
+    for mu in partitions_of(n):
+        expected = {lam: set() for lam in partitions_of(n)}
+        for rgs in restricted_growth_strings(len(mu)):
+            groups = [[] for _ in range(max(rgs) + 1)]
+            for part, g in zip(mu, rgs):
+                groups[g].append(part)
+            groups = [tuple(sorted(c, reverse=True)) for c in groups]
+            lam = tuple(sorted((sum(c) for c in groups), reverse=True))
+            expected[lam].add(tuple(sorted(groups, key=lambda c: (sum(c), c), reverse=True)))
+        for lam in partitions_of(n):
+            assert set(decompositions(lam, mu)) == expected[lam], (lam, mu)
+
+
 def test_multiplicity_worked_values():
     mu = (2, 1, 1)
     assert multiplicity_M((2, 1, 1), mu) == 1
