@@ -5,10 +5,17 @@ turning set whose maximum element is currently in the position and flips it
 (symmetric difference, i.e. XOR of masks).  A `TurningFamily` is a rule:
 `bucket(y)` makes the sets with maximum y from the poset's masks when it is
 called, and no built-in family stores its sets; `TurningFamily.from_masks`
-checks sets made elsewhere.  `solve_elementwise` computes the per-element
-Grundy values by the mex-of-nim-sums recursion, asking for each bucket once,
-and returns them as a `GrundyTable`; `grundy_position(table, position)` is
-then the nim-sum of the position's elements' values.
+checks sets made elsewhere.
+
+`solve_elementwise` computes the per-element Grundy values by the
+mex-of-nim-sums recursion with one kernel: for each y, the family's
+`option_planes` rule gives the nim-sums of y's options as transposed bit
+planes, and the mex is a walk down those planes.  Turning turtles read the
+planes off the solved values, the ruler carries its planes up from one
+predecessor, and every other family, the order ideals included, counts
+parities over its buckets.  The values come back as a `GrundyTable`;
+`grundy_position(table, position)` is then the nim-sum of the position's
+elements' values.
 `brute_force_grundy` ignores all of that and evaluates positions by the raw
 mex recursion over the option graph; the test suite plays the two against
 each other.  The CLI's `--max-seconds` timer may interrupt any of them.
@@ -16,6 +23,7 @@ each other.  The CLI's `--max-seconds` timer may interrupt any of them.
 
 from __future__ import annotations
 
+from collections import Counter
 from collections.abc import Callable
 
 from .errors import TooLargeError
@@ -35,11 +43,27 @@ class TurningFamily:
     outside the library go through `from_masks`, which finds each maximum,
     refuses a set that has none, and serves the stored lists by the same
     interface.
+
+    `option_planes(order, g, planes)` is the family's rule for the solver,
+    a generator of `(V, cand)` for each y of `order` (see
+    `solve_elementwise`); the default counts the parity of each set of
+    `bucket(y)` in each value plane.
     """
 
-    def __init__(self, poset: FinitePoset, bucket: Callable[[int], list[int]]):
+    def __init__(self, poset: FinitePoset, bucket: Callable[[int], list[int]], option_planes=None):
         self.poset = poset
         self.bucket = bucket
+        self.option_planes = option_planes or self._bucket_planes
+
+    def _bucket_planes(self, order, g, planes):
+        for y in order:
+            bucket = self.bucket(y)
+            V = [0] * len(planes)
+            for i, m in enumerate(bucket):
+                for b, plane in enumerate(planes):
+                    if (m & plane).bit_count() & 1:
+                        V[b] |= 1 << i
+            yield V, (1 << len(bucket)) - 1
 
     @classmethod
     def from_masks(cls, poset: FinitePoset, masks) -> "TurningFamily":
@@ -70,23 +94,70 @@ class TurningFamily:
 
 def turning_turtles(p: FinitePoset) -> TurningFamily:
     """Turning sets {x, y} for all comparable pairs x <= y (singletons when
-    x = y)."""
-    return TurningFamily(p, lambda y: [(1 << x) | (1 << y) for x in iter_bits(p.down_mask(y))])
+    x = y).
+
+    The option of {x, y} is x, and its nim-sum is g(x) (0 for x = y, which
+    is in no value plane yet), so the option planes are the value planes
+    cut down to down(y)."""
+
+    def option_planes(order, g, planes):
+        for y in order:
+            dm = p.down_mask(y)
+            yield [plane & dm for plane in planes], dm
+
+    return TurningFamily(
+        p, lambda y: [(1 << x) | (1 << y) for x in iter_bits(p.down_mask(y))], option_planes
+    )
 
 
 def order_ideal_family(p: FinitePoset) -> TurningFamily:
-    """One turning set per element: its principal order ideal."""
+    """One turning set per element: its principal order ideal.  Its one
+    option's planes are the default rule's: bit b is the parity of down(y)
+    in value plane b."""
     return TurningFamily(p, lambda y: [p.down_mask(y)])
 
 
 def ruler_family(p: FinitePoset) -> TurningFamily:
-    """All closed intervals [x, y] with x <= y."""
+    """All closed intervals [x, y] with x <= y.
+
+    The option of [x, y] is x, and bit x of the plane V_y[b] is the parity
+    of the z < y in [x, y] whose value has bit b; so V_y[b] is the XOR
+    of down(z) over the z < y with bit b of g(z).  Each V_y is carried up
+    from the predecessor y1 (a kept generating edge) with the largest
+    down-set: V_y1 plus down(y1) and the down-sets of the rest of down(y).
+    The planes of y1 are updated in place at their last use and dropped.
+    """
 
     def bucket(y):
         dm = p.down_mask(y)
         return [dm & p.up_mask(x) for x in iter_bits(dm)]
 
-    return TurningFamily(p, bucket)
+    def option_planes(order, g, planes):
+        down = [p.down_mask(y) for y in range(p.n)]
+        size = [d.bit_count() for d in down]
+        source = [max(preds, key=size.__getitem__) if preds else None for preds in p._preds]
+        uses = Counter(source)
+        kept = {}
+        for y in order:
+            y1 = source[y]
+            if y1 is None:
+                V = [0] * len(planes)
+                below = 0
+            else:
+                uses[y1] -= 1
+                V = kept.pop(y1) if uses[y1] == 0 else kept[y1].copy()
+                V.extend([0] * (len(planes) - len(V)))
+                below = down[y1]
+                for b in iter_bits(g[y1]):
+                    V[b] ^= below
+            for z in iter_bits(down[y] & ~below & ~(1 << y)):
+                for b in iter_bits(g[z]):
+                    V[b] ^= down[z]
+            yield V, down[y]
+            if uses[y]:
+                kept[y] = V
+
+    return TurningFamily(p, bucket, option_planes)
 
 
 def moves(fam: TurningFamily, position: int) -> list[int]:
@@ -111,28 +182,47 @@ class GrundyTable:
         self.values = values
 
 
+def _mex_over_planes(V, cand) -> int:
+    """Least value that no option in the mask `cand` takes, where bit b of
+    option i's value is bit i of V[b] and every value is below 2^len(V).
+
+    A depth-first walk from the top plane down, the 0 branch (`~V[b]`)
+    before the 1 branch: leaves are reached in increasing value, so the
+    first empty branch is the mex.  If none is empty, every value below
+    2^len(V) is taken."""
+    stack = [(cand, len(V), 0)]
+    while stack:
+        c, b, v = stack.pop()
+        if not c:
+            return v
+        if b:
+            b -= 1
+            plane = V[b]
+            stack.append((c & plane, b, v | 1 << b))
+            stack.append((c & ~plane, b, v))
+    return 1 << len(V)
+
+
 def solve_elementwise(fam: TurningFamily) -> GrundyTable:
     """Per-element Grundy values g(x) = mex over turning sets with maximum x
     of the nim-sum of values strictly inside the set.
 
     Elements outside every maximum get the empty mex, 0.  Evaluation follows
     a linear extension, so the values a set references are always final.
-    The nim-sums are taken bit-plane by bit-plane: `planes[b]` holds the
-    solved elements whose value has bit b set, so bit b of the nim-sum over
-    a set is the parity of the set's members in `planes[b]`.  x itself is
-    in no plane while its sets are summed.
+    `planes[b]` holds the solved elements whose value has bit b set; x
+    itself is in no plane while its options are read.  From them the
+    family's `option_planes` rule makes x's option planes: `V[b]` is a mask
+    over x's options with bit i set when option i's nim-sum has bit b, and
+    `cand` is the mask of all x's options.  It is resumed only after the
+    previous element's value is in `g` and `planes`.  `_mex_over_planes`
+    then takes the mex without forming any nim-sum.
     """
     p = fam.poset
     g = [0] * p.n
     planes = []
-    for x in p.linear_extension_order():
-        bucket = fam.bucket(x)
-        sums = [0] * len(bucket)
-        bit = 1
-        for plane in planes:
-            sums = [s ^ bit if (m & plane).bit_count() & 1 else s for s, m in zip(sums, bucket)]
-            bit <<= 1
-        v = g[x] = mex(sums)
+    order = p.linear_extension_order()
+    for x, (V, cand) in zip(order, fam.option_planes(order, g, planes)):
+        v = g[x] = _mex_over_planes(V, cand)
         planes.extend([0] * (v.bit_length() - len(planes)))
         for b in iter_bits(v):
             planes[b] |= 1 << x

@@ -32,10 +32,7 @@ def mex(values) -> int:
 
 
 def nim_add(a, b):
-    """Nim-sum of a and b: binary addition without carries (XOR).
-
-    Accepts plain ints or numpy integer arrays elementwise.
-    """
+    """Nim-sum of a and b: binary addition without carries (XOR)."""
     return a ^ b
 
 

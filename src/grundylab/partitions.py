@@ -74,6 +74,13 @@ def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(iter_partitions(n))
 
 
+@lru_cache(maxsize=None)
+def _counted_partitions(n: int) -> tuple[tuple[tuple[int, ...], Counter], ...]:
+    """Each partition of `partitions_of(n)` with the Counter of its parts;
+    read-only, shared by every `decompositions` call."""
+    return tuple((comp, Counter(comp)) for comp in partitions_of(n))
+
+
 def refines(mu, lam) -> bool:
     """True when mu refines lam: the parts of lam can be split into groups
     of parts of mu, using every part of mu exactly once."""
@@ -100,8 +107,7 @@ def decompositions(lam, mu) -> list[tuple[tuple[int, ...], ...]]:
         if i == len(lam):
             results.append(acc)
             return
-        for comp in partitions_of(lam[i]):
-            use = Counter(comp)
+        for comp, use in _counted_partitions(lam[i]):
             if use <= left and not (i and lam[i] == lam[i - 1] and comp > acc[-1]):
                 rec(i + 1, left - use, acc + (comp,))
 

@@ -418,12 +418,15 @@ def test_time_budget_stops_the_solver_while_it_runs(capsys):
     code, _, err = run(capsys, "grundy", "setpartitions:8", "ruler", "--max-seconds", "0.05")
     assert code == EXIT_RESOURCE
     assert "resource cap" in err
+    # asm:30 (4495 elements): the ruler solve alone takes about 0.8 s on a
+    # 2-vCPU VM, well past the budget; asm:20's takes about 0.07 s, too
+    # close to it to be sure of running out
     started = time.monotonic()
-    code, _, err = run(capsys, "tables", "asm-ruler", "--n", "20", "--max-seconds", "0.05")
+    code, _, err = run(capsys, "tables", "asm-ruler", "--n", "30", "--max-seconds", "0.05")
     assert code == EXIT_RESOURCE
     assert time.monotonic() - started < 3.0
-    # the budget covers making the turning sets: the intervals of asm:30
-    # are made bucket by bucket inside the solve, never all up front
+    # the budget covers the solve: its option planes are made element by
+    # element inside it, never all up front
     started = time.monotonic()
     code, _, err = run(capsys, "grundy", "asm:30", "ruler", "--max-seconds", "0.05")
     assert code == EXIT_RESOURCE
@@ -494,7 +497,11 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_ruler_solve_holds_one_bucket_at_a_time():
     # asm:20 has 1330 elements and 235 543 intervals; stored all at once
-    # they lift the peak RSS of this run from about 17 MB to about 52 MB
+    # they lift the peak RSS of this run from about 17 MB to about 52 MB.
+    # The ruler's solve builds no interval: it carries each element's
+    # option planes up from one predecessor, so this guards against a solve
+    # that makes the intervals again, all at once.  On asm:20 the carried
+    # planes are small: keeping every element's planes costs about 1 MB
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     cli = [sys.executable, "-m", "grundylab.cli", "grundy", "asm:20", "ruler"]
     proc = subprocess.run(

@@ -21,6 +21,7 @@ from grundylab.families import (
 from grundylab.games import (
     GenericGame,
     TurningFamily,
+    _mex_over_planes,
     brute_force_grundy,
     combined,
     game_lengths,
@@ -84,25 +85,34 @@ def test_product_family_satisfies_sharp():
 def cover_dags(draw, max_n=10):
     """Random posets of at most max_n elements: the closure of a random
     acyclic edge set, with element ids shuffled so that ids do not follow
-    the order."""
+    the order.  Some draws add redundant edges (pairs already related
+    through the closure), so a kept predecessor need not be a cover."""
     n = draw(st.integers(1, max_n))
     perm = draw(st.permutations(range(n)))
     pairs = [(i, j) for j in range(n) for i in range(j)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    return FinitePoset.from_covers(n, [(perm[i], perm[j]) for i, j in edges])
+    p = FinitePoset.from_covers(n, [(perm[i], perm[j]) for i, j in edges])
+    redundant = [(i, j) for j in range(n) for i in iter_bits(p.down_mask(j)) if i != j]
+    if redundant and draw(st.booleans()):
+        extra = draw(st.lists(st.sampled_from(redundant), unique=True, max_size=6))
+        p = FinitePoset.from_covers(n, [(perm[i], perm[j]) for i, j in edges] + extra)
+    return p
 
 
-def random_families():
-    """tt, ideal and ruler on a random poset p, plus a product family of two
-    of them on p x q."""
-
-    def make(p, q, name1, name2):
-        fams = [build(p) for build in BUILDERS.values()]
-        fams.append(product_family(p, BUILDERS[name1](p), q, BUILDERS[name2](q))[1])
-        return fams
-
+@st.composite
+def random_families(draw):
+    """tt, ideal and ruler on a random poset p, a family of random sets on p
+    (each with a random maximum) and a product family of two built-in
+    families on p x q."""
+    p, q = draw(cover_dags()), draw(cover_dags(max_n=4))
+    fams = [build(p) for build in BUILDERS.values()]
+    masks = []
+    for y in draw(st.lists(st.integers(0, p.n - 1), max_size=3 * p.n)):
+        masks.append((draw(st.integers(0, p.down_mask(y))) & p.down_mask(y)) | 1 << y)
+    fams.append(TurningFamily.from_masks(p, masks))
     names = st.sampled_from(sorted(BUILDERS))
-    return st.builds(make, cover_dags(), cover_dags(max_n=4), names, names)
+    fams.append(product_family(p, BUILDERS[draw(names)](p), q, BUILDERS[draw(names)](q))[1])
+    return fams
 
 
 @settings(max_examples=60, deadline=None)
@@ -115,9 +125,9 @@ def test_builtin_buckets_match_from_masks(fams):
 
 
 def member_loop_solve(fam):
-    """The literal recursion, the oracle for the bit-plane kernel: mex over
-    the sets with maximum x of the nim-sum of their other members' values,
-    summed member by member."""
+    """The literal recursion, the oracle for the option-plane kernel: mex
+    over the sets with maximum x of the nim-sum of their other members'
+    values, summed member by member."""
     p = fam.poset
     g = [0] * p.n
     for x in p.linear_extension_order():
@@ -131,11 +141,63 @@ def member_loop_solve(fam):
     return g
 
 
+def bit_plane_solve(fam):
+    """The solver's earlier kernel, kept as an oracle: every set of the
+    bucket is summed plane by plane, bit b of its nim-sum being the parity
+    of its members in `planes[b]`, and the mex is taken over those sums."""
+    p = fam.poset
+    g = [0] * p.n
+    planes = []
+    for x in p.linear_extension_order():
+        bucket = fam.bucket(x)
+        sums = [0] * len(bucket)
+        bit = 1
+        for plane in planes:
+            sums = [s ^ bit if (m & plane).bit_count() & 1 else s for s, m in zip(sums, bucket)]
+            bit <<= 1
+        v = g[x] = mex(sums)
+        planes.extend([0] * (v.bit_length() - len(planes)))
+        for b in iter_bits(v):
+            planes[b] |= 1 << x
+    return g
+
+
 @settings(max_examples=60, deadline=None)
 @given(random_families())
 def test_bit_plane_solver_matches_member_loop(fams):
     for fam in fams:
         assert solve_elementwise(fam).values == member_loop_solve(fam)
+
+
+@settings(max_examples=100, deadline=None)
+@given(random_families())
+def test_option_plane_kernel_matches_the_bit_plane_oracle(fams):
+    for fam in fams:
+        assert solve_elementwise(fam).values == bit_plane_solve(fam)
+
+
+@st.composite
+def values_below_a_power_of_two(draw):
+    k = draw(st.integers(0, 5))
+    return k, draw(st.lists(st.integers(0, (1 << k) - 1), max_size=40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(values_below_a_power_of_two())
+def test_mex_over_planes_is_the_mex(case):
+    # option i takes values[i]; every value is below 2^k, so k planes hold them
+    k, values = case
+    V = [sum((v >> b & 1) << i for i, v in enumerate(values)) for b in range(k)]
+    assert _mex_over_planes(V, (1 << len(values)) - 1) == mex(values)
+
+
+def test_chain_turning_turtles_fill_every_plane():
+    # on a chain, g(x) = x + 1 under tt, so the options of the element with
+    # value 2^k take every value below 2^k: the mex walk finds no empty
+    # branch and answers 2^len(V)
+    for n in (1, 4, 8, 33):
+        fam = turning_turtles(chain(n))
+        assert solve_elementwise(fam).values == list(range(1, n + 1)) == bit_plane_solve(fam)
 
 
 def test_bit_plane_solver_matches_member_loop_on_wide_values():
@@ -146,9 +208,9 @@ def test_bit_plane_solver_matches_member_loop_on_wide_values():
         ruler = ruler_family(p)
         values = solve_elementwise(ruler).values
         assert max(values) >= 64
-        assert values == member_loop_solve(ruler)
+        assert values == member_loop_solve(ruler) == bit_plane_solve(ruler)
         tt = turning_turtles(p)
-        assert solve_elementwise(tt).values == member_loop_solve(tt)
+        assert solve_elementwise(tt).values == member_loop_solve(tt) == bit_plane_solve(tt)
 
 
 def test_from_masks_rejects_sets_without_a_maximum():
