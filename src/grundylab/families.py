@@ -7,8 +7,8 @@ matrix lattice, called the ASM poset here).  Plus the coordinate maps on the
 ASM poset and exact q-binomials with their parities.
 
 All constructors are pure and return immutable FinitePoset instances with
-human-readable labels.  Each states its covers and leaves both closures to
-`FinitePoset.from_covers`.  Set partitions and subspaces read their covers
+human-readable labels.  Each states its covers and leaves the down closure
+to `FinitePoset.from_covers`.  Set partitions and subspaces read their covers
 off canonical forms: restricted growth strings and span bitmasks.
 """
 
@@ -20,8 +20,8 @@ from . import gf
 from .errors import TooLargeError
 from .poset import FinitePoset
 
-# The down and up masks of an n-element poset take n^2/8 to n^2/4 bytes
-# (each mask of element i has bit i set), 1.25-2.5 GB at this cap.
+# The down masks of an n-element poset take n^2/16 to n^2/8 bytes (the
+# mask of element i has bit i set), 0.6-1.25 GB at this cap.
 MAX_POSET_ELEMENTS = 100_000
 MAX_SET_PARTITION_N = 9
 

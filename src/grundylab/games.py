@@ -39,7 +39,7 @@ class TurningFamily:
     `bucket(y)` returns the bitmasks of the turning sets whose maximum
     element is y; a move may flip them only while y is in the position.  The
     built-in families are rules: each makes a bucket from the poset's down
-    and up masks when it is asked for, and none stores its sets.  Sets from
+    masks when it is asked for, and none stores its sets.  Sets from
     outside the library go through `from_masks`, which finds each maximum,
     refuses a set that has none, and serves the stored lists by the same
     interface.
@@ -120,6 +120,9 @@ def order_ideal_family(p: FinitePoset) -> TurningFamily:
 def ruler_family(p: FinitePoset) -> TurningFamily:
     """All closed intervals [x, y] with x <= y.
 
+    The bucket of y, listed by x, is one pass down the elements of down(y):
+    [x, y] is x and every [z, y] over the kept edges (x, z) inside down(y).
+
     The option of [x, y] is x, and bit x of the plane V_y[b] is the parity
     of the z < y in [x, y] whose value has bit b; so V_y[b] is the XOR
     of down(z) over the z < y with bit b of g(z).  Each V_y is carried up
@@ -129,13 +132,17 @@ def ruler_family(p: FinitePoset) -> TurningFamily:
     """
 
     def bucket(y):
-        dm = p.down_mask(y)
-        return [dm & p.up_mask(x) for x in iter_bits(dm)]
+        intervals = dict.fromkeys(iter_bits(p.down_mask(y)), 0)
+        for z in sorted(intervals, key=lambda t: p.down_mask(t).bit_count(), reverse=True):
+            intervals[z] |= 1 << z
+            for x in p.preds[z]:
+                intervals[x] |= intervals[z]
+        return list(intervals.values())
 
     def option_planes(order, g, planes):
         down = [p.down_mask(y) for y in range(p.n)]
         size = [d.bit_count() for d in down]
-        source = [max(preds, key=size.__getitem__) if preds else None for preds in p._preds]
+        source = [max(preds, key=size.__getitem__) if preds else None for preds in p.preds]
         uses = Counter(source)
         kept = {}
         for y in order:

@@ -2,19 +2,20 @@
 
 Elements are integer ids 0..n-1; an optional `labels` list maps ids back to
 domain objects (divisors, subspaces, set partitions, lattice points).  The
-order relation is stored as two bitmasks per element: `down[i]` holds every
-t <= i and `up[i]` every t >= i.  Comparability is one bit test and the
-interval [x, y] is `down_mask(y) & up_mask(x)`.
+order relation is stored as one bitmask per element: `down[i]` holds every
+t <= i, so comparability is one bit test.  No filter is stored: the ruler
+interval [x, y] is the set of z in down(y) with x in down(z).
 
 Every constructor states the order by its covers (any edge set whose
 reflexive-transitive closure is the order will do) and hands them to
 `from_covers`, the one place masks are built: its topological sort is also
-its cycle check, the masks close along that order, and it keeps the edges
-as one tuple of predecessors per element.  `covers()` filters those: every
-cover is an edge of any generating set, and edge (i, j) is a cover exactly
-when i is below no other predecessor of j.  `from_json` reads covers from a
-file and `product` states the covers of a product.
-`FinitePoset(down, up, preds, labels)` only stores what these give it.
+its cycle check, the down masks close along that order, and it keeps the
+edges as the read-only `preds`, one tuple of predecessors per element.
+`covers()` filters those: every cover is an edge of any generating set, and
+edge (i, j) is a cover exactly when i is below no other predecessor of j.
+`from_json` reads covers from a file and `product` states the covers of a
+product.
+`FinitePoset(down, preds, labels)` only stores what these give it.
 
 Posets are immutable after construction; every query is read-only.
 """
@@ -32,15 +33,14 @@ def iter_bits(mask: int):
 
 
 class FinitePoset:
-    __slots__ = ("n", "labels", "_down", "_up", "_preds")
+    __slots__ = ("n", "labels", "_down", "preds")
 
-    def __init__(self, down, up, preds, labels=None):
+    def __init__(self, down, preds, labels=None):
         """Store closed masks and edges as given; internal, build through
         from_covers, which checks its input."""
         self.n = len(down)
         self._down = down
-        self._up = up
-        self._preds = preds
+        self.preds = preds
         self.labels = list(labels) if labels is not None else None
 
     # -- construction -----------------------------------------------------
@@ -77,11 +77,7 @@ class FinitePoset:
         for j in reversed(order):
             for i in preds[j]:
                 down[j] |= down[i]
-        up = [1 << i for i in range(n)]
-        for j in order:
-            for i in preds[j]:
-                up[i] |= up[j]
-        return cls(down, up, [tuple(dict.fromkeys(p)) for p in preds], labels=labels)
+        return cls(down, [tuple(dict.fromkeys(p)) for p in preds], labels=labels)
 
     # -- basic queries ----------------------------------------------------
 
@@ -95,10 +91,6 @@ class FinitePoset:
         """Bitmask of the principal ideal of x (includes x)."""
         return self._down[x]
 
-    def up_mask(self, x: int) -> int:
-        """Bitmask of the principal filter of x (includes x)."""
-        return self._up[x]
-
     def principal_ideal(self, x: int) -> frozenset:
         return frozenset(iter_bits(self._down[x]))
 
@@ -107,7 +99,7 @@ class FinitePoset:
         edges (x, y) where x is below no other kept predecessor of y."""
         down = self._down
         out = []
-        for y, preds in enumerate(self._preds):
+        for y, preds in enumerate(self.preds):
             shadow = 0
             for k in preds:
                 shadow |= down[k] & ~(1 << k)
@@ -118,9 +110,9 @@ class FinitePoset:
         return [i for i in range(self.n) if self._down[i] == 1 << i]
 
     def minimum(self):
-        """The element whose up mask holds every element, else None."""
-        full = (1 << self.n) - 1
-        return next((x for x, m in enumerate(self._up) if m == full), None)
+        """The unique minimal element, else None: in a finite poset it is the minimum."""
+        mins = self.minimal_elements()
+        return mins[0] if len(mins) == 1 else None
 
     def maximum(self):
         """The element whose down mask holds every element, else None."""

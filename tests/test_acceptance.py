@@ -117,6 +117,8 @@ def test_criterion_09_one_block_partition_table():
         assert_all_pass(checks.h_row_checks(n_max=12, solver_ns=()))
     with _Criterion(9, "h(1..17) within the 30-minute budget; solver confirms h(n) for n <= 8", 1800):
         assert_all_pass(checks.h_row_checks(n_max=17, solver_ns=range(1, 9)))
+    with _Criterion(9, "solver confirms h(9) on the 21 147 set partitions of 9 within 60 s", 60):
+        assert_all_pass(checks.h_row_checks(n_max=9, solver_ns=(9,)))
 
 
 def test_criterion_10_worked_example_n4():

@@ -170,10 +170,27 @@ def test_tables_asm_ruler_refuses_a_non_constant_fiber(capsys, monkeypatch):
 ASM_RULER_20_SHA256 = "b9867ef2d2dcd2e3819032fe2786cca95095be52e2f0995023f0f84250ac0069"
 
 
+# sha256 of the `tables asm-ruler --n 30` stdout (435 rows)
+ASM_RULER_30_SHA256 = "aa86659c72ee3672a6037416ab8985f62eb56d2fdda10465f20d7f84f1ff0121"
+
+
 def test_tables_asm_ruler_n20_is_pinned(capsys):
     code, out, _ = run(capsys, "tables", "asm-ruler", "--n", "20")
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == ASM_RULER_20_SHA256
+
+
+def test_tables_asm_ruler_rows_do_not_depend_on_n(capsys):
+    # down((x, y, z)) translates onto a set fixed by its rank and z, so a
+    # row (rank, z) is the same for every n that has it: the n = 20 rows
+    # are the first 190 rows for n = 30
+    code, out30, _ = run(capsys, "tables", "asm-ruler", "--n", "30")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out30.encode()).hexdigest() == ASM_RULER_30_SHA256
+    _, out20, _ = run(capsys, "tables", "asm-ruler", "--n", "20")
+    rows20, rows30 = ([line.split() for line in csv_body(out)[1:]] for out in (out20, out30))
+    assert len(rows20) == 190 and len(rows30) == 435
+    assert rows30[:190] == rows20
 
 
 def test_tables_ignore_a_planted_pickle(tmp_path, capsys, monkeypatch):
@@ -346,7 +363,7 @@ def test_spec_size_caps_apply_before_construction(tmp_path, capsys):
     code, _, err = run(capsys, "grundy", "subspaces:2000:2", "tt")
     assert code == EXIT_RESOURCE
     assert "at least 2^2000 elements (cap 100000)" in err
-    # the default cap bounds the masks, which take at least 1.25 GB at it
+    # the default cap bounds the masks, which take at least 0.6 GB at it
     code, _, err = run(capsys, "grundy", "chain:100001", "tt")
     assert code == EXIT_RESOURCE
     assert "100001 elements (cap 100000)" in err
@@ -514,6 +531,25 @@ def test_ruler_solve_holds_one_bucket_at_a_time():
     code, maxrss_kib = map(int, proc.stdout.split())
     assert code == EXIT_OK
     assert maxrss_kib / 1024 < 35
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_set_partition_ideal_stores_down_masks_only():
+    # setpartitions:9 has 21 147 elements and its down masks take about
+    # 60 MB.  A filter mask stored beside each of them adds about 30 MB and
+    # lifts the peak RSS of this run from about 100 MB to about 127 MB
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    cli = [sys.executable, "-m", "grundylab.cli", "grundy", "setpartitions:9", "ideal"]
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_LAUNCHER, *cli],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, maxrss_kib = map(int, proc.stdout.split())
+    assert code == EXIT_OK
+    assert maxrss_kib / 1024 < 113
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")

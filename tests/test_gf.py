@@ -101,7 +101,7 @@ def test_interval_in_subspace_lattice_looks_like_smaller_lattice():
                 u = rng.randrange(p.n)
                 above = [w for w in range(p.n) if p.leq(u, w)]
                 w = rng.choice(above)
-                members = list(iter_bits(p.down_mask(w) & p.up_mask(u)))
+                members = [t for t in iter_bits(p.down_mask(w)) if p.leq(u, t)]
                 du, dw = dims[u], dims[w]
                 for r in range(dw - du + 1):
                     layer = sum(1 for t in members if dims[t] == du + r)
