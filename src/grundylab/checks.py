@@ -74,11 +74,8 @@ def brute_force_checks():
             detail = f"position {bad}" if bad is not None else ""
             label = f"{name} {fam_name}"
             yield f"elementwise solution equals brute force on {label} (all positions)", bad is None, detail
-            dec = all(
-                games.potential(tau, opt) < games.potential(tau, pos)
-                for pos in positions
-                for opt in games.moves(fam, pos)
-            )
+            pot = [games.potential(tau, pos) for pos in positions]
+            dec = all(pot[opt] < pot[pos] for pos in positions for opt in games.moves(fam, pos))
             yield f"potential strictly decreases on {label}", dec, ""
 
 

@@ -238,9 +238,12 @@ def solve_elementwise(fam: TurningFamily) -> GrundyTable:
 
 def grundy_position(table: GrundyTable, position: int) -> int:
     """Nim-sum of per-element values over the position."""
+    values = table.values
     s = 0
-    for x in iter_bits(position):
-        s ^= table.values[x]
+    while position:
+        lsb = position & -position
+        s ^= values[lsb.bit_length() - 1]
+        position ^= lsb
     return s
 
 
@@ -263,14 +266,26 @@ class GenericGame:
 
     @classmethod
     def from_turning_family(cls, fam: TurningFamily) -> "GenericGame":
-        """Materialize all 2^|X| positions of a coin-turning game."""
+        """Materialize all 2^|X| positions of a coin-turning game.
+
+        `options[pos]` is `tuple(moves(fam, pos))`, built in ascending pos
+        from the position without its highest bit x: the moves of
+        `pos ^ (1 << x)` with bit x flipped, then `pos ^ m` for each m in
+        `bucket(x)`, which is `moves`' own order.  Each bucket is made once.
+        """
         n = fam.poset.n
         total = 1 << n
         if total > MAX_BRUTE_FORCE_POSITIONS:
             raise TooLargeError(f"2^{n} positions exceed cap {MAX_BRUTE_FORCE_POSITIONS}")
-        # every position reads several buckets: make each one once
-        stored = TurningFamily(fam.poset, [fam.bucket(y) for y in range(n)].__getitem__)
-        options = [tuple(moves(stored, pos)) for pos in range(total)]
+        options = [()]
+        for x in range(n):
+            top = 1 << x
+            bucket = fam.bucket(x)
+            # a set with maximum below x may still hold bit x: flip, not add
+            options += [
+                tuple([o ^ top for o in rest] + [low ^ top ^ m for m in bucket])
+                for low, rest in enumerate(options)
+            ]
         return cls(options)
 
 
@@ -301,8 +316,23 @@ def _postorder_eval(options, memo, root, combine):
 
 def brute_force_grundy(game: GenericGame, position: int) -> int:
     """Grundy value by the raw mex recursion over options: 0 at ending
-    positions, mex of the option values elsewhere."""
-    return _postorder_eval(game.options, game._memo, position, mex)
+    positions, mex of the option values elsewhere.
+
+    When every option is already valued (as in an ascending sweep of a
+    coin-turning game), the mex is taken in one pass over them; otherwise
+    `_postorder_eval` values the missing ones first and detects cycles."""
+    memo = game._memo
+    value = memo.get(position)
+    if value is not None:
+        return value
+    seen = 0
+    for o in game.options[position]:
+        v = memo.get(o)
+        if v is None:
+            return _postorder_eval(game.options, memo, position, mex)
+        seen |= 1 << v
+    value = memo[position] = ((seen + 1) & ~seen).bit_length() - 1
+    return value
 
 
 def game_lengths(game: GenericGame) -> list[int]:

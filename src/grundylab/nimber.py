@@ -9,8 +9,11 @@ Each oracle reads its table through one lookup.  A cell reads only cells
 with smaller coordinates, so a table that is too small is rebuilt from
 scratch to the next power of two (at most log2(cap) + 1 builds in an
 ascending sweep) and published by one assignment; an interrupted build
-leaves the old table in place.  Both builders keep option sets as int
-bitmasks.  These tables and the `nim_mul` memo are the only state.
+leaves the old table in place.  The nim-add builder keeps option sets as
+int bitmasks; the nim-mul builder keeps them as byte strings, since every
+value below its cap fits in one byte, and XOR-translates them with
+`bytes.translate` through a table of the 256 translations it makes per
+build.  These tables and the `nim_mul` memo are the only state.
 """
 
 from __future__ import annotations
@@ -76,35 +79,30 @@ def nim_add_inductive(a: int, b: int) -> int:
     return _lookup("nim-add", _build_nim_add_table, NIM_ADD_ORACLE_CAP, a, b)
 
 
-# _SWAPS[c] holds (low, 2^k) for each set bit 2^k of c (8 bits below the
-# cap), where low masks the positions below NIM_MUL_ORACLE_CAP with bit k clear.
-_LOW = [sum(1 << x for x in range(NIM_MUL_ORACLE_CAP) if not x >> k & 1) for k in range(8)]
-_SWAPS = [[(_LOW[k], 1 << k) for k in range(8) if c >> k & 1] for c in range(NIM_MUL_ORACLE_CAP)]
-
-
-def _xor_translate(mask: int, c: int) -> int:
-    """Bitmask of {x ^ c for x in mask}, for x and c below NIM_MUL_ORACLE_CAP."""
-    for low, shift in _SWAPS[c]:
-        mask = (mask & low) << shift | (mask >> shift) & low
-    return mask
-
-
 def _build_nim_mul_table(limit: int) -> list[list[int]]:
-    # t[a][b] = mex{ t[a'][b] ^ t[a][b'] ^ t[a'][b'] : a' < a, b' < b }.  Along
-    # row a, diffs[a'] is the bitmask of t[a][b'] ^ t[a'][b'] over b' < b, so
-    # the options at (a, b) are diffs[a'] XOR-translated by t[a'][b].
+    # t[a][b] = mex{ t[a'][b] ^ t[a][b'] ^ t[a'][b'] : a' < a, b' < b }.  Every
+    # value is below NIM_MUL_ORACLE_CAP = 256, one byte, though not always
+    # below limit (2 (x) 4 = 8).  Along row a, diffs[a'] holds the bytes
+    # t[a][b'] ^ t[a'][b'] over b' < b, so the options at (a, b) are diffs[a']
+    # XOR-translated by c = t[a'][b]: `translate(xor[c])`, where xor[c] maps
+    # each byte x to x ^ c, made by doubling over the bits of c.
+    xor = [bytes(range(NIM_MUL_ORACLE_CAP))]
+    for k in range(8):
+        flip = bytes(x ^ 1 << k for x in xor[0])
+        xor += [r.translate(flip) for r in xor]
     t: list[list[int]] = []
     for a in range(limit):
         row = [0] * limit
-        diffs = [0] * a
+        diffs = [bytearray() for _ in range(a)]
         for b in range(limit):
             column = [r[b] for r in t]
-            m = 0
-            for d, c in zip(diffs, column):
-                m |= _xor_translate(d, c)
-            v = ((m + 1) & ~m).bit_length() - 1
+            options = b"".join([d.translate(xor[c]) for d, c in zip(diffs, column)])
+            v = 0
+            while v in options:
+                v += 1
             row[b] = v
-            diffs = [d | 1 << (v ^ c) for d, c in zip(diffs, column)]
+            for d, c in zip(diffs, column):
+                d.append(v ^ c)
         t.append(row)
     return t
 

@@ -305,6 +305,53 @@ def test_brute_force_matches_elementwise_everywhere():
                 assert brute_force_grundy(game, pos) == grundy_position(table, pos)
 
 
+@settings(max_examples=60, deadline=None)
+@given(random_families())
+def test_option_graph_lists_the_moves_of_every_position(fams):
+    # cover_dags shuffles ids, so a turning set may hold bits above its
+    # maximum's id; the random-set family covers sets outside the built-ins
+    for fam in fams:
+        n = fam.poset.n
+        if n > 12:
+            continue
+        game = GenericGame.from_turning_family(fam)
+        assert game.n_positions == 1 << n
+        # the same buckets, each made once, for the literal move rule to read
+        stored = TurningFamily(fam.poset, [fam.bucket(y) for y in range(n)].__getitem__)
+        for pos in range(game.n_positions):
+            assert game.options[pos] == tuple(moves(stored, pos))
+
+
+@settings(max_examples=60, deadline=None)
+@given(random_families())
+def test_brute_force_values_do_not_depend_on_evaluation_order(fams):
+    # a descending sweep finds most options unvalued, so it runs the
+    # post-order fallback; an ascending one mostly takes the one-pass mex
+    for fam in fams:
+        if fam.poset.n > 12:
+            continue
+        up = GenericGame.from_turning_family(fam)
+        down = GenericGame.from_turning_family(fam)
+        positions = range(up.n_positions)
+        ascending = [brute_force_grundy(up, pos) for pos in positions]
+        descending = [brute_force_grundy(down, pos) for pos in reversed(positions)]
+        assert ascending == descending[::-1]
+
+
+def test_option_graph_on_ids_that_are_not_a_linear_extension():
+    # 2 < 0 < 1: the ruler set [2, 0] has maximum 0 but holds the higher bit 2
+    p = FinitePoset.from_covers(3, [(2, 0), (0, 1)])
+    assert p.linear_extension_order() != [0, 1, 2]
+    fam = ruler_family(p)
+    game = GenericGame.from_turning_family(fam)
+    assert game.options[0b001] == (0b000, 0b100)
+    table = solve_elementwise(fam)
+    for pos in range(8):
+        assert game.options[pos] == tuple(moves(fam, pos))
+    for pos in reversed(range(8)):
+        assert brute_force_grundy(game, pos) == grundy_position(table, pos)
+
+
 def test_brute_force_basics():
     fam = ruler_family(chain(3))
     game = GenericGame.from_turning_family(fam)

@@ -114,14 +114,18 @@ def test_an_interrupted_build_leaves_the_previous_table(monkeypatch):
     ]
 
 
-below_mul_cap = st.integers(min_value=0, max_value=nimber.NIM_MUL_ORACLE_CAP - 1)
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sets(below_mul_cap), below_mul_cap)
-def test_xor_translation_of_a_bitmask(values, c):
-    mask = sum(1 << x for x in values)
-    assert nimber._xor_translate(mask, c) == sum(1 << (x ^ c) for x in values)
+def test_nim_mul_table_matches_a_set_double_mex():
+    # the builder's byte lists against the defining double mex over Python
+    # sets, which uses neither builder; products below 32 reach 255, so the
+    # builder's translations must cover every byte, not only those below 32
+    limit = 32
+    t = [[0] * limit for _ in range(limit)]
+    for a in range(limit):
+        for b in range(limit):
+            t[a][b] = mex(
+                {t[x][b] ^ t[a][y] ^ t[x][y] for x in range(a) for y in range(b)}
+            )
+    assert nimber._build_nim_mul_table(limit) == t
 
 
 def test_nim_sum():
