@@ -230,6 +230,16 @@ def _table_asm_ruler(args) -> TableReport | int:
         for r in range(n - 1)
         for s in range(r + 1)
     ]
+    # eta is an order automorphism that keeps the rank and sends z to r - z
+    asym = [(r, s, v) for r, s, v in rows if s < r - s and v != fibers[(r, r - s)][0]]
+    for r, s, v in asym:
+        print(
+            f"error: asm-ruler g({r}, {s}) = {v} but g({r}, {r - s}) = "
+            f"{fibers[(r, r - s)][0]}: the table is not eta-symmetric",
+            file=sys.stderr,
+        )
+    if asym:
+        return EXIT_VERIFY_FAILED
     meta = _meta(
         table="asm-ruler",
         n=n,
@@ -307,19 +317,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# after the budget, the alarm repeats at this interval until the block is left
+_BUDGET_REPEAT_S = 0.01
+
+
 @contextmanager
 def _time_budget(seconds: float):
-    """Raise BudgetExceededError in the block once `seconds` have passed; a
-    signal that lands while the timer is being disarmed is ignored."""
+    """Raise BudgetExceededError in the block once `seconds` have passed.
+
+    The alarm repeats until the block is left: an exception raised where
+    Python cannot pass it on (a gc callback, a `__del__`) is reported as
+    unraisable and dropped, and the next alarm raises it again.  An alarm
+    that lands while the error is already being handled, or while the timer
+    is being disarmed, is ignored."""
     armed = True
 
     def out_of_time(signum, frame):
-        if armed:
+        if armed and not isinstance(sys.exc_info()[1], BudgetExceededError):
             raise BudgetExceededError(f"command not finished within {seconds}s")
 
     previous = signal.signal(signal.SIGALRM, out_of_time)
     try:
-        signal.setitimer(signal.ITIMER_REAL, seconds)
+        signal.setitimer(signal.ITIMER_REAL, seconds, _BUDGET_REPEAT_S)
         yield
     finally:
         armed = False

@@ -9,7 +9,10 @@ ASM poset and exact q-binomials with their parities.
 All constructors are pure and return immutable FinitePoset instances with
 human-readable labels.  Each states its covers and leaves the down closure
 to `FinitePoset.from_covers`.  Set partitions and subspaces read their covers
-off canonical forms: restricted growth strings and span bitmasks.
+off canonical forms: span bitmasks, and restricted growth strings held as
+byte strings, whose block merges are `bytes.translate` calls and whose labels
+grow with them; `restricted_growth_strings` and `rgs_to_blocks` stay as the
+tuple oracle the tests build the same poset from.
 """
 
 from __future__ import annotations
@@ -155,10 +158,6 @@ def rgs_to_blocks(rgs) -> tuple:
     return tuple(tuple(b) for b in blocks)
 
 
-def _block_label(blocks) -> str:
-    return "|".join(",".join(str(e) for e in b) for b in blocks)
-
-
 def bell_number(n: int) -> int:
     """Number of set partitions of an n-set, read off the Bell triangle."""
     row = [1]
@@ -170,28 +169,51 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
+def _grow_rgs(elems, e: int):
+    """Each (RGS as bytes, its blocks as label strings) of `elems`, in
+    lexicographic order, extended by element e: it joins block v or opens
+    a new one.  The extensions of a string follow it in that order."""
+    s = str(e)
+    for r, blocks in elems:
+        k = len(blocks)
+        for v in range(k):
+            yield r + bytes((v,)), (*blocks[:v], f"{blocks[v]},{s}", *blocks[v + 1 :])
+        yield r + bytes((k,)), (*blocks, s)
+
+
 def set_partition_poset(n: int) -> FinitePoset:
     """Set partitions of {1..n} under refinement.
 
     pi <= sigma iff every block of pi is contained in a block of sigma, so
     the all-singletons partition is the minimum and the one-block partition
-    the maximum.  A cover merges block b into an earlier block a: b becomes
-    a and the later blocks move down one, so the RGS stays canonical.
+    the maximum.  Elements are the RGS as byte strings in lexicographic
+    order, each grown with its label one position at a time.  A cover
+    merges block b into an earlier block a: b becomes a and the later
+    blocks move down one, so the RGS stays canonical; that is one
+    `bytes.translate` per block pair.
     """
     if n < 1:
         raise ValueError("set partition poset needs n >= 1")
     if n > MAX_SET_PARTITION_N:
         raise TooLargeError(f"set partition poset supported for n <= {MAX_SET_PARTITION_N}")
-    elems = list(restricted_growth_strings(n))
-    index = {r: i for i, r in enumerate(elems)}
-    covers = [
-        (i, index[tuple(a if v == b else v - (v > b) for v in r)])
-        for i, r in enumerate(elems)
-        for b in range(1, max(r) + 1)
-        for a in range(b)
+    elems = [(b"\0", ("1",))]
+    for e in range(2, n + 1):  # a chain of generators: no level is held in full
+        elems = _grow_rgs(elems, e)
+    index, labels = {}, []
+    for r, blocks in elems:
+        index[r] = len(labels)
+        labels.append("|".join(blocks))
+    # merge[b][a] sends byte b to a and every byte above b down one
+    merge = [
+        [bytes(a if v == b else v - (v > b) for v in range(256)) for a in range(b)] for b in range(n)
     ]
-    labels = [_block_label(rgs_to_blocks(r)) for r in elems]
-    return FinitePoset.from_covers(len(elems), covers, labels=labels)
+    covers = [
+        (i, index[r.translate(table)])
+        for r, i in index.items()
+        for b in range(1, max(r) + 1)
+        for table in merge[b]
+    ]
+    return FinitePoset.from_covers(len(labels), covers, labels=labels)
 
 
 # -- the ASM poset --------------------------------------------------------
@@ -257,8 +279,15 @@ def asm_rank(n: int, e) -> int:
 
 
 def asm_pi(n: int, e) -> tuple[int, int]:
-    """Projection to (rank, z); the per-element Grundy data only depends
-    on this pair."""
+    """Projection to (rank, z), r = n - 2 - (x + y).
+
+    The per-element Grundy data depends only on this pair.  Lemma:
+    translating by (x, y, 0) maps down((x, y, z)) onto
+    D(r, z) = {(a, b, c) >= 0 : c <= z <= a + b + c <= r} and keeps the
+    order, since every order comparison and coordinate sum shifts by the
+    same amount.  So the tt, ideal and ruler values of an element depend
+    only on (r, z), and not on n.  `asm_eta` fixes the rank and sends z to
+    r - z, so those values also satisfy g(r, z) = g(r, r - z)."""
     _check_asm(n, e)
     return (asm_rank(n, e), e[2])
 

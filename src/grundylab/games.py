@@ -145,6 +145,7 @@ def ruler_family(p: FinitePoset) -> TurningFamily:
         source = [max(preds, key=size.__getitem__) if preds else None for preds in p.preds]
         uses = Counter(source)
         kept = {}
+        bits = [()] * p.n  # the set bits of g[z], once z is solved
         for y in order:
             y1 = source[y]
             if y1 is None:
@@ -155,12 +156,19 @@ def ruler_family(p: FinitePoset) -> TurningFamily:
                 V = kept.pop(y1) if uses[y1] == 0 else kept[y1].copy()
                 V.extend([0] * (len(planes) - len(V)))
                 below = down[y1]
-                for b in iter_bits(g[y1]):
+                for b in bits[y1]:
                     V[b] ^= below
-            for z in iter_bits(down[y] & ~below & ~(1 << y)):
-                for b in iter_bits(g[z]):
-                    V[b] ^= down[z]
+            # the rest of down(y) below y, walked from the top bit so that
+            # each step shrinks the int
+            delta = down[y] ^ below ^ (1 << y)
+            while delta:
+                z = delta.bit_length() - 1
+                delta ^= 1 << z
+                dz = down[z]
+                for b in bits[z]:
+                    V[b] ^= dz
             yield V, down[y]
+            bits[y] = tuple(iter_bits(g[y]))
             if uses[y]:
                 kept[y] = V
 
@@ -193,9 +201,10 @@ def _mex_over_planes(V, cand) -> int:
     """Least value that no option in the mask `cand` takes, where bit b of
     option i's value is bit i of V[b] and every value is below 2^len(V).
 
-    A depth-first walk from the top plane down, the 0 branch (`~V[b]`)
-    before the 1 branch: leaves are reached in increasing value, so the
-    first empty branch is the mex.  If none is empty, every value below
+    A depth-first walk from the top plane down, the 0 branch (the options
+    of `c` outside V[b], `c ^ one`, which forms no complement as wide as the
+    plane) before the 1 branch: leaves are reached in increasing value, so
+    the first empty branch is the mex.  If none is empty, every value below
     2^len(V) is taken."""
     stack = [(cand, len(V), 0)]
     while stack:
@@ -204,9 +213,9 @@ def _mex_over_planes(V, cand) -> int:
             return v
         if b:
             b -= 1
-            plane = V[b]
-            stack.append((c & plane, b, v | 1 << b))
-            stack.append((c & ~plane, b, v))
+            one = c & V[b]
+            stack.append((one, b, v | 1 << b))
+            stack.append((c ^ one, b, v))
     return 1 << len(V)
 
 

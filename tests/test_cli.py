@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -19,6 +20,7 @@ from grundylab.cli import (
     main,
 )
 from grundylab.closedforms import asm_ideal_grundy
+from grundylab.errors import BudgetExceededError
 from grundylab.families import asm_pi, asm_poset
 
 PHI_ROW = [1, 2, 1, 4, 1, 2, 1, 8, 1, 2, 1, 4, 1, 2, 1]
@@ -165,6 +167,20 @@ def test_tables_asm_ruler_refuses_a_non_constant_fiber(capsys, monkeypatch):
     assert f"asm-ruler fiber {keys[x]} is not constant" in err
 
 
+def test_tables_asm_ruler_refuses_a_table_that_is_not_eta_symmetric(capsys, monkeypatch):
+    # every fiber is constant, but g(r, s) = s differs from g(r, r - s)
+    # unless s = r / 2
+    n = 6
+    monkeypatch.setattr(
+        games, "solve_elementwise", lambda fam: games.GrundyTable([e[2] for e in fam.poset.labels])
+    )
+    code, out, err = run(capsys, "tables", "asm-ruler", "--n", str(n))
+    assert code == EXIT_VERIFY_FAILED and out == ""
+    bad = [line for line in err.splitlines() if "not eta-symmetric" in line]
+    assert len(bad) == sum(1 for r in range(n - 1) for s in range(r + 1) if s < r - s)
+    assert "g(4, 1) = 1 but g(4, 3) = 3" in err
+
+
 # sha256 of the `tables asm-ruler --n 20` stdout (190 rows, values up to 72),
 # recorded with the bit-plane solve kernel; a new kernel must reproduce it
 ASM_RULER_20_SHA256 = "b9867ef2d2dcd2e3819032fe2786cca95095be52e2f0995023f0f84250ac0069"
@@ -224,6 +240,22 @@ def test_verify_suites_pass(capsys):
     code, out, _ = run(capsys, "verify", "partitions")
     assert code == EXIT_OK
     assert out.strip().endswith("0 failure(s)")
+
+
+# sha256 of the `grundy setpartitions:8 ruler` and `ideal` stdout (4140
+# rows each), recorded before the byte-string construction of the poset and
+# the top-bit walk of the ruler's option planes; both must reproduce them
+SETPARTITIONS_8_SHA256 = {
+    "ruler": "a90e31321de1dde4fb19915b36e059a55eaadc866e59dbd269fb4ca400a20e01",
+    "ideal": "7cac2a7e1e8ca90281dac05701b1cb5274a400496ce2d5eea8df0ab9be69db9e",
+}
+
+
+@pytest.mark.parametrize("family", sorted(SETPARTITIONS_8_SHA256))
+def test_grundy_setpartitions_8_is_pinned(capsys, family):
+    code, out, _ = run(capsys, "grundy", "setpartitions:8", family)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == SETPARTITIONS_8_SHA256[family]
 
 
 # sha256 of the `verify all` stdout; the check names and their order are
@@ -448,6 +480,34 @@ def test_time_budget_stops_the_solver_while_it_runs(capsys):
     code, _, err = run(capsys, "grundy", "asm:30", "ruler", "--max-seconds", "0.05")
     assert code == EXIT_RESOURCE
     assert time.monotonic() - started < 1.5
+
+
+def test_time_budget_repeats_an_alarm_that_was_lost(capsys, monkeypatch):
+    # an exception raised inside a gc callback is reported to
+    # sys.unraisablehook and dropped; the first collection after the timer
+    # is armed stays busy past the budget, so the first alarm lands there
+    # and only a repeat can stop the command (setpartitions:9 tt takes
+    # about 1 s unbudgeted)
+    lost = []
+    monkeypatch.setattr(sys, "unraisablehook", lambda unraisable: lost.append(unraisable.exc_value))
+    busy = []
+
+    def busy_once_armed(phase, info):
+        if not busy and signal.getitimer(signal.ITIMER_REAL)[0] > 0:
+            busy.append(phase)
+            end = time.monotonic() + 0.2
+            while time.monotonic() < end:
+                pass
+
+    gc.callbacks.append(busy_once_armed)
+    try:
+        started = time.monotonic()
+        code, _, err = run(capsys, "grundy", "setpartitions:9", "tt", "--max-seconds", "0.05")
+    finally:
+        gc.callbacks.remove(busy_once_armed)
+    assert lost and all(isinstance(e, BudgetExceededError) for e in lost)
+    assert code == EXIT_RESOURCE and "within 0.05s" in err
+    assert time.monotonic() - started < 1.0
 
 
 def test_time_budget_covers_poset_construction(capsys):

@@ -21,6 +21,7 @@ from grundylab.families import (
     subspace_dimensions,
     subspace_lattice,
 )
+from grundylab.poset import FinitePoset
 
 
 def test_chain_basics():
@@ -74,6 +75,30 @@ def test_rgs_block_round_trip():
         assert sorted(e for b in blocks for e in b) == [1, 2, 3, 4, 5]
         assert all(list(b) == sorted(b) for b in blocks)
         assert [b[0] for b in blocks] == sorted(b[0] for b in blocks)
+
+
+def tuple_set_partition_poset(n):
+    """Pi_n built from the tuple oracle: `restricted_growth_strings` for the
+    elements, `rgs_to_blocks` for the labels, and each cover as the merge of
+    block b into an earlier block a (b becomes a, later blocks move down)."""
+    elems = list(restricted_growth_strings(n))
+    index = {r: i for i, r in enumerate(elems)}
+    covers = [
+        (i, index[tuple(a if v == b else v - (v > b) for v in r)])
+        for i, r in enumerate(elems)
+        for b in range(1, max(r) + 1)
+        for a in range(b)
+    ]
+    labels = ["|".join(",".join(map(str, b)) for b in rgs_to_blocks(r)) for r in elems]
+    return FinitePoset.from_covers(len(elems), covers, labels=labels)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_set_partition_poset_matches_the_tuple_oracle(n):
+    p, q = set_partition_poset(n), tuple_set_partition_poset(n)
+    assert p.labels == q.labels
+    assert p.preds == q.preds
+    assert [p.down_mask(x) for x in range(p.n)] == [q.down_mask(x) for x in range(q.n)]
 
 
 def test_set_partition_poset():

@@ -213,6 +213,20 @@ def test_bit_plane_solver_matches_member_loop_on_wide_values():
         assert solve_elementwise(tt).values == member_loop_solve(tt) == bit_plane_solve(tt)
 
 
+def test_ruler_kernel_matches_the_bit_plane_oracle_on_wide_masks():
+    # the ruler's option planes walk each down-set from its top bit; on
+    # Pi_6 the minimum has the last id, so every down mask is full width,
+    # and on a chain whose ids run top-down each delta holds bits far above
+    # the element being solved
+    top_down_chain = FinitePoset.from_covers(40, [(i + 1, i) for i in range(39)])
+    for p in (set_partition_poset(6), asm_poset(10), top_down_chain):
+        ruler = ruler_family(p)
+        assert solve_elementwise(ruler).values == bit_plane_solve(ruler)
+    assert solve_elementwise(ruler_family(top_down_chain)).values == [
+        ruler_phi(40 - x) for x in range(40)
+    ]
+
+
 def test_from_masks_rejects_sets_without_a_maximum():
     c2 = chain(2)
     for bad in (0, 0b100):
