@@ -182,7 +182,7 @@ def _table_hn(args) -> TableReport:
 
 
 # The paper lists h(1..17), `checks.H_ROW`.  h(18..20) from the DP were checked
-# once against the M_n recurrence (`partitions.s_of_mu`), 21-68 s per n there
+# once against the M_n recurrence (`partitions.s_of_mu`), 20, 41 and 78 s
 # (n = 18, 19, 20) on a shared 2-vCPU VM with Python 3.11.
 _HN_PAPER_MAX = len(checks.H_ROW)
 _HN_RECURRENCE_MAX = 20

@@ -17,7 +17,8 @@ parities over its buckets.  The values come back as a `GrundyTable`;
 `grundy_position(table, position)` is then the nim-sum of the position's
 elements' values.
 `brute_force_grundy` ignores all of that and evaluates positions by the raw
-mex recursion over the option graph; the test suite plays the two against
+mex recursion over the option graph: its first call values every position
+of the game in one post-order sweep.  The test suite plays the two against
 each other.  The CLI's `--max-seconds` timer may interrupt any of them.
 """
 
@@ -27,7 +28,7 @@ from collections import Counter
 from collections.abc import Callable
 
 from .errors import TooLargeError
-from .nimber import mex, nim_mul
+from .nimber import nim_mul
 from .poset import FinitePoset, iter_bits
 
 MAX_BRUTE_FORCE_POSITIONS = 1 << 20
@@ -127,7 +128,8 @@ def ruler_family(p: FinitePoset) -> TurningFamily:
     of the z < y in [x, y] whose value has bit b; so V_y[b] is the XOR
     of down(z) over the z < y with bit b of g(z).  Each V_y is carried up
     from the predecessor y1 (a kept generating edge) with the largest
-    down-set: V_y1 plus down(y1) and the down-sets of the rest of down(y).
+    down-set: V_y1 already sums the z < y1, so V_y adds the down-sets of
+    the rest of the z < y, y1 among them.
     The planes of y1 are updated in place at their last use and dropped.
     """
 
@@ -155,11 +157,9 @@ def ruler_family(p: FinitePoset) -> TurningFamily:
                 uses[y1] -= 1
                 V = kept.pop(y1) if uses[y1] == 0 else kept[y1].copy()
                 V.extend([0] * (len(planes) - len(V)))
-                below = down[y1]
-                for b in bits[y1]:
-                    V[b] ^= below
-            # the rest of down(y) below y, walked from the top bit so that
-            # each step shrinks the int
+                below = down[y1] ^ (1 << y1)
+            # the rest of down(y) below y, y1 included, walked from the top
+            # bit so that each step shrinks the int
             delta = down[y] ^ below ^ (1 << y)
             while delta:
                 z = delta.bit_length() - 1
@@ -260,11 +260,12 @@ def grundy_position(table: GrundyTable, position: int) -> int:
 
 
 class GenericGame:
-    """Explicit impartial game: positions 0..n-1 and their option lists."""
+    """Explicit impartial game: positions 0..n-1 and their option lists.
+    `values` stays None until `brute_force_grundy` values every position."""
 
     def __init__(self, options: list[tuple[int, ...]]):
         self.options = options
-        self._memo: dict[int, int] = {}
+        self.values: list[int] | None = None
 
     @property
     def n_positions(self) -> int:
@@ -298,59 +299,59 @@ class GenericGame:
         return cls(options)
 
 
-def _postorder_eval(options, memo, root, combine):
-    # Iterative post-order over the option DAG; raises on a directed cycle.
-    if root in memo:
-        return memo[root]
-    visiting = set()
-    stack = [root]
-    while stack:
-        p = stack[-1]
-        if p in memo:
-            stack.pop()
-            continue
-        if p in visiting:
-            memo[p] = combine([memo[o] for o in options[p]])
-            visiting.discard(p)
-            stack.pop()
-        else:
-            visiting.add(p)
-            for o in options[p]:
-                if o in visiting:
-                    raise ValueError("option graph has a cycle")
-                if o not in memo:
-                    stack.append(o)
-    return memo[root]
+def _postorder(options) -> list[int]:
+    """Every position after all of its options, walked depth first from
+    each root in ascending order.
+
+    A position is open from its first walk until it is listed.  Reaching an
+    open position that still has an unlisted option means the walk came
+    back to it along a cycle, so the whole graph is refused with ValueError,
+    even where no given position can reach the cycle."""
+    listed, walked, order, stack = set(), set(), [], []
+    for root in range(len(options)):
+        stack.append(root)
+        while stack:
+            p = stack[-1]
+            if p in listed:
+                stack.pop()
+            elif listed.issuperset(options[p]):
+                listed.add(p)
+                order.append(p)
+                stack.pop()
+            elif p in walked:
+                raise ValueError("option graph has a cycle")
+            else:
+                walked.add(p)
+                stack += [o for o in options[p] if o not in listed]
+    return order
 
 
 def brute_force_grundy(game: GenericGame, position: int) -> int:
     """Grundy value by the raw mex recursion over options: 0 at ending
     positions, mex of the option values elsewhere.
 
-    When every option is already valued (as in an ascending sweep of a
-    coin-turning game), the mex is taken in one pass over them; otherwise
-    `_postorder_eval` values the missing ones first and detects cycles."""
-    memo = game._memo
-    value = memo.get(position)
-    if value is not None:
-        return value
-    seen = 0
-    for o in game.options[position]:
-        v = memo.get(o)
-        if v is None:
-            return _postorder_eval(game.options, memo, position, mex)
-        seen |= 1 << v
-    value = memo[position] = ((seen + 1) & ~seen).bit_length() - 1
-    return value
+    The first call values every position in `_postorder`'s order into
+    `game.values`, so it raises ValueError on any cycle of the option
+    graph; every later call is a list index."""
+    if game.values is None:
+        options = game.options
+        values = [0] * len(options)
+        for p in _postorder(options):
+            seen = 0
+            for o in options[p]:
+                seen |= 1 << values[o]
+            values[p] = ((seen + 1) & ~seen).bit_length() - 1
+        game.values = values
+    return game.values[position]
 
 
 def game_lengths(game: GenericGame) -> list[int]:
     """Maximum play length from each position."""
-    memo: dict[int, int] = {}
-    combine = lambda vals: 1 + max(vals) if vals else 0
-    for p in range(game.n_positions):
-        _postorder_eval(game.options, memo, p, combine)
-    return [memo[p] for p in range(game.n_positions)]
+    options = game.options
+    lengths = [0] * len(options)
+    for p in _postorder(options):
+        lengths[p] = max([lengths[o] + 1 for o in options[p]], default=0)
+    return lengths
 
 
 def combined(g1: GenericGame, g2: GenericGame) -> GenericGame:

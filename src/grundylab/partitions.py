@@ -167,16 +167,6 @@ def s_of_mu(n: int, mu, h) -> int:
     return acc
 
 
-def _submasks(c: int):
-    """Every t with t & c == t, i.e. C(c, t) odd, from c down to 0."""
-    t = c
-    while True:
-        yield t
-        if not t:
-            return
-        t = (t - 1) & c
-
-
 def option_sums(n: int, h, coarse):
     """Yield (mu, s_n(mu)) for every mu in Par_n, lazily, by the block
     multiset DP; `coarse` must map every partition of weight < n to F."""
@@ -186,7 +176,7 @@ def option_sums(n: int, h, coarse):
         choices = [(0, ())]
         for p, run in groupby(mu[1:]):
             c = len(tuple(run))
-            picks = [(t * p, (p,) * (c - t)) for t in _submasks(c)]
+            picks = [(t * p, (p,) * (c - t)) for t in range(c + 1) if t & c == t]
             choices = [(w + tw, rest + left) for w, rest in choices for tw, left in picks]
         first = mu[0]
         acc = 0

@@ -22,6 +22,7 @@ from grundylab.games import (
     GenericGame,
     TurningFamily,
     _mex_over_planes,
+    _postorder,
     brute_force_grundy,
     combined,
     game_lengths,
@@ -339,8 +340,8 @@ def test_option_graph_lists_the_moves_of_every_position(fams):
 @settings(max_examples=60, deadline=None)
 @given(random_families())
 def test_brute_force_values_do_not_depend_on_evaluation_order(fams):
-    # a descending sweep finds most options unvalued, so it runs the
-    # post-order fallback; an ascending one mostly takes the one-pass mex
+    # the first call values the whole game, so the position asked first
+    # must not change any value
     for fam in fams:
         if fam.poset.n > 12:
             continue
@@ -388,6 +389,55 @@ def test_brute_force_detects_cycles():
     cyclic = GenericGame(options=[(1,), (0,)])
     with pytest.raises(ValueError):
         brute_force_grundy(cyclic, 0)
+    with pytest.raises(ValueError):
+        brute_force_grundy(GenericGame(options=[(0,)]), 0)
+    with pytest.raises(ValueError):
+        game_lengths(GenericGame(options=[(), (1, 0)]))
+
+
+def test_a_cycle_the_position_cannot_reach_still_raises():
+    # position 0 ends the game, but 1 and 2 are each other's option: the
+    # first call values every position, so the cycle is found
+    game = GenericGame(options=[(), (2,), (1,)])
+    with pytest.raises(ValueError):
+        brute_force_grundy(game, 0)
+    with pytest.raises(ValueError):
+        game_lengths(game)
+
+
+@st.composite
+def acyclic_games(draw, max_n=9):
+    """Random acyclic games: each position's options rank below it in a
+    shuffled order, so they point to both higher and lower ids."""
+    n = draw(st.integers(1, max_n))
+    rank = draw(st.permutations(range(n)))
+    options = []
+    for p in range(n):
+        below = [o for o in range(n) if rank[o] < rank[p]]
+        opts = draw(st.lists(st.sampled_from(below), max_size=4)) if below else []
+        options.append(tuple(opts))
+    return GenericGame(options)
+
+
+@settings(max_examples=100, deadline=None)
+@given(acyclic_games(), st.randoms(use_true_random=False))
+def test_sweep_matches_the_literal_recursions(game, rnd):
+    options = game.options
+
+    def grundy(p):
+        return mex(grundy(o) for o in options[p])
+
+    def length(p):
+        return max((length(o) + 1 for o in options[p]), default=0)
+
+    order = _postorder(options)
+    at = {p: i for i, p in enumerate(order)}
+    assert sorted(order) == list(range(game.n_positions))
+    assert all(at[o] < at[p] for p in order for o in options[p])
+    asked = list(range(game.n_positions))
+    rnd.shuffle(asked)
+    assert [brute_force_grundy(game, p) for p in asked] == [grundy(p) for p in asked]
+    assert game_lengths(game) == [length(p) for p in range(game.n_positions)]
 
 
 def test_option_graphs_acyclic_and_lengths_add():
