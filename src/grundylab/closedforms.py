@@ -8,7 +8,6 @@ from __future__ import annotations
 
 from .families import asm_rank, q_binomial_parity
 from .nimber import mex, nim_product, nu2, ruler_phi
-from .poset import FinitePoset
 
 
 def divisor_ruler_grundy(n: int, y: int) -> int:
@@ -66,26 +65,6 @@ def subspace_recurrence(q: int, d_max: int) -> tuple[list[int], dict[tuple[int, 
     return g, s
 
 
-def graded_order_ideal_grundy(p: FinitePoset) -> list[int]:
-    """Order-ideal game on a graded poset with a unique minimum: value 1 at
-    the minimum, 0 everywhere else."""
-    if p.rank_function() is None:
-        raise ValueError("poset is not graded")
-    bottom = p.minimum()
-    if bottom is None:
-        raise ValueError("poset has no unique minimum")
-    return [1 if x == bottom else 0 for x in range(p.n)]
-
-
-def order_ideal_parity(p: FinitePoset, x: int, lower_values) -> int:
-    """Order-ideal game parity rule: an element scores 1 exactly when an
-    even number of elements strictly below it score 1."""
-    ones = sum(
-        1 for t in p.principal_ideal(x) if t != x and lower_values[t] == 1
-    )
-    return 0 if ones % 2 else 1
-
-
 def asm_ideal_grundy(n: int, e) -> int:
     """Order-ideal game on the ASM poset: value 1 iff the rank is 0 or
     equals 2z +/- 1."""
@@ -96,18 +75,9 @@ def asm_ideal_grundy(n: int, e) -> int:
 # -- ruler-sequence mex characterization -----------------------------------
 
 
-def suffix_nim_sum(m: int, n: int) -> int:
-    """Nim-sum of ruler values over [m, n); zero exactly when m = n."""
-    if not 1 <= m <= n:
-        raise ValueError("need 1 <= m <= n")
-    acc = 0
-    for x in range(m, n):
-        acc ^= ruler_phi(x)
-    return acc
-
-
 def suffix_nim_sum_set(n: int) -> set[int]:
-    """All suffix nim-sums ending at n: { H(x, n) : x = 1..n }."""
+    """All suffix nim-sums ending at n: { H(x, n) : x = 1..n }, where
+    H(x, n) is the nim-sum of the ruler values over [x, n)."""
     acc = 0
     out = {0}
     for x in range(n - 1, 0, -1):

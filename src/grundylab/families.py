@@ -3,8 +3,8 @@
 Five families: chains, divisor posets, subspace lattices over finite fields,
 set partitions under refinement, and the three-coordinate poset of lattice
 points x + y + z <= n - 2 (the join-irreducibles of the alternating-sign-
-matrix lattice, called the ASM poset here).  Plus the coordinate maps on the
-ASM poset and exact q-binomials with their parities.
+matrix lattice, called the ASM poset here).  Plus the (rank, z) projection
+of the ASM poset and exact q-binomials with their parities.
 
 All constructors are pure and return immutable FinitePoset instances with
 human-readable labels.  Each states its covers and leaves the down closure
@@ -35,10 +35,6 @@ def chain(n: int) -> FinitePoset:
         raise ValueError("chain needs n >= 1")
     covers = [(i, i + 1) for i in range(n - 1)]
     return FinitePoset.from_covers(n, covers, labels=list(range(1, n + 1)))
-
-
-def antichain(n: int) -> FinitePoset:
-    return FinitePoset.from_covers(n, [], labels=list(range(1, n + 1)))
 
 
 def divisor_poset(n: int) -> FinitePoset:
@@ -255,21 +251,20 @@ def asm_leq(a, b) -> bool:
 
 
 def asm_poset(n: int) -> FinitePoset:
-    """The ASM poset, closed from the covers `asm_cover_candidates` lists;
-    `asm_leq` is the relation it must reproduce."""
+    """The ASM poset, closed from the four lattice points each element can
+    cover, kept where they lie in the poset; `asm_leq` is the relation it
+    must reproduce."""
     if n < 2:
         raise ValueError("asm poset needs n >= 2")
     elems = asm_elements(n)
     index = {e: i for i, e in enumerate(elems)}
-    covers = [(index[c], j) for j, e in enumerate(elems) for c in asm_cover_candidates(n, e)]
+    covers = [
+        (index[c], j)
+        for j, (x, y, z) in enumerate(elems)
+        for c in ((x + 1, y, z), (x, y + 1, z), (x + 1, y, z - 1), (x, y + 1, z - 1))
+        if c in index
+    ]
     return FinitePoset.from_covers(len(elems), covers, labels=elems)
-
-
-def asm_cover_candidates(n: int, e):
-    """The four lattice points an element can cover, filtered to the poset."""
-    x, y, z = e
-    cands = [(x + 1, y, z), (x, y + 1, z), (x + 1, y, z - 1), (x, y + 1, z - 1)]
-    return [c for c in cands if asm_contains(n, c)]
 
 
 def asm_rank(n: int, e) -> int:
@@ -286,21 +281,9 @@ def asm_pi(n: int, e) -> tuple[int, int]:
     D(r, z) = {(a, b, c) >= 0 : c <= z <= a + b + c <= r} and keeps the
     order, since every order comparison and coordinate sum shifts by the
     same amount.  So the tt, ideal and ruler values of an element depend
-    only on (r, z), and not on n.  `asm_eta` fixes the rank and sends z to
-    r - z, so those values also satisfy g(r, z) = g(r, r - z)."""
+    only on (r, z), and not on n.  Replacing z by n - 2 - (x + y + z) is an
+    order automorphism that fixes the rank and sends z to r - z, so those
+    values also satisfy g(r, z) = g(r, r - z)."""
     _check_asm(n, e)
     return (asm_rank(n, e), e[2])
 
-
-def asm_xi(n: int, e) -> tuple[int, int, int]:
-    """Order automorphism swapping x and y; an involution."""
-    _check_asm(n, e)
-    x, y, z = e
-    return (y, x, z)
-
-
-def asm_eta(n: int, e) -> tuple[int, int, int]:
-    """Order automorphism replacing z by n - 2 - (x + y + z); an involution."""
-    _check_asm(n, e)
-    x, y, z = e
-    return (x, y, n - 2 - (x + y + z))

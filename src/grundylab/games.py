@@ -28,7 +28,6 @@ from collections import Counter
 from collections.abc import Callable
 
 from .errors import TooLargeError
-from .nimber import nim_mul
 from .poset import FinitePoset, iter_bits
 
 MAX_BRUTE_FORCE_POSITIONS = 1 << 20
@@ -271,9 +270,6 @@ class GenericGame:
     def n_positions(self) -> int:
         return len(self.options)
 
-    def ending_positions(self) -> list[int]:
-        return [i for i, opts in enumerate(self.options) if not opts]
-
     @classmethod
     def from_turning_family(cls, fam: TurningFamily) -> "GenericGame":
         """Materialize all 2^|X| positions of a coin-turning game.
@@ -345,15 +341,6 @@ def brute_force_grundy(game: GenericGame, position: int) -> int:
     return game.values[position]
 
 
-def game_lengths(game: GenericGame) -> list[int]:
-    """Maximum play length from each position."""
-    options = game.options
-    lengths = [0] * len(options)
-    for p in _postorder(options):
-        lengths[p] = max([lengths[o] + 1 for o in options[p]], default=0)
-    return lengths
-
-
 def combined(g1: GenericGame, g2: GenericGame) -> GenericGame:
     """Disjoint sum: move in one component, leave the other untouched.
 
@@ -371,63 +358,3 @@ def combined(g1: GenericGame, g2: GenericGame) -> GenericGame:
             options.append(tuple(opts))
     return GenericGame(options)
 
-
-def product_family(
-    p1: FinitePoset, f1: TurningFamily, p2: FinitePoset, f2: TurningFamily
-):
-    """Family {T1 x T2} on the product poset.
-
-    T1 x T2 has maximum (max T1, max T2), so the bucket of element
-    a * n2 + b is made from bucket a of f1 and bucket b of f2 when it is
-    asked for.  The per-element Grundy value of (x1, x2) is the nim-product
-    of the component values; `solve_elementwise` on the result verifies that.
-    """
-    prod = p1.product(p2)
-    n2 = p2.n
-
-    def bucket(y):
-        a, b = divmod(y, n2)
-        bucket2 = f2.bucket(b)
-        out = []
-        for m1 in f1.bucket(a):
-            shifts = [x * n2 for x in iter_bits(m1)]
-            out.extend(sum(m2 << s for s in shifts) for m2 in bucket2)
-        return out
-
-    return prod, TurningFamily(prod, bucket)
-
-
-def product_grundy_prediction(t1: GrundyTable, t2: GrundyTable) -> list[int]:
-    """Nim-products g1(x1) (x) g2(x2) in product-poset element order."""
-    out = []
-    for a in t1.values:
-        for b in t2.values:
-            out.append(nim_mul(a, b))
-    return out
-
-
-def grundy_respects_isomorphism(p1, f1, p2, f2, mapping):
-    """Check g1(x) == g2(mapping[x]) for an order isomorphism carrying f1
-    onto f2.  Returns None, or the first element where the values differ.
-
-    Raises ValueError if `mapping` is not an order-preserving bijection or
-    does not map the first family onto the second.
-    """
-    n = p1.n
-    if p2.n != n or sorted(mapping) != list(range(n)):
-        raise ValueError("mapping is not a bijection between the element sets")
-    for i in range(n):
-        for j in iter_bits(p1.down_mask(i)):
-            if not p2.leq(mapping[j], mapping[i]):
-                raise ValueError(f"mapping does not preserve {j} <= {i}")
-    mapped = sorted(
-        sum(1 << mapping[t] for t in iter_bits(m)) for m in f1.masks
-    )
-    if mapped != sorted(f2.masks):
-        raise ValueError("mapping does not carry the first family onto the second")
-    g1 = solve_elementwise(f1).values
-    g2 = solve_elementwise(f2).values
-    for x in range(n):
-        if g1[x] != g2[mapping[x]]:
-            return x
-    return None

@@ -115,9 +115,6 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
-    def neg(self, a: int) -> int:
-        return self._neg[a]
-
     def elements(self):
         return range(self.q)
 

@@ -1,9 +1,11 @@
 """Nimber arithmetic: mex, nim-addition and nim-multiplication.
 
-The fast operations (`nim_add`, `nim_mul`) are the ones the rest of the
-library uses.  `nim_add_inductive` and `nim_mul_inductive` evaluate the
-defining mex recursions literally; they are quadratic, capped, and exist
-purely as correctness oracles for the fast paths.
+Nim-addition is XOR, which the library writes as `^`; `nim_add` names it
+for `verify`, which checks it and its inductive oracle against `^`.
+`nim_mul` is the fast product the rest of the library uses.
+`nim_add_inductive` and `nim_mul_inductive` evaluate the defining mex
+recursions literally; they are quadratic, capped, and exist purely as
+correctness oracles for the fast paths.
 
 Each oracle reads its table through one lookup.  A cell reads only cells
 with smaller coordinates, so a table that is too small is rebuilt from
@@ -37,14 +39,6 @@ def mex(values) -> int:
 def nim_add(a, b):
     """Nim-sum of a and b: binary addition without carries (XOR)."""
     return a ^ b
-
-
-def nim_sum(xs) -> int:
-    """Nim-sum over a collection; the empty sum is 0."""
-    acc = 0
-    for x in xs:
-        acc ^= x
-    return acc
 
 
 def _lookup(name: str, build, cap: int, a: int, b: int) -> int:

@@ -42,7 +42,6 @@ from itertools import groupby
 from math import factorial
 
 from .nimber import mex, nim_mul, nim_product
-from .poset import FinitePoset
 
 
 def iter_partitions(n: int):
@@ -79,14 +78,6 @@ def _counted_partitions(n: int) -> tuple[tuple[tuple[int, ...], Counter], ...]:
     """Each partition of `partitions_of(n)` with the Counter of its parts;
     read-only, shared by every `decompositions` call."""
     return tuple((comp, Counter(comp)) for comp in partitions_of(n))
-
-
-def refines(mu, lam) -> bool:
-    """True when mu refines lam: the parts of lam can be split into groups
-    of parts of mu, using every part of mu exactly once."""
-    if sum(mu) != sum(lam):
-        raise ValueError(f"|{mu}| != |{lam}|")
-    return bool(decompositions(lam, mu))
 
 
 def decompositions(lam, mu) -> list[tuple[tuple[int, ...], ...]]:
@@ -142,12 +133,6 @@ def multiplicity_M(lam, mu) -> int:
     return total
 
 
-def type_of(rgs) -> tuple[int, ...]:
-    """Type of a set partition given as a restricted-growth string: its
-    block sizes, weakly decreasing."""
-    return tuple(sorted(Counter(rgs).values(), reverse=True))
-
-
 def g_of_type(lam, h) -> int:
     """Grundy value of any set partition of type lam: the nim-product of
     h over the parts."""
@@ -197,19 +182,3 @@ def h_sequence(n_max: int) -> list[int]:
         for mu, s in sums.items():
             coarse[mu] = s ^ hn
     return h
-
-
-def refinement_poset(n: int) -> FinitePoset:
-    """Par_n under refinement, as a FinitePoset labeled by the partitions.
-
-    A cover merges two parts: the part count drops by exactly one, so every
-    merge is a cover, and merges generate the order."""
-    pars = partitions_of(n)
-    index = {lam: i for i, lam in enumerate(pars)}
-    covers = []
-    for i, lam in enumerate(pars):
-        for b in range(1, len(lam)):
-            for a in range(b):
-                merged = lam[:a] + lam[a + 1 : b] + lam[b + 1 :] + (lam[a] + lam[b],)
-                covers.append((i, index[tuple(sorted(merged, reverse=True))]))
-    return FinitePoset.from_covers(len(pars), covers, labels=pars)

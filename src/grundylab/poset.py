@@ -13,8 +13,7 @@ its cycle check, the down masks close along that order, and it keeps the
 edges as the read-only `preds`, one tuple of predecessors per element.
 `covers()` filters those: every cover is an edge of any generating set, and
 edge (i, j) is a cover exactly when i is below no other predecessor of j.
-`from_json` reads covers from a file and `product` states the covers of a
-product.
+`from_json` reads covers from a file.
 `FinitePoset(down, preds, labels)` only stores what these give it.
 
 Posets are immutable after construction; every query is read-only.
@@ -81,18 +80,9 @@ class FinitePoset:
 
     # -- basic queries ----------------------------------------------------
 
-    def leq(self, i: int, j: int) -> bool:
-        return bool((self._down[j] >> i) & 1)
-
-    def less(self, i: int, j: int) -> bool:
-        return i != j and self.leq(i, j)
-
     def down_mask(self, x: int) -> int:
         """Bitmask of the principal ideal of x (includes x)."""
         return self._down[x]
-
-    def principal_ideal(self, x: int) -> frozenset:
-        return frozenset(iter_bits(self._down[x]))
 
     def covers(self):
         """All covering pairs (x, y) with x covered by y, sorted: the kept
@@ -106,38 +96,12 @@ class FinitePoset:
             out.extend((x, y) for x in preds if not (shadow >> x) & 1)
         return sorted(out)
 
-    def minimal_elements(self):
-        return [i for i in range(self.n) if self._down[i] == 1 << i]
-
-    def minimum(self):
-        """The unique minimal element, else None: in a finite poset it is the minimum."""
-        mins = self.minimal_elements()
-        return mins[0] if len(mins) == 1 else None
-
     def maximum(self):
         """The element whose down mask holds every element, else None."""
         full = (1 << self.n) - 1
         return next((x for x, m in enumerate(self._down) if m == full), None)
 
     # -- structure --------------------------------------------------------
-
-    def rank_function(self):
-        """Ranks if the poset is graded (0 on minimal elements, +1 along
-        covers), else None.  Consistency is checked on the cover DAG."""
-        n = self.n
-        rank = [0] * n
-        order = self.linear_extension_order()
-        lower = [[] for _ in range(n)]
-        for c, x in self.covers():
-            lower[x].append(c)
-        for x in order:
-            if lower[x]:
-                rank[x] = 1 + max(rank[c] for c in lower[x])
-        for x in range(n):
-            for c in lower[x]:
-                if rank[x] != rank[c] + 1:
-                    return None
-        return rank
 
     def linear_extension(self):
         """tau with x <= y implying tau[x] <= tau[y]; ties broken by id."""
@@ -154,26 +118,7 @@ class FinitePoset:
         extension."""
         return sorted(range(self.n), key=lambda x: self._down[x].bit_count())
 
-    def product(self, other: "FinitePoset") -> "FinitePoset":
-        """Componentwise order on pairs; (a, b) gets id a * other.n + b.
-
-        (a, b) is covered by (c, b) when a is covered by c, and by (a, d)
-        when b is covered by d."""
-        n2 = other.n
-        covers = [(a * n2 + b, c * n2 + b) for a, c in self.covers() for b in range(n2)]
-        covers += [(a * n2 + b, a * n2 + d) for a in range(self.n) for b, d in other.covers()]
-        labels = None
-        if self.labels is not None and other.labels is not None:
-            labels = [(la, lb) for la in self.labels for lb in other.labels]
-        return FinitePoset.from_covers(self.n * n2, covers, labels=labels)
-
     # -- serialization ----------------------------------------------------
-
-    def to_json(self) -> str:
-        obj = {"n": self.n, "covers": [list(c) for c in self.covers()]}
-        if self.labels is not None:
-            obj["labels"] = [str(l) for l in self.labels]
-        return json.dumps(obj, sort_keys=True)
 
     @classmethod
     def from_json(cls, text: str, guard=None) -> "FinitePoset":
@@ -189,11 +134,6 @@ class FinitePoset:
 
     def label(self, x: int):
         return self.labels[x] if self.labels is not None else x
-
-    def index_of_label(self, label):
-        if self.labels is None:
-            raise ValueError("poset has no labels")
-        return self.labels.index(label)
 
     def __repr__(self):
         return f"FinitePoset(n={self.n})"

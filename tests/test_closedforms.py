@@ -1,14 +1,14 @@
+from functools import reduce
+from operator import xor
+
 import pytest
 
 from grundylab.closedforms import (
     asm_ideal_grundy,
     divisor_ruler_grundy,
-    graded_order_ideal_grundy,
-    order_ideal_parity,
     ruler_mex_characterization,
     subspace_recurrence,
     subspace_ruler_grundy,
-    suffix_nim_sum,
     suffix_nim_sum_set,
 )
 from grundylab.families import (
@@ -22,9 +22,15 @@ from grundylab.families import (
 )
 from grundylab.games import order_ideal_family, ruler_family, solve_elementwise
 from grundylab.nimber import ruler_phi
-from grundylab.poset import FinitePoset
+from grundylab.poset import iter_bits
+from helpers import minimum, rank_function
 
 PHI_ROW = [1, 2, 1, 4, 1, 2, 1, 8, 1, 2, 1, 4, 1, 2, 1]
+
+
+def suffix_nim_sum(m, n):
+    """H(m, n): the nim-sum of the ruler values over [m, n)."""
+    return reduce(xor, (ruler_phi(x) for x in range(m, n)), 0)
 
 
 def test_chain_ruler_closed_form():
@@ -106,27 +112,26 @@ def test_full_solver_on_small_subspace_lattices():
 
 
 def test_graded_order_ideal_closed_form():
+    # on a graded poset with a unique minimum, the ideal game scores 1 at
+    # the minimum and 0 everywhere else
     for p in (chain(9), divisor_poset(12), subspace_lattice(3, 2), set_partition_poset(4)):
-        expect = solve_elementwise(order_ideal_family(p)).values
-        assert graded_order_ideal_grundy(p) == expect
-        assert sum(graded_order_ideal_grundy(p)) == 1
-    with pytest.raises(ValueError, match="^poset is not graded$"):
-        graded_order_ideal_grundy(FinitePoset.from_covers(4, [(0, 1), (1, 3), (2, 3)]))
-    with pytest.raises(ValueError, match="^poset has no unique minimum$"):
-        graded_order_ideal_grundy(asm_poset(4))
+        assert rank_function(p) is not None
+        bottom = minimum(p)
+        assert bottom is not None
+        expect = [1 if x == bottom else 0 for x in range(p.n)]
+        assert solve_elementwise(order_ideal_family(p)).values == expect
 
 
 def test_order_ideal_parity_rule():
+    # an element scores 1 exactly when an even number of the elements
+    # strictly below it score 1
     p = asm_poset(5)
     values = solve_elementwise(order_ideal_family(p)).values
-    order = p.linear_extension_order()
     acc = {}
-    for x in order:
-        acc[x] = order_ideal_parity(p, x, acc)
+    for x in p.linear_extension_order():
+        ones = sum(acc[t] for t in iter_bits(p.down_mask(x)) if t != x)
+        acc[x] = 0 if ones % 2 else 1
     assert [acc[x] for x in range(p.n)] == values
-    bottom_like = [x for x in range(p.n) if len(p.principal_ideal(x)) == 1]
-    for x in bottom_like:
-        assert order_ideal_parity(p, x, {}) == 1
 
 
 def test_asm_ideal_closed_form():
@@ -137,7 +142,7 @@ def test_asm_ideal_closed_form():
     for n in range(3, 8):
         p = asm_poset(n)
         got = solve_elementwise(order_ideal_family(p)).values
-        ranks = p.rank_function()
+        ranks = rank_function(p)
         for i, e in enumerate(p.labels):
             v = asm_ideal_grundy(n, e)
             assert got[i] == v

@@ -3,14 +3,11 @@ import pytest
 from grundylab.cli import parse_poset_spec
 from grundylab.errors import TooLargeError
 from grundylab.families import (
-    asm_cover_candidates,
     asm_elements,
-    asm_eta,
     asm_leq,
     asm_pi,
     asm_poset,
     asm_rank,
-    asm_xi,
     chain,
     divisor_poset,
     q_binomial,
@@ -22,6 +19,7 @@ from grundylab.families import (
     subspace_lattice,
 )
 from grundylab.poset import FinitePoset
+from helpers import asm_eta, asm_xi, leq, minimum, principal_ideal, rank_function
 
 
 def test_chain_basics():
@@ -29,7 +27,7 @@ def test_chain_basics():
     assert c1.n == 1 and c1.covers() == []
     c7 = chain(7)
     assert len(c7.covers()) == 6
-    assert c7.rank_function() == list(range(7))
+    assert rank_function(c7) == list(range(7))
 
 
 def test_divisor_poset_examples():
@@ -46,8 +44,8 @@ def test_subspace_lattice_b32():
     assert p.n == 16
     dims = subspace_dimensions(3, 2)
     assert [dims.count(r) for r in range(4)] == [1, 7, 7, 1]
-    assert p.label(p.minimum()) == "0"
-    ranks = p.rank_function()
+    assert p.label(minimum(p)) == "0"
+    ranks = rank_function(p)
     assert ranks == dims
 
 
@@ -104,18 +102,18 @@ def test_set_partition_poset_matches_the_tuple_oracle(n):
 def test_set_partition_poset():
     p4 = set_partition_poset(4)
     assert p4.n == 15
-    bottom, top = p4.minimum(), p4.maximum()
+    bottom, top = minimum(p4), p4.maximum()
     assert p4.label(bottom) == "1|2|3|4"
     assert p4.label(top) == "1,2,3,4"
-    ranks = p4.rank_function()
+    ranks = rank_function(p4)
     for x in range(p4.n):
         blocks = p4.label(x).count("|") + 1
         assert ranks[x] == 4 - blocks
     # {{1},{3},{2,4}} refines {{1,3},{2,4}}
-    fine = p4.index_of_label("1|2,4|3")
-    coarse = p4.index_of_label("1,3|2,4")
-    assert p4.leq(fine, coarse)
-    assert not p4.leq(coarse, fine)
+    fine = p4.labels.index("1|2,4|3")
+    coarse = p4.labels.index("1,3|2,4")
+    assert leq(p4, fine, coarse)
+    assert not leq(p4, coarse, fine)
     with pytest.raises(TooLargeError):
         set_partition_poset(10)
     for n in (0, -2):
@@ -142,20 +140,23 @@ def test_asm_cover_example():
 def test_asm_rank():
     for n in range(2, 8):
         p = asm_poset(n)
-        ranks = p.rank_function()
+        ranks = rank_function(p)
         assert ranks is not None
         for i, (x, y, z) in enumerate(p.labels):
             assert ranks[i] == n - 2 - (x + y) == asm_rank(n, (x, y, z))
 
 
 def test_asm_covers_match_candidate_rule():
+    # (x, y, z) covers each of (x+1, y, z), (x, y+1, z), (x+1, y, z-1) and
+    # (x, y+1, z-1) that lies in the poset
     for n in range(2, 9):
         p = asm_poset(n)
         idx = {e: i for i, e in enumerate(p.labels)}
         expected = set()
-        for e in p.labels:
-            for c in asm_cover_candidates(n, e):
-                expected.add((idx[c], idx[e]))
+        for x, y, z in p.labels:
+            for c in ((x + 1, y, z), (x, y + 1, z), (x + 1, y, z - 1), (x, y + 1, z - 1)):
+                if c in idx:
+                    expected.add((idx[c], idx[(x, y, z)]))
         assert set(p.covers()) == expected
         # the poset is closed from those candidates, so check the order
         # itself against the coordinate rule
@@ -186,15 +187,13 @@ def test_asm_pi_examples():
             assert asm_pi(n, asm_eta(n, e)) == (s, s - t)
     with pytest.raises(ValueError):
         asm_pi(5, (4, 0, 0))
-    with pytest.raises(ValueError):
-        asm_xi(5, (0, 0, 4))
 
 
 def test_asm_principal_ideal_inequality_description():
     for n in range(2, 8):
         p = asm_poset(n)
         for i, (x0, y0, z0) in enumerate(p.labels):
-            ideal = {p.labels[t] for t in p.principal_ideal(i)}
+            ideal = {p.labels[t] for t in principal_ideal(p, i)}
             expected = {
                 (x, y, z)
                 for (x, y, z) in p.labels
@@ -212,7 +211,7 @@ def test_asm_ideal_fiber_sizes():
         for i, e0 in enumerate(p.labels):
             r0, s0 = asm_pi(n, e0)
             fibers = {}
-            for t in p.principal_ideal(i):
+            for t in principal_ideal(p, i):
                 fibers.setdefault(asm_pi(n, p.labels[t]), 0)
                 fibers[asm_pi(n, p.labels[t])] += 1
             support = {

