@@ -17,9 +17,14 @@ parities over its buckets.  The values come back as a `GrundyTable`;
 `grundy_position(table, position)` is then the nim-sum of the position's
 elements' values.
 `brute_force_grundy` ignores all of that and evaluates positions by the raw
-mex recursion over the option graph: its first call values every position
-of the game in one post-order sweep.  The test suite plays the two against
-each other.  The CLI's `--max-seconds` timer may interrupt any of them.
+mex recursion over an explicit `GenericGame`, whose moves are XOR flip
+masks: its first call values every position in one sweep.  A coin-turning
+game is swept in increasing potential, an order grown along the poset's
+linear extension; values start at -1, so an option listed after its
+position raises instead of being read.  Only games given as option lists
+are ordered by `_postorder`, which also finds their cycles.  The test suite
+plays the solver and the oracle against each other.  The CLI's
+`--max-seconds` timer may interrupt any of them.
 """
 
 from __future__ import annotations
@@ -31,6 +36,8 @@ from .errors import TooLargeError
 from .poset import FinitePoset, iter_bits
 
 MAX_BRUTE_FORCE_POSITIONS = 1 << 20
+# one 8-byte tuple slot per flip entry: 2^23 entries are 64 MiB of slots
+MAX_BRUTE_FORCE_FLIPS = 1 << 23
 
 
 class TurningFamily:
@@ -259,43 +266,55 @@ def grundy_position(table: GrundyTable, position: int) -> int:
 
 
 class GenericGame:
-    """Explicit impartial game: positions 0..n-1 and their option lists.
+    """Explicit impartial game on positions 0..N-1, held as flip masks:
+    option i of `pos` is `pos ^ flips[pos][i]`.
+
+    `order` lists every position after all of its options, or is None for
+    a game given as option lists (`GenericGame(options)`), which are turned
+    into flips once; `_postorder` then finds an order and the cycles.
     `values` stays None until `brute_force_grundy` values every position."""
 
-    def __init__(self, options: list[tuple[int, ...]]):
-        self.options = options
+    def __init__(self, options=(), *, flips=None, order=None):
+        if flips is None:
+            flips = [tuple([p ^ o for o in opts]) for p, opts in enumerate(options)]
+        self.flips = flips
+        self.order = order
         self.values: list[int] | None = None
 
     @property
     def n_positions(self) -> int:
-        return len(self.options)
+        return len(self.flips)
 
     @classmethod
     def from_turning_family(cls, fam: TurningFamily) -> "GenericGame":
         """Materialize all 2^|X| positions of a coin-turning game.
 
-        `options[pos]` is `tuple(moves(fam, pos))`, built in ascending pos
-        from the position without its highest bit x: the moves of
-        `pos ^ (1 << x)` with bit x flipped, then `pos ^ m` for each m in
-        `bucket(x)`, which is `moves`' own order.  Each bucket is made once.
+        A move flips a turning set, so the flips of a position are its
+        sets: built in ascending pos, those of `low | 1 << x` (low < 2^x)
+        are those of low followed by `bucket(x)`, one tuple concatenation,
+        in `moves`' own order.  The order is the positions in increasing
+        potential, grown the same way along the poset's linear extension: a
+        move lowers the potential.  Refused with TooLargeError before any
+        list is built when the positions or the flip entries,
+        sum |bucket(x)| * 2^(n-1), are over their caps.
         """
         n = fam.poset.n
-        total = 1 << n
-        if total > MAX_BRUTE_FORCE_POSITIONS:
+        if 1 << n > MAX_BRUTE_FORCE_POSITIONS:
             raise TooLargeError(f"2^{n} positions exceed cap {MAX_BRUTE_FORCE_POSITIONS}")
-        options = [()]
-        for x in range(n):
-            top = 1 << x
-            bucket = fam.bucket(x)
-            # a set with maximum below x may still hold bit x: flip, not add
-            options += [
-                tuple([o ^ top for o in rest] + [low ^ top ^ m for m in bucket])
-                for low, rest in enumerate(options)
-            ]
-        return cls(options)
+        buckets = [tuple(fam.bucket(x)) for x in range(n)]
+        entries = sum(map(len, buckets)) << n >> 1
+        if entries > MAX_BRUTE_FORCE_FLIPS:
+            raise TooLargeError(f"{entries} flip entries exceed cap {MAX_BRUTE_FORCE_FLIPS}")
+        flips = [()]
+        for bucket_x in buckets:
+            flips += [f + bucket_x for f in flips]
+        order = [0]
+        for x in fam.poset.linear_extension_order():
+            order += [s | 1 << x for s in order]
+        return cls(flips=flips, order=order)
 
 
-def _postorder(options) -> list[int]:
+def _postorder(flips) -> list[int]:
     """Every position after all of its options, walked depth first from
     each root in ascending order.
 
@@ -304,13 +323,13 @@ def _postorder(options) -> list[int]:
     back to it along a cycle, so the whole graph is refused with ValueError,
     even where no given position can reach the cycle."""
     listed, walked, order, stack = set(), set(), [], []
-    for root in range(len(options)):
+    for root in range(len(flips)):
         stack.append(root)
         while stack:
             p = stack[-1]
             if p in listed:
                 stack.pop()
-            elif listed.issuperset(options[p]):
+            elif listed.issuperset([p ^ f for f in flips[p]]):
                 listed.add(p)
                 order.append(p)
                 stack.pop()
@@ -318,7 +337,7 @@ def _postorder(options) -> list[int]:
                 raise ValueError("option graph has a cycle")
             else:
                 walked.add(p)
-                stack += [o for o in options[p] if o not in listed]
+                stack += [p ^ f for f in flips[p] if p ^ f not in listed]
     return order
 
 
@@ -326,16 +345,19 @@ def brute_force_grundy(game: GenericGame, position: int) -> int:
     """Grundy value by the raw mex recursion over options: 0 at ending
     positions, mex of the option values elsewhere.
 
-    The first call values every position in `_postorder`'s order into
-    `game.values`, so it raises ValueError on any cycle of the option
-    graph; every later call is a list index."""
+    The first call values every position into `game.values`, in
+    `game.order` or, for a game given as option lists, in `_postorder`'s
+    order, which refuses any cycle.  Values start at -1, so an order that
+    lists a position before one of its options raises ValueError
+    (`1 << -1`) instead of being trusted.  Every later call is a list
+    index."""
     if game.values is None:
-        options = game.options
-        values = [0] * len(options)
-        for p in _postorder(options):
+        flips = game.flips
+        values = [-1] * len(flips)
+        for p in _postorder(flips) if game.order is None else game.order:
             seen = 0
-            for o in options[p]:
-                seen |= 1 << values[o]
+            for f in flips[p]:
+                seen |= 1 << values[p ^ f]
             values[p] = ((seen + 1) & ~seen).bit_length() - 1
         game.values = values
     return game.values[position]
@@ -344,17 +366,15 @@ def brute_force_grundy(game: GenericGame, position: int) -> int:
 def combined(g1: GenericGame, g2: GenericGame) -> GenericGame:
     """Disjoint sum: move in one component, leave the other untouched.
 
-    Position (p1, p2) gets id p1 * g2.n_positions + p2.
+    Position (p1, p2) gets id p1 * g2.n_positions + p2.  The sum is given
+    as option lists, so `_postorder` orders it.
     """
     n1, n2 = g1.n_positions, g2.n_positions
     if n1 * n2 > MAX_BRUTE_FORCE_POSITIONS:
         raise TooLargeError(f"{n1}*{n2} positions exceed cap {MAX_BRUTE_FORCE_POSITIONS}")
-    options = []
-    for p1 in range(n1):
-        o1 = g1.options[p1]
-        for p2 in range(n2):
-            opts = [q1 * n2 + p2 for q1 in o1]
-            opts.extend(p1 * n2 + q2 for q2 in g2.options[p2])
-            options.append(tuple(opts))
+    options = [
+        [(p1 ^ f) * n2 + p2 for f in f1] + [p1 * n2 + (p2 ^ f) for f in f2]
+        for p1, f1 in enumerate(g1.flips)
+        for p2, f2 in enumerate(g2.flips)
+    ]
     return GenericGame(options)
-

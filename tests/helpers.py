@@ -2,9 +2,9 @@
 
 The library has no caller for any of them: they build the test cases
 (antichains, products, the refinement order on integer partitions), state
-the relations the tests compare against, or check a theorem on a solved
-game.  Import them as `from helpers import ...`; pytest puts this directory
-on `sys.path`.
+the relations the tests compare against, check a theorem on a solved
+game, or read a child process's peak memory.  Import them as
+`from helpers import ...`; pytest puts this directory on `sys.path`.
 """
 
 import json
@@ -12,6 +12,16 @@ import json
 from grundylab.games import solve_elementwise
 from grundylab.partitions import decompositions, partitions_of
 from grundylab.poset import FinitePoset, iter_bits
+
+# Runs its argv as a child and prints the child's exit code and ru_maxrss.
+# A child's peak RSS includes the image of the process that started it, so
+# the memory tests start this small launcher rather than the program itself.
+RSS_LAUNCHER = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
 
 # -- posets -----------------------------------------------------------------
 

@@ -22,6 +22,7 @@ from grundylab.cli import (
 from grundylab.closedforms import asm_ideal_grundy
 from grundylab.errors import BudgetExceededError
 from grundylab.families import asm_pi, asm_poset
+from helpers import RSS_LAUNCHER
 
 PHI_ROW = [1, 2, 1, 4, 1, 2, 1, 8, 1, 2, 1, 4, 1, 2, 1]
 
@@ -558,17 +559,6 @@ def test_generous_time_budget_leaves_stdout_unchanged(capsys):
         code, budgeted, _ = run(capsys, *argv, "--max-seconds", "600")
         assert code == EXIT_OK
         assert budgeted == plain
-
-
-# Runs its argv as a child and prints the child's exit code and ru_maxrss.
-# A child's peak RSS includes the image of the process that started it, so
-# the test starts this small launcher rather than the CLI itself.
-RSS_LAUNCHER = """
-import os, subprocess, sys
-proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
-_, status, usage = os.wait4(proc.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
-"""
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")

@@ -18,6 +18,7 @@ from grundylab.families import (
     subspace_lattice,
 )
 from grundylab.games import (
+    MAX_BRUTE_FORCE_FLIPS,
     GenericGame,
     TurningFamily,
     _mex_over_planes,
@@ -34,7 +35,7 @@ from grundylab.games import (
 )
 from grundylab.nimber import mex, nim_mul, ruler_phi
 from grundylab.poset import FinitePoset, iter_bits
-from helpers import asm_xi, assert_grundy_respects_isomorphism, product
+from helpers import RSS_LAUNCHER, asm_xi, assert_grundy_respects_isomorphism, product
 
 
 def ft_suite():
@@ -81,10 +82,10 @@ def product_family(p1, f1, p2, f2):
 
 def game_lengths(game):
     """Maximum play length from each position, folded over `_postorder`."""
-    options = game.options
-    lengths = [0] * len(options)
-    for p in _postorder(options):
-        lengths[p] = max([lengths[o] + 1 for o in options[p]], default=0)
+    flips = game.flips
+    lengths = [0] * len(flips)
+    for p in _postorder(flips):
+        lengths[p] = max([lengths[p ^ f] + 1 for f in flips[p]], default=0)
     return lengths
 
 
@@ -361,7 +362,7 @@ def test_option_graph_lists_the_moves_of_every_position(fams):
         # the same buckets, each made once, for the literal move rule to read
         stored = TurningFamily(fam.poset, [fam.bucket(y) for y in range(n)].__getitem__)
         for pos in range(game.n_positions):
-            assert game.options[pos] == tuple(moves(stored, pos))
+            assert tuple(pos ^ f for f in game.flips[pos]) == tuple(moves(stored, pos))
 
 
 def test_option_graph_on_ids_that_are_not_a_linear_extension():
@@ -370,10 +371,10 @@ def test_option_graph_on_ids_that_are_not_a_linear_extension():
     assert p.linear_extension_order() != [0, 1, 2]
     fam = ruler_family(p)
     game = GenericGame.from_turning_family(fam)
-    assert game.options[0b001] == (0b000, 0b100)
+    assert game.flips[0b001] == (0b001, 0b101)
     table = solve_elementwise(fam)
     for pos in range(8):
-        assert game.options[pos] == tuple(moves(fam, pos))
+        assert tuple(pos ^ f for f in game.flips[pos]) == tuple(moves(fam, pos))
     for pos in reversed(range(8)):
         assert brute_force_grundy(game, pos) == grundy_position(table, pos)
 
@@ -382,11 +383,90 @@ def test_brute_force_basics():
     fam = ruler_family(chain(3))
     game = GenericGame.from_turning_family(fam)
     assert brute_force_grundy(game, 0) == 0
-    assert game.options[0] == ()
+    assert game.flips[0] == ()
     # 2^21 positions are over MAX_BRUTE_FORCE_POSITIONS = 2^20: refused
     # before any position is built
     with pytest.raises(TooLargeError):
         GenericGame.from_turning_family(ruler_family(chain(21)))
+
+
+def test_brute_force_refuses_over_the_flip_cap():
+    # chain:20 has 2^20 positions, within the position cap, but its 210
+    # intervals make 210 * 2^19 = 110 100 480 flip entries, about 880 MB
+    # of tuple slots: refused from the bucket sizes, before any list
+    assert 210 << 19 > MAX_BRUTE_FORCE_FLIPS
+    with pytest.raises(TooLargeError, match="110100480 flip entries exceed cap"):
+        GenericGame.from_turning_family(ruler_family(chain(20)))
+    # chain:16, the largest sweep run in CI, fits
+    assert 136 << 15 <= MAX_BRUTE_FORCE_FLIPS
+
+
+def relabelled_chain(n):
+    """A chain whose ids run against its order: id i is the (i * 3 % n)-th
+    smallest element (n not a multiple of 3), so sets hold bits above their
+    maximum's id."""
+    rank = [i * 3 % n for i in range(n)]
+    at = {r: i for i, r in enumerate(rank)}
+    return FinitePoset.from_covers(n, [(at[r], at[r + 1]) for r in range(n - 1)])
+
+
+@pytest.mark.parametrize("poset", [set_partition_poset(4), relabelled_chain(11)], ids=["Pi4", "chain11"])
+def test_flips_and_order_on_ids_against_the_linear_extension(poset):
+    n = poset.n
+    assert poset.linear_extension_order() != list(range(n))
+    fam = ruler_family(poset)
+    game = GenericGame.from_turning_family(fam)
+    # the same buckets, each made once, for the literal move rule to read
+    stored = TurningFamily(poset, [fam.bucket(y) for y in range(n)].__getitem__)
+    for pos in range(1 << n):
+        assert tuple(pos ^ f for f in game.flips[pos]) == tuple(moves(stored, pos))
+    # the order lists each position once, after all of its options
+    at = [0] * (1 << n)
+    for i, pos in enumerate(game.order):
+        at[pos] = i
+    assert sorted(game.order) == list(range(1 << n))
+    assert all(at[pos ^ f] < at[pos] for pos in range(1 << n) for f in game.flips[pos])
+    table = solve_elementwise(fam)
+    for pos in range(1 << n):
+        assert brute_force_grundy(game, pos) == grundy_position(table, pos)
+
+
+def test_an_order_that_lists_a_position_before_its_option_raises():
+    # position 1's option is 0, but the order values 1 first
+    with pytest.raises(ValueError):
+        brute_force_grundy(GenericGame(flips=[(), (1,)], order=[1, 0]), 0)
+    # a turning-family game swept against its own order
+    game = GenericGame.from_turning_family(ruler_family(relabelled_chain(5)))
+    game.order.reverse()
+    with pytest.raises(ValueError):
+        brute_force_grundy(game, 0)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_brute_force_sweep_stores_one_flip_tuple_per_position():
+    # every position of chain:14 ruler: 2^14 positions and 860 160 flip
+    # entries.  Option ids in fresh tuples beside them lift the peak RSS of
+    # this run from about 22 MB to about 48 MB
+    sweep = (
+        "from grundylab.families import chain\n"
+        "from grundylab import games\n"
+        "fam = games.ruler_family(chain(14))\n"
+        "table = games.solve_elementwise(fam)\n"
+        "game = games.GenericGame.from_turning_family(fam)\n"
+        "for pos in range(game.n_positions):\n"
+        "    assert games.brute_force_grundy(game, pos) == games.grundy_position(table, pos)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_LAUNCHER, sys.executable, "-c", sweep],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, maxrss_kib = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    assert maxrss_kib / 1024 < 35
 
 
 def test_combined_refuses_over_the_position_cap():
@@ -433,7 +513,7 @@ def acyclic_games(draw, max_n=9):
 @settings(max_examples=100, deadline=None)
 @given(acyclic_games(), st.randoms(use_true_random=False))
 def test_sweep_matches_the_literal_recursions(game, rnd):
-    options = game.options
+    options = [[p ^ f for f in flips] for p, flips in enumerate(game.flips)]
 
     def grundy(p):
         return mex(grundy(o) for o in options[p])
@@ -441,7 +521,7 @@ def test_sweep_matches_the_literal_recursions(game, rnd):
     def length(p):
         return max((length(o) + 1 for o in options[p]), default=0)
 
-    order = _postorder(options)
+    order = _postorder(game.flips)
     at = {p: i for i, p in enumerate(order)}
     assert sorted(order) == list(range(game.n_positions))
     assert all(at[o] < at[p] for p in order for o in options[p])
@@ -466,11 +546,11 @@ def test_combined_game_values_are_nim_sums():
     g1 = GenericGame.from_turning_family(ruler_family(chain(3)))
     g2 = GenericGame.from_turning_family(ruler_family(chain(4)))
     both = combined(g1, g2)
-    endings = {p for p, opts in enumerate(both.options) if not opts}
+    endings = {p for p, flips in enumerate(both.flips) if not flips}
     expected_endings = {
         p1 * g2.n_positions + p2
-        for p1, o1 in enumerate(g1.options) if not o1
-        for p2, o2 in enumerate(g2.options) if not o2
+        for p1, f1 in enumerate(g1.flips) if not f1
+        for p2, f2 in enumerate(g2.flips) if not f2
     }
     assert endings == expected_endings
     for p1 in range(g1.n_positions):
