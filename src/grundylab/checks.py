@@ -6,6 +6,8 @@ suite calls the same generators at its own sizes.  The oracles are those of
 Winning Ways vol. 3, ch. 14: brute force against the per-element nim-sums, and
 the ruler values.  The library is called through module attributes
 (`games.solve_elementwise`, ...), so a wrapper installed on one sees the call.
+Only `grundylab verify` imports this module, when it runs: the CLI's parser
+spells the family and suite names out itself and does not read them here.
 """
 
 from __future__ import annotations
@@ -13,16 +15,9 @@ from __future__ import annotations
 from itertools import product
 
 from . import closedforms, families, games, nimber, partitions
+from .partitions import H_ROW
 
 PHI_ROW = (1, 2, 1, 4, 1, 2, 1, 8, 1, 2, 1, 4, 1, 2, 1)
-# the paper's h(1..17), the ruler values of the one-block set partitions
-H_ROW = (1, 2, 1, 4, 1, 2, 1, 7, 15, 16, 8, 5, 19, 5, 37, 17, 14)
-# the built-in turning families by the names `grundylab grundy` takes
-FAMILY_BUILDERS = {
-    "tt": games.turning_turtles,
-    "ideal": games.order_ideal_family,
-    "ruler": games.ruler_family,
-}
 # posets played position by position, with the families played on each
 BRUTE_FORCE_SUITE = (
     ("chain4", lambda: families.chain(4), ("tt", "ideal", "ruler")),
@@ -61,12 +56,13 @@ def ruler_row_checks():
 
 
 def brute_force_checks():
+    builders = games.family_builders()
     for name, build, fam_names in BRUTE_FORCE_SUITE:
         poset = build()
         tau = poset.linear_extension()
         positions = range(1 << poset.n)
         for fam_name in fam_names:
-            fam = FAMILY_BUILDERS[fam_name](poset)
+            fam = builders[fam_name](poset)
             table = games.solve_elementwise(fam)
             game = games.GenericGame.from_turning_family(fam)
             value = games.grundy_position

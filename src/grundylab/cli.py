@@ -10,6 +10,12 @@ Poset specs: chain:N | divisors:N | subspaces:N:Q | setpartitions:N | asm:N
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap.
 
+Importing this module loads only `errors` from the package; each subcommand
+imports the modules it runs when it runs.  Every command is a fresh
+interpreter, often with no bytecode cache, so every module it loads is
+compiled from source on each run: `tables hn` never compiles the poset code,
+and only `verify` compiles the checks and their oracles.
+
 `--max-seconds` budgets the whole subcommand by one process timer whose
 SIGALRM handler raises BudgetExceededError wherever the work is; the table
 is written after the timer is disarmed.  `signal.setitimer` is POSIX-only
@@ -20,16 +26,22 @@ thread.
 from __future__ import annotations
 
 import argparse
-import json
 import os
-import signal
 import sys
 from contextlib import contextmanager, nullcontext
 from math import isqrt
 
-from . import __version__, checks, closedforms, families, games, nimber, partitions
+from . import __version__
 from .errors import BudgetExceededError, GrundylabError, TooLargeError
-from .poset import FinitePoset
+
+# The down masks of an n-element poset take n^2/16 to n^2/8 bytes (the
+# mask of element i has bit i set), 0.6-1.25 GB at this cap.
+MAX_POSET_ELEMENTS = 100_000
+# the parser's choices, spelled out so that building it imports neither
+# `games` nor `checks`; tests keep them equal to `games.family_builders()`
+# and `checks.SUITES`
+FAMILY_NAMES = ("ideal", "ruler", "tt")
+SUITE_NAMES = ("all", "closed-forms", "ft", "nimber", "partitions")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -66,6 +78,8 @@ class TableReport:
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
+        import json
+
         obj = {
             "columns": list(self.columns),
             "rows": [list(r) for r in self.rows],
@@ -81,7 +95,7 @@ class SpecError(GrundylabError):
     """Unparseable poset spec or family name."""
 
 
-def parse_poset_spec(spec: str, max_elements: int) -> FinitePoset:
+def parse_poset_spec(spec: str, max_elements: int) -> "FinitePoset":
     """The one place the element cap is checked: before construction where
     the spec gives the size, on the `n` a `file:` declares before any mask
     is built, and on the built poset for divisors."""
@@ -92,6 +106,26 @@ def parse_poset_spec(spec: str, max_elements: int) -> FinitePoset:
             raise TooLargeError(f"{spec} has {size} elements (cap {max_elements})")
 
     try:
+        if head == "file":
+            # also bounds the covers list; setpartitions:9 serialises to ~145 bytes per element
+            limit = 1024 * max(max_elements, 0)
+            with open(rest, "rb") as fh:
+                # a regular file is refused by its size unread; /dev/zero and
+                # pipes report size 0 and stop at the read bound
+                size = os.fstat(fh.fileno()).st_size
+                if size <= limit:
+                    data = fh.read(limit + 1)
+                    size = len(data)
+            if size > limit:
+                raise TooLargeError(f"{spec} is over {limit} bytes, 1024 per element (cap {max_elements})")
+            from .poset import FinitePoset
+
+            try:
+                return FinitePoset.from_json(data.decode("utf-8"), guard)
+            except (ValueError, KeyError, TypeError, RecursionError) as exc:
+                raise ValueError(f"malformed poset file: {exc}") from exc
+        from . import families
+
         if head == "chain":
             guard(int(rest))
             return families.chain(int(rest))
@@ -118,22 +152,6 @@ def parse_poset_spec(spec: str, max_elements: int) -> FinitePoset:
             n = int(rest)
             guard(n * (n + 1) * (n - 1) // 6)
             return families.asm_poset(n)
-        if head == "file":
-            # also bounds the covers list; setpartitions:9 serialises to ~145 bytes per element
-            limit = 1024 * max(max_elements, 0)
-            with open(rest, "rb") as fh:
-                # a regular file is refused by its size unread; /dev/zero and
-                # pipes report size 0 and stop at the read bound
-                size = os.fstat(fh.fileno()).st_size
-                if size <= limit:
-                    data = fh.read(limit + 1)
-                    size = len(data)
-            if size > limit:
-                raise TooLargeError(f"{spec} is over {limit} bytes, 1024 per element (cap {max_elements})")
-            try:
-                return FinitePoset.from_json(data.decode("utf-8"), guard)
-            except (ValueError, KeyError, TypeError, RecursionError) as exc:
-                raise ValueError(f"malformed poset file: {exc}") from exc
     except (ValueError, OSError) as exc:
         raise SpecError(f"bad poset spec {spec!r}: {exc}") from exc
     raise SpecError(f"unknown poset spec {spec!r}")
@@ -148,8 +166,10 @@ def _meta(**kw) -> dict:
 
 
 def cmd_grundy(args) -> TableReport:
+    from . import games
+
     poset = parse_poset_spec(args.poset, args.max_elements)
-    fam = checks.FAMILY_BUILDERS[args.family](poset)
+    fam = games.family_builders()[args.family](poset)
     table = games.solve_elementwise(fam)
     rows = [(str(poset.label(x)), table.values[x]) for x in range(poset.n)]
     return TableReport(
@@ -160,11 +180,15 @@ def cmd_grundy(args) -> TableReport:
 
 
 def _table_phi(args) -> TableReport:
+    from . import nimber
+
     rows = [(x, nimber.nu2(x), nimber.ruler_phi(x)) for x in range(1, args.max + 1)]
     return TableReport(("x", "nu", "phi"), rows, _meta(table="phi", max=args.max))
 
 
 def _table_gq(args) -> TableReport:
+    from . import closedforms
+
     rows = [
         (d, closedforms.subspace_ruler_grundy(2, d), closedforms.subspace_ruler_grundy(3, d))
         for d in range(args.max + 1)
@@ -173,29 +197,32 @@ def _table_gq(args) -> TableReport:
 
 
 def _table_hn(args) -> TableReport:
+    from . import partitions
+
     h = partitions.h_sequence(args.max)
     rows = [(n, h[n]) for n in range(1, args.max + 1)]
     meta = _meta(table="hn", max=args.max)
-    if args.max > _HN_PAPER_MAX:
-        meta["provenance"] = _hn_provenance(args.max)
+    # the paper lists h(1..17), `partitions.H_ROW`
+    paper_max = len(partitions.H_ROW)
+    if args.max > paper_max:
+        meta["provenance"] = _hn_provenance(args.max, paper_max)
     return TableReport(("n", "h"), rows, meta)
 
 
-# The paper lists h(1..17), `checks.H_ROW`.  h(18..20) from the DP were checked
-# once against the M_n recurrence (`partitions.s_of_mu`), 20, 41 and 78 s
-# (n = 18, 19, 20) on a shared 2-vCPU VM with Python 3.11.
-_HN_PAPER_MAX = len(checks.H_ROW)
+# h(18..20) from the DP were checked once against the M_n recurrence
+# (`partitions.s_of_mu`), 20, 41 and 78 s (n = 18, 19, 20) on a shared
+# 2-vCPU VM with Python 3.11.
 _HN_RECURRENCE_MAX = 20
 
 
-def _hn_provenance(n_max: int) -> str:
+def _hn_provenance(n_max: int, paper_max: int) -> str:
     def span(a, b):
         return f"h({a})" if a == b else f"h({a}..{b})"
 
     notes = [
         "computed by the block-multiset parity DP",
-        f"{span(1, _HN_PAPER_MAX)} match the paper's table",
-        f"{span(_HN_PAPER_MAX + 1, min(n_max, _HN_RECURRENCE_MAX))} confirmed by the M_n recurrence",
+        f"{span(1, paper_max)} match the paper's table",
+        f"{span(paper_max + 1, min(n_max, _HN_RECURRENCE_MAX))} confirmed by the M_n recurrence",
     ]
     if n_max > _HN_RECURRENCE_MAX:
         notes.append(f"{span(_HN_RECURRENCE_MAX + 1, n_max)} not independently confirmed")
@@ -203,6 +230,8 @@ def _hn_provenance(n_max: int) -> str:
 
 
 def _table_asm_ideal(args) -> TableReport:
+    from . import closedforms
+
     n = args.n
     rows = []
     for r in range(n - 1):
@@ -213,6 +242,8 @@ def _table_asm_ideal(args) -> TableReport:
 
 
 def _table_asm_ruler(args) -> TableReport | int:
+    from . import families, games
+
     n = args.n
     poset = parse_poset_spec(f"asm:{n}", args.max_elements)
     table = games.solve_elementwise(games.ruler_family(poset))
@@ -269,6 +300,8 @@ def cmd_tables(args) -> TableReport | int:
 
 
 def cmd_verify(args) -> int:
+    from . import checks
+
     failures = 0
     for runner in checks.SUITES[args.suite]:
         for name, ok, detail in runner():
@@ -293,12 +326,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_caps(p):
-        p.add_argument("--max-elements", type=int, default=families.MAX_POSET_ELEMENTS)
+        p.add_argument("--max-elements", type=int, default=MAX_POSET_ELEMENTS)
         p.add_argument("--max-seconds", type=float, default=None)
 
     g = sub.add_parser("grundy", help="per-element Grundy table for a poset game")
     g.add_argument("poset", help="chain:N | divisors:N | subspaces:N:Q | setpartitions:N | asm:N | file:PATH")
-    g.add_argument("family", choices=sorted(checks.FAMILY_BUILDERS))
+    g.add_argument("family", choices=FAMILY_NAMES)
     g.add_argument("--format", choices=("text", "csv", "json"), default="text")
     add_caps(g)
     g.set_defaults(func=cmd_grundy)
@@ -312,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     t.set_defaults(func=cmd_tables)
 
     v = sub.add_parser("verify", help="run verification suites")
-    v.add_argument("suite", choices=sorted(checks.SUITES))
+    v.add_argument("suite", choices=SUITE_NAMES)
     v.set_defaults(func=cmd_verify)
     return parser
 
@@ -330,6 +363,8 @@ def _time_budget(seconds: float):
     unraisable and dropped, and the next alarm raises it again.  An alarm
     that lands while the error is already being handled, or while the timer
     is being disarmed, is ignored."""
+    import signal
+
     armed = True
 
     def out_of_time(signum, frame):

@@ -19,13 +19,9 @@ from __future__ import annotations
 
 from math import isqrt
 
-from . import gf
 from .errors import TooLargeError
 from .poset import FinitePoset
 
-# The down masks of an n-element poset take n^2/16 to n^2/8 bytes (the
-# mask of element i has bit i set), 0.6-1.25 GB at this cap.
-MAX_POSET_ELEMENTS = 100_000
 MAX_SET_PARTITION_N = 9
 
 
@@ -100,6 +96,8 @@ def subspace_lattice(n: int, q: int) -> FinitePoset:
     """
     if n < 0:
         raise ValueError("dimension must be non-negative")
+    from . import gf
+
     f = gf.field(q)
     layers = [sorted(gf.rref_matrices(f, n, r)) for r in range(n + 1)]
     spans = [[gf.span_mask(f, n, s) for s in layer] for layer in layers]

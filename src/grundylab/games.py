@@ -181,6 +181,15 @@ def ruler_family(p: FinitePoset) -> TurningFamily:
     return TurningFamily(p, bucket, option_planes)
 
 
+def family_builders() -> dict:
+    """The built-in turning families by the names `grundylab grundy` takes.
+
+    The dict is made at each call from this module's globals, so a wrapper
+    installed on `games.ruler_family` (or another builder) after import is
+    the builder returned."""
+    return {"tt": turning_turtles, "ideal": order_ideal_family, "ruler": ruler_family}
+
+
 def moves(fam: TurningFamily, position: int) -> list[int]:
     """All positions reachable in one move: flip any set whose maximum is in
     the position.  Empty exactly when the position avoids every maximum."""
@@ -367,11 +376,16 @@ def combined(g1: GenericGame, g2: GenericGame) -> GenericGame:
     """Disjoint sum: move in one component, leave the other untouched.
 
     Position (p1, p2) gets id p1 * g2.n_positions + p2.  The sum is given
-    as option lists, so `_postorder` orders it.
+    as option lists, so `_postorder` orders it.  Refused with TooLargeError
+    before any list is built when its positions or its flip entries,
+    n2 * E1 + n1 * E2 for parts with E1 and E2 entries, are over their caps.
     """
     n1, n2 = g1.n_positions, g2.n_positions
     if n1 * n2 > MAX_BRUTE_FORCE_POSITIONS:
         raise TooLargeError(f"{n1}*{n2} positions exceed cap {MAX_BRUTE_FORCE_POSITIONS}")
+    entries = n2 * sum(map(len, g1.flips)) + n1 * sum(map(len, g2.flips))
+    if entries > MAX_BRUTE_FORCE_FLIPS:
+        raise TooLargeError(f"{entries} flip entries exceed cap {MAX_BRUTE_FORCE_FLIPS}")
     options = [
         [(p1 ^ f) * n2 + p2 for f in f1] + [p1 * n2 + (p2 ^ f) for f in f2]
         for p1, f1 in enumerate(g1.flips)

@@ -43,6 +43,9 @@ from math import factorial
 
 from .nimber import mex, nim_mul, nim_product
 
+# the paper's h(1..17), the ruler values of the one-block set partitions
+H_ROW = (1, 2, 1, 4, 1, 2, 1, 7, 15, 16, 8, 5, 19, 5, 37, 17, 14)
+
 
 def iter_partitions(n: int):
     """Partitions of n as weakly decreasing tuples, lazily, in reverse

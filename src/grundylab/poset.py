@@ -21,8 +21,6 @@ Posets are immutable after construction; every query is read-only.
 
 from __future__ import annotations
 
-import json
-
 
 def iter_bits(mask: int):
     while mask:
@@ -124,6 +122,8 @@ class FinitePoset:
     def from_json(cls, text: str, guard=None) -> "FinitePoset":
         """Parse {"n": ..., "covers": [[i, j], ...], "labels": [...]}; `n`
         is passed to `guard`, which may raise, before any mask is built."""
+        import json
+
         obj = json.loads(text)
         n = obj["n"]
         if type(n) is not int or n < 0:

@@ -17,6 +17,8 @@ from grundylab.cli import (
     EXIT_RESOURCE,
     EXIT_USAGE,
     EXIT_VERIFY_FAILED,
+    FAMILY_NAMES,
+    SUITE_NAMES,
     main,
 )
 from grundylab.closedforms import asm_ideal_grundy
@@ -646,7 +648,49 @@ def test_imports_load_only_what_they_name():
         "import sys, grundylab\n"
         "print(sorted(m for m in sys.modules if m.startswith('grundylab.')))\n"
         "import grundylab.cli\n"
-        "print('dataclasses' in sys.modules)\n"
+        "print(*(m in sys.modules for m in ('dataclasses', 'json', 'signal')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines() == ["[]", "False"]
+    assert proc.stdout.splitlines() == ["[]", "False False False"]
+
+
+# each op runs in a fresh interpreter, and with no bytecode cache every module
+# it loads is compiled from source, so a command loads only what it runs
+CLI_ONLY = {"cli", "errors"}
+POSET_GAME = CLI_ONLY | {"poset", "families", "games"}
+COMMAND_MODULES = {
+    "": CLI_ONLY,  # the import alone
+    "tables hn --max 14": CLI_ONLY | {"partitions", "nimber"},
+    "grundy asm:8 ruler": POSET_GAME,
+    "tables asm-ruler --n 8": POSET_GAME,
+    "grundy subspaces:3:2 ideal": POSET_GAME | {"gf"},
+    "verify all": POSET_GAME | {"gf", "partitions", "nimber", "closedforms", "checks"},
+}
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES), ids=lambda c: c or "import")
+def test_commands_load_only_their_modules(command):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    probe = (
+        "import contextlib, io, sys\n"
+        "import grundylab.cli\n"
+        "argv = sys.argv[1:]\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = grundylab.cli.main(argv) if argv else 0\n"
+        "print(code, *sorted(m for m in sys.modules if m.startswith('grundylab.')))\n"
+    )
+    argv = command.split()
+    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True)
+    code, *loaded = proc.stdout.split()
+    assert code == "0"
+    assert loaded == sorted(f"grundylab.{m}" for m in COMMAND_MODULES[command])
+
+
+def test_parser_choices_are_the_lookups_names(capsys):
+    assert FAMILY_NAMES == tuple(sorted(games.family_builders()))
+    assert SUITE_NAMES == tuple(sorted(checks.SUITES))
+    with pytest.raises(SystemExit) as exc:
+        main(["grundy", "chain:4", "bogus"])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "argument family: invalid choice: 'bogus' (choose from 'ideal', 'ruler', 'tt')" in err

@@ -476,6 +476,16 @@ def test_combined_refuses_over_the_position_cap():
         combined(g, g)
 
 
+def test_combined_refuses_over_the_flip_cap():
+    # chain:9 ruler has 512 positions and 45 * 2^8 = 11 520 flip entries;
+    # the sum has 2^18 positions, within the position cap, but
+    # 512 * 11 520 * 2 = 11 796 480 entries: refused from the parts' counts
+    g = GenericGame.from_turning_family(ruler_family(chain(9)))
+    assert sum(map(len, g.flips)) == 45 << 8
+    with pytest.raises(TooLargeError, match="11796480 flip entries exceed cap"):
+        combined(g, g)
+
+
 def test_brute_force_detects_cycles():
     cyclic = GenericGame(options=[(1,), (0,)])
     with pytest.raises(ValueError):

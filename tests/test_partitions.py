@@ -4,7 +4,6 @@ from itertools import combinations
 
 import pytest
 
-from grundylab.checks import H_ROW
 from grundylab.families import (
     restricted_growth_strings,
     rgs_to_blocks,
@@ -13,6 +12,7 @@ from grundylab.families import (
 from grundylab.games import ruler_family, solve_elementwise
 from grundylab.nimber import mex
 from grundylab.partitions import (
+    H_ROW,
     decompositions,
     g_of_type,
     h_sequence,
