@@ -18,13 +18,14 @@ parities over its buckets.  The values come back as a `GrundyTable`;
 elements' values.
 `brute_force_grundy` ignores all of that and evaluates positions by the raw
 mex recursion over an explicit `GenericGame`, whose moves are XOR flip
-masks: its first call values every position in one sweep.  A coin-turning
-game is swept in increasing potential, an order grown along the poset's
-linear extension; values start at -1, so an option listed after its
-position raises instead of being read.  Only games given as option lists
-are ordered by `_postorder`, which also finds their cycles.  The test suite
-plays the solver and the oracle against each other.  The CLI's
-`--max-seconds` timer may interrupt any of them.
+masks and whose `order` lists every position after its options: its first
+call values every position in one sweep.  A coin-turning game is swept in
+increasing potential, an order grown along the poset's linear extension;
+a disjoint sum (`combined`) in its parts' orders, one inside the other.
+Values start at -1, so an option listed after its position raises instead
+of being read, and a cycle has no order that passes.  The test suite plays
+the solver and the oracle against each other.  The CLI's `--max-seconds`
+timer may interrupt any of them.
 """
 
 from __future__ import annotations
@@ -36,7 +37,8 @@ from .errors import TooLargeError
 from .poset import FinitePoset, iter_bits
 
 MAX_BRUTE_FORCE_POSITIONS = 1 << 20
-# one 8-byte tuple slot per flip entry: 2^23 entries are 64 MiB of slots
+# one 8-byte tuple slot per flip entry, for a turning-family game and a sum
+# alike: 2^23 entries are 64 MiB of slots
 MAX_BRUTE_FORCE_FLIPS = 1 << 23
 
 
@@ -278,14 +280,10 @@ class GenericGame:
     """Explicit impartial game on positions 0..N-1, held as flip masks:
     option i of `pos` is `pos ^ flips[pos][i]`.
 
-    `order` lists every position after all of its options, or is None for
-    a game given as option lists (`GenericGame(options)`), which are turned
-    into flips once; `_postorder` then finds an order and the cycles.
-    `values` stays None until `brute_force_grundy` values every position."""
+    `order` lists every position after all of its options.  `values` stays
+    None until `brute_force_grundy` values every position."""
 
-    def __init__(self, options=(), *, flips=None, order=None):
-        if flips is None:
-            flips = [tuple([p ^ o for o in opts]) for p, opts in enumerate(options)]
+    def __init__(self, flips, order):
         self.flips = flips
         self.order = order
         self.values: list[int] | None = None
@@ -320,34 +318,7 @@ class GenericGame:
         order = [0]
         for x in fam.poset.linear_extension_order():
             order += [s | 1 << x for s in order]
-        return cls(flips=flips, order=order)
-
-
-def _postorder(flips) -> list[int]:
-    """Every position after all of its options, walked depth first from
-    each root in ascending order.
-
-    A position is open from its first walk until it is listed.  Reaching an
-    open position that still has an unlisted option means the walk came
-    back to it along a cycle, so the whole graph is refused with ValueError,
-    even where no given position can reach the cycle."""
-    listed, walked, order, stack = set(), set(), [], []
-    for root in range(len(flips)):
-        stack.append(root)
-        while stack:
-            p = stack[-1]
-            if p in listed:
-                stack.pop()
-            elif listed.issuperset([p ^ f for f in flips[p]]):
-                listed.add(p)
-                order.append(p)
-                stack.pop()
-            elif p in walked:
-                raise ValueError("option graph has a cycle")
-            else:
-                walked.add(p)
-                stack += [p ^ f for f in flips[p] if p ^ f not in listed]
-    return order
+        return cls(flips, order)
 
 
 def brute_force_grundy(game: GenericGame, position: int) -> int:
@@ -355,19 +326,20 @@ def brute_force_grundy(game: GenericGame, position: int) -> int:
     positions, mex of the option values elsewhere.
 
     The first call values every position into `game.values`, in
-    `game.order` or, for a game given as option lists, in `_postorder`'s
-    order, which refuses any cycle.  Values start at -1, so an order that
-    lists a position before one of its options raises ValueError
-    (`1 << -1`) instead of being trusted.  Every later call is a list
-    index."""
+    `game.order`.  Values start at -1, so an order that lists a position
+    before one of its options raises ValueError (`1 << -1`) instead of
+    being trusted, and so does an order that leaves a position out; no
+    order of a cyclic game passes.  Every later call is a list index."""
     if game.values is None:
         flips = game.flips
         values = [-1] * len(flips)
-        for p in _postorder(flips) if game.order is None else game.order:
+        for p in game.order:
             seen = 0
             for f in flips[p]:
                 seen |= 1 << values[p ^ f]
             values[p] = ((seen + 1) & ~seen).bit_length() - 1
+        if -1 in values:
+            raise ValueError(f"order leaves out position {values.index(-1)}")
         game.values = values
     return game.values[position]
 
@@ -375,20 +347,26 @@ def brute_force_grundy(game: GenericGame, position: int) -> int:
 def combined(g1: GenericGame, g2: GenericGame) -> GenericGame:
     """Disjoint sum: move in one component, leave the other untouched.
 
-    Position (p1, p2) gets id p1 * g2.n_positions + p2.  The sum is given
-    as option lists, so `_postorder` orders it.  Refused with TooLargeError
-    before any list is built when its positions or its flip entries,
+    Position (p1, p2) gets id p1 * n2 + p2, where the second part's size
+    n2 must be a power of two (ValueError otherwise), as every game the
+    library builds is: then p1 * n2 + p2 is p1's bits above p2's, and the
+    flips of (p1, p2) are p1's scaled by n2 followed by p2's, the scaled
+    tuple made once per p1.  A move changes one part, so the parts' orders,
+    g2's nested in g1's, order the sum.  Refused with TooLargeError before
+    any list is built when its positions or its flip entries,
     n2 * E1 + n1 * E2 for parts with E1 and E2 entries, are over their caps.
     """
     n1, n2 = g1.n_positions, g2.n_positions
+    if n2 & (n2 - 1):
+        raise ValueError(f"second part has {n2} positions, not a power of two")
     if n1 * n2 > MAX_BRUTE_FORCE_POSITIONS:
         raise TooLargeError(f"{n1}*{n2} positions exceed cap {MAX_BRUTE_FORCE_POSITIONS}")
     entries = n2 * sum(map(len, g1.flips)) + n1 * sum(map(len, g2.flips))
     if entries > MAX_BRUTE_FORCE_FLIPS:
         raise TooLargeError(f"{entries} flip entries exceed cap {MAX_BRUTE_FORCE_FLIPS}")
-    options = [
-        [(p1 ^ f) * n2 + p2 for f in f1] + [p1 * n2 + (p2 ^ f) for f in f2]
-        for p1, f1 in enumerate(g1.flips)
-        for p2, f2 in enumerate(g2.flips)
-    ]
-    return GenericGame(options)
+    flips = []
+    for f1 in g1.flips:
+        scaled = tuple([f * n2 for f in f1])
+        flips += [scaled + f2 for f2 in g2.flips]
+    order = [p1 * n2 + p2 for p1 in g1.order for p2 in g2.order]
+    return GenericGame(flips, order)

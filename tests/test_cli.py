@@ -490,7 +490,9 @@ def test_time_budget_repeats_an_alarm_that_was_lost(capsys, monkeypatch):
     # sys.unraisablehook and dropped; the first collection after the timer
     # is armed stays busy past the budget, so the first alarm lands there
     # and only a repeat can stop the command (setpartitions:9 tt takes
-    # about 1 s unbudgeted)
+    # about 1 s unbudgeted).  A gc threshold of 1 starts that collection at
+    # the next allocation, well before the 0.05 s alarm, even on a loaded
+    # machine where ordinary code could otherwise take the first alarm
     lost = []
     monkeypatch.setattr(sys, "unraisablehook", lambda unraisable: lost.append(unraisable.exc_value))
     busy = []
@@ -502,11 +504,14 @@ def test_time_budget_repeats_an_alarm_that_was_lost(capsys, monkeypatch):
             while time.monotonic() < end:
                 pass
 
+    thresholds = gc.get_threshold()
     gc.callbacks.append(busy_once_armed)
+    gc.set_threshold(1)
     try:
         started = time.monotonic()
         code, _, err = run(capsys, "grundy", "setpartitions:9", "tt", "--max-seconds", "0.05")
     finally:
+        gc.set_threshold(*thresholds)
         gc.callbacks.remove(busy_once_armed)
     assert lost and all(isinstance(e, BudgetExceededError) for e in lost)
     assert code == EXIT_RESOURCE and "within 0.05s" in err

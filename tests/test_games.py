@@ -22,7 +22,6 @@ from grundylab.games import (
     GenericGame,
     TurningFamily,
     _mex_over_planes,
-    _postorder,
     brute_force_grundy,
     combined,
     grundy_position,
@@ -81,11 +80,20 @@ def product_family(p1, f1, p2, f2):
 
 
 def game_lengths(game):
-    """Maximum play length from each position, folded over `_postorder`."""
+    """Maximum play length from each position, folded over `game.order`.
+
+    Lengths start at -1 and, as in `brute_force_grundy`, an option read
+    before it is folded or a position the order leaves out raises
+    ValueError."""
     flips = game.flips
-    lengths = [0] * len(flips)
-    for p in _postorder(flips):
-        lengths[p] = max([lengths[p ^ f] + 1 for f in flips[p]], default=0)
+    lengths = [-1] * len(flips)
+    for p in game.order:
+        below = [lengths[p ^ f] for f in flips[p]]
+        if -1 in below:
+            raise ValueError(f"position {p} is listed before one of its options")
+        lengths[p] = max(below, default=-1) + 1
+    if -1 in lengths:
+        raise ValueError(f"order leaves out position {lengths.index(-1)}")
     return lengths
 
 
@@ -435,11 +443,32 @@ def test_an_order_that_lists_a_position_before_its_option_raises():
     # position 1's option is 0, but the order values 1 first
     with pytest.raises(ValueError):
         brute_force_grundy(GenericGame(flips=[(), (1,)], order=[1, 0]), 0)
+    # an order that leaves position 1 out, with and without a repeat
+    with pytest.raises(ValueError, match="leaves out position 1"):
+        brute_force_grundy(GenericGame(flips=[(), ()], order=[0]), 1)
+    with pytest.raises(ValueError, match="leaves out position 1"):
+        brute_force_grundy(GenericGame(flips=[(), (1,)], order=[0, 0]), 0)
     # a turning-family game swept against its own order
     game = GenericGame.from_turning_family(ruler_family(relabelled_chain(5)))
     game.order.reverse()
     with pytest.raises(ValueError):
         brute_force_grundy(game, 0)
+
+
+def peak_rss_mb(script):
+    """Run `script` in a fresh interpreter from RSS_LAUNCHER; it must exit
+    0.  Returns its peak RSS in MB (ru_maxrss is in KiB on Linux)."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-c", RSS_LAUNCHER, sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    code, maxrss_kib = map(int, proc.stdout.split())
+    assert code == 0, proc.stderr
+    return maxrss_kib / 1024
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
@@ -456,17 +485,7 @@ def test_brute_force_sweep_stores_one_flip_tuple_per_position():
         "for pos in range(game.n_positions):\n"
         "    assert games.brute_force_grundy(game, pos) == games.grundy_position(table, pos)\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-c", RSS_LAUNCHER, sys.executable, "-c", sweep],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    code, maxrss_kib = map(int, proc.stdout.split())
-    assert code == 0, proc.stderr
-    assert maxrss_kib / 1024 < 35
+    assert peak_rss_mb(sweep) < 35
 
 
 def test_combined_refuses_over_the_position_cap():
@@ -486,20 +505,57 @@ def test_combined_refuses_over_the_flip_cap():
         combined(g, g)
 
 
+def test_combined_refuses_a_second_part_whose_size_is_not_a_power_of_two():
+    # p1 * 3 + p2 does not keep p1's bits apart from p2's, so no flip
+    # makes a move in g alone; only the second part's size matters
+    g = GenericGame.from_turning_family(ruler_family(chain(2)))
+    three = GenericGame(flips=[(), (1,), (3,)], order=[0, 1, 2])
+    with pytest.raises(ValueError, match="3 positions, not a power of two"):
+        combined(g, three)
+    both = combined(three, g)
+    for p1 in range(3):
+        for p2 in range(4):
+            lhs = brute_force_grundy(both, p1 * 4 + p2)
+            assert lhs == brute_force_grundy(three, p1) ^ brute_force_grundy(g, p2)
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_combined_sweep_stores_one_flip_tuple_per_position():
+    # chain:9 ruler + chain:8 ruler: 2^17 positions and 5 308 416 flip
+    # entries.  Option lists beside the flips took about 360 MB; one flip
+    # tuple per position takes about 68 MB
+    sweep = (
+        "from grundylab.families import chain\n"
+        "from grundylab import games\n"
+        "g1 = games.GenericGame.from_turning_family(games.ruler_family(chain(9)))\n"
+        "g2 = games.GenericGame.from_turning_family(games.ruler_family(chain(8)))\n"
+        "both = games.combined(g1, g2)\n"
+        "v1 = [games.brute_force_grundy(g1, p) for p in range(g1.n_positions)]\n"
+        "v2 = [games.brute_force_grundy(g2, p) for p in range(g2.n_positions)]\n"
+        "for p1, a in enumerate(v1):\n"
+        "    for p2, b in enumerate(v2):\n"
+        "        assert games.brute_force_grundy(both, p1 * g2.n_positions + p2) == a ^ b\n"
+    )
+    assert peak_rss_mb(sweep) < 120
+
+
 def test_brute_force_detects_cycles():
-    cyclic = GenericGame(options=[(1,), (0,)])
+    # 0 and 1 are each other's option
+    cyclic = GenericGame(flips=[(1,), (1,)], order=[0, 1])
     with pytest.raises(ValueError):
         brute_force_grundy(cyclic, 0)
+    # 0 is its own option
     with pytest.raises(ValueError):
-        brute_force_grundy(GenericGame(options=[(0,)]), 0)
+        brute_force_grundy(GenericGame(flips=[(0,)], order=[0]), 0)
+    # 1's options are 0 and itself
     with pytest.raises(ValueError):
-        game_lengths(GenericGame(options=[(), (1, 0)]))
+        game_lengths(GenericGame(flips=[(), (0, 1)], order=[0, 1]))
 
 
 def test_a_cycle_the_position_cannot_reach_still_raises():
     # position 0 ends the game, but 1 and 2 are each other's option: the
     # first call values every position, so the cycle is found
-    game = GenericGame(options=[(), (2,), (1,)])
+    game = GenericGame(flips=[(), (3,), (3,)], order=[0, 1, 2])
     with pytest.raises(ValueError):
         brute_force_grundy(game, 0)
     with pytest.raises(ValueError):
@@ -509,7 +565,8 @@ def test_a_cycle_the_position_cannot_reach_still_raises():
 @st.composite
 def acyclic_games(draw, max_n=9):
     """Random acyclic games: each position's options rank below it in a
-    shuffled order, so they point to both higher and lower ids."""
+    shuffled order, so they point to both higher and lower ids; the game's
+    order lists the positions by rank."""
     n = draw(st.integers(1, max_n))
     rank = draw(st.permutations(range(n)))
     options = []
@@ -517,7 +574,8 @@ def acyclic_games(draw, max_n=9):
         below = [o for o in range(n) if rank[o] < rank[p]]
         opts = draw(st.lists(st.sampled_from(below), max_size=4)) if below else []
         options.append(tuple(opts))
-    return GenericGame(options)
+    flips = [tuple(p ^ o for o in opts) for p, opts in enumerate(options)]
+    return GenericGame(flips=flips, order=sorted(range(n), key=rank.__getitem__))
 
 
 @settings(max_examples=100, deadline=None)
@@ -531,10 +589,6 @@ def test_sweep_matches_the_literal_recursions(game, rnd):
     def length(p):
         return max((length(o) + 1 for o in options[p]), default=0)
 
-    order = _postorder(game.flips)
-    at = {p: i for i, p in enumerate(order)}
-    assert sorted(order) == list(range(game.n_positions))
-    assert all(at[o] < at[p] for p in order for o in options[p])
     asked = list(range(game.n_positions))
     rnd.shuffle(asked)
     assert [brute_force_grundy(game, p) for p in asked] == [grundy(p) for p in asked]
@@ -571,7 +625,7 @@ def test_combined_game_values_are_nim_sums():
 
 def test_combined_with_moveless_game_is_original():
     g1 = GenericGame.from_turning_family(ruler_family(chain(3)))
-    null_game = GenericGame(options=[()])
+    null_game = GenericGame(flips=[()], order=[0])
     both = combined(g1, null_game)
     assert both.n_positions == g1.n_positions
     for p in range(g1.n_positions):
