@@ -34,8 +34,9 @@ from math import isqrt
 from . import __version__
 from .errors import BudgetExceededError, GrundylabError, TooLargeError
 
-# The down masks of an n-element poset take n^2/16 to n^2/8 bytes (the
-# mask of element i has bit i set), 0.6-1.25 GB at this cap.
+# The down masks of an n-element poset take about n^2/16 bytes (ids are a
+# linear extension, so the mask of element i is i + 1 bits wide), 0.6 GB
+# at this cap.
 MAX_POSET_ELEMENTS = 100_000
 # the parser's choices, spelled out so that building it imports neither
 # `games` nor `checks`; tests keep them equal to `games.family_builders()`
@@ -171,7 +172,7 @@ def cmd_grundy(args) -> TableReport:
     poset = parse_poset_spec(args.poset, args.max_elements)
     fam = games.family_builders()[args.family](poset)
     table = games.solve_elementwise(fam)
-    rows = [(str(poset.label(x)), table.values[x]) for x in range(poset.n)]
+    rows = [(str(poset.label(x)), table.values[x]) for x in poset.ids]
     return TableReport(
         ("element_label", "grundy"),
         rows,

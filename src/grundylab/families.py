@@ -7,8 +7,10 @@ matrix lattice, called the ASM poset here).  Plus the (rank, z) projection
 of the ASM poset and exact q-binomials with their parities.
 
 All constructors are pure and return immutable FinitePoset instances with
-human-readable labels.  Each states its covers and leaves the down closure
-to `FinitePoset.from_covers`.  Set partitions and subspaces read their covers
+human-readable labels.  Each states its covers on its own listing of the
+elements and leaves the ids and the down closure to
+`FinitePoset.from_covers`, which renumbers set partitions and ASM points
+(`ids` keeps their listing).  Set partitions and subspaces read their covers
 off canonical forms: span bitmasks, and restricted growth strings held as
 byte strings, whose block merges are `bytes.translate` calls and whose labels
 grow with them; `restricted_growth_strings` and `rgs_to_blocks` stay as the
@@ -92,7 +94,8 @@ def subspace_lattice(n: int, q: int) -> FinitePoset:
     """All subspaces of F_q^n ordered by inclusion.
 
     Elements are canonical RREF matrices, listed by increasing dimension and
-    lexicographically within a dimension.
+    lexicographically within a dimension; every cover goes up one
+    dimension, so this listing is the ids.
     """
     if n < 0:
         raise ValueError("dimension must be non-negative")
@@ -117,7 +120,7 @@ def subspace_lattice(n: int, q: int) -> FinitePoset:
 
 
 def subspace_dimensions(n: int, q: int) -> list[int]:
-    """Dimension of each element of subspace_lattice(n, q), in element order."""
+    """Dimension of each element of subspace_lattice(n, q), by id."""
     return [r for r in range(n + 1) for _ in range(q_binomial(n, r, q))]
 
 
@@ -180,11 +183,13 @@ def set_partition_poset(n: int) -> FinitePoset:
 
     pi <= sigma iff every block of pi is contained in a block of sigma, so
     the all-singletons partition is the minimum and the one-block partition
-    the maximum.  Elements are the RGS as byte strings in lexicographic
-    order, each grown with its label one position at a time.  A cover
-    merges block b into an earlier block a: b becomes a and the later
-    blocks move down one, so the RGS stays canonical; that is one
-    `bytes.translate` per block pair.
+    the maximum.  Elements are listed as the RGS, byte strings in
+    lexicographic order, each grown with its label one position at a time.
+    A cover merges block b into an earlier block a: b becomes a and the
+    later blocks move down one, so the RGS stays canonical; that is one
+    `bytes.translate` per block pair.  A merge makes the RGS smaller, so
+    the ids are renumbered; `ids` keeps the lexicographic RGS order, the
+    order `grundy` prints the labels in.
     """
     if n < 1:
         raise ValueError("set partition poset needs n >= 1")
@@ -251,7 +256,7 @@ def asm_leq(a, b) -> bool:
 def asm_poset(n: int) -> FinitePoset:
     """The ASM poset, closed from the four lattice points each element can
     cover, kept where they lie in the poset; `asm_leq` is the relation it
-    must reproduce."""
+    must reproduce.  `ids` follows the listing of `asm_elements`."""
     if n < 2:
         raise ValueError("asm poset needs n >= 2")
     elems = asm_elements(n)

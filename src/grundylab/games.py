@@ -8,8 +8,8 @@ called, and no built-in family stores its sets; `TurningFamily.from_masks`
 checks sets made elsewhere.
 
 `solve_elementwise` computes the per-element Grundy values by the
-mex-of-nim-sums recursion with one kernel: for each y, the family's
-`option_planes` rule gives the nim-sums of y's options as transposed bit
+mex-of-nim-sums recursion with one kernel: for each y in id order, a
+linear extension (see `poset`), the family's `option_planes` rule gives the nim-sums of y's options as transposed bit
 planes, and the mex is a walk down those planes.  Turning turtles read the
 planes off the solved values, the ruler carries its planes up from one
 predecessor, and every other family, the order ideals included, counts
@@ -18,12 +18,11 @@ parities over its buckets.  The values come back as a `GrundyTable`;
 elements' values.
 `brute_force_grundy` ignores all of that and evaluates positions by the raw
 mex recursion over an explicit `GenericGame`, whose moves are XOR flip
-masks and whose `order` lists every position after its options: its first
-call values every position in one sweep.  A coin-turning game is swept in
-increasing potential, an order grown along the poset's linear extension;
-a disjoint sum (`combined`) in its parts' orders, one inside the other.
-Values start at -1, so an option listed after its position raises instead
-of being read, and a cycle has no order that passes.  The test suite plays
+masks that lead to lower position ids: its first call values every
+position in one ascending sweep.  A coin-turning move clears the highest
+changed bit, its set's maximum, and a move in a disjoint sum (`combined`)
+lowers one part's id.  Values start at -1, so an option above its position
+raises instead of being read, and so does any cycle.  The test suite plays
 the solver and the oracle against each other.  The CLI's `--max-seconds`
 timer may interrupt any of them.
 """
@@ -53,8 +52,9 @@ class TurningFamily:
     refuses a set that has none, and serves the stored lists by the same
     interface.
 
-    `option_planes(order, g, planes)` is the family's rule for the solver,
-    a generator of `(V, cand)` for each y of `order` (see
+    Masks are over the poset's ids, not the caller's.
+    `option_planes(g, planes)` is the family's rule for the solver, a
+    generator of `(V, cand)` for each y in id order (see
     `solve_elementwise`); the default counts the parity of each set of
     `bucket(y)` in each value plane.
     """
@@ -64,8 +64,8 @@ class TurningFamily:
         self.bucket = bucket
         self.option_planes = option_planes or self._bucket_planes
 
-    def _bucket_planes(self, order, g, planes):
-        for y in order:
+    def _bucket_planes(self, g, planes):
+        for y in range(self.poset.n):
             bucket = self.bucket(y)
             V = [0] * len(planes)
             for i, m in enumerate(bucket):
@@ -109,8 +109,8 @@ def turning_turtles(p: FinitePoset) -> TurningFamily:
     is in no value plane yet), so the option planes are the value planes
     cut down to down(y)."""
 
-    def option_planes(order, g, planes):
-        for y in order:
+    def option_planes(g, planes):
+        for y in range(p.n):
             dm = p.down_mask(y)
             yield [plane & dm for plane in planes], dm
 
@@ -129,8 +129,9 @@ def order_ideal_family(p: FinitePoset) -> TurningFamily:
 def ruler_family(p: FinitePoset) -> TurningFamily:
     """All closed intervals [x, y] with x <= y.
 
-    The bucket of y, listed by x, is one pass down the elements of down(y):
-    [x, y] is x and every [z, y] over the kept edges (x, z) inside down(y).
+    The bucket of y, listed by x, is one pass down the elements of down(y)
+    in id order from the top: [x, y] is x and every [z, y] over the kept
+    edges (x, z) inside down(y).
 
     The option of [x, y] is x, and bit x of the plane V_y[b] is the parity
     of the z < y in [x, y] whose value has bit b; so V_y[b] is the XOR
@@ -143,20 +144,20 @@ def ruler_family(p: FinitePoset) -> TurningFamily:
 
     def bucket(y):
         intervals = dict.fromkeys(iter_bits(p.down_mask(y)), 0)
-        for z in sorted(intervals, key=lambda t: p.down_mask(t).bit_count(), reverse=True):
+        for z in reversed(intervals):
             intervals[z] |= 1 << z
             for x in p.preds[z]:
                 intervals[x] |= intervals[z]
         return list(intervals.values())
 
-    def option_planes(order, g, planes):
+    def option_planes(g, planes):
         down = [p.down_mask(y) for y in range(p.n)]
         size = [d.bit_count() for d in down]
         source = [max(preds, key=size.__getitem__) if preds else None for preds in p.preds]
         uses = Counter(source)
         kept = {}
         bits = [()] * p.n  # the set bits of g[z], once z is solved
-        for y in order:
+        for y in range(p.n):
             y1 = source[y]
             if y1 is None:
                 V = [0] * len(planes)
@@ -198,14 +199,6 @@ def moves(fam: TurningFamily, position: int) -> list[int]:
     return [position ^ m for x in iter_bits(position) for m in fam.bucket(x)]
 
 
-def potential(tau, position: int) -> int:
-    """Sum of 2^tau[x] over the position; strictly decreases along moves."""
-    total = 0
-    for x in iter_bits(position):
-        total += 1 << tau[x]
-    return total
-
-
 class GrundyTable:
     """Per-element Grundy values of one game; `grundy_position` reads a
     position's value off them."""
@@ -240,8 +233,9 @@ def solve_elementwise(fam: TurningFamily) -> GrundyTable:
     """Per-element Grundy values g(x) = mex over turning sets with maximum x
     of the nim-sum of values strictly inside the set.
 
-    Elements outside every maximum get the empty mex, 0.  Evaluation follows
-    a linear extension, so the values a set references are always final.
+    Elements outside every maximum get the empty mex, 0.  Evaluation runs
+    in id order, a linear extension, so the values a set references are
+    always final.
     `planes[b]` holds the solved elements whose value has bit b set; x
     itself is in no plane while its options are read.  From them the
     family's `option_planes` rule makes x's option planes: `V[b]` is a mask
@@ -253,8 +247,7 @@ def solve_elementwise(fam: TurningFamily) -> GrundyTable:
     p = fam.poset
     g = [0] * p.n
     planes = []
-    order = p.linear_extension_order()
-    for x, (V, cand) in zip(order, fam.option_planes(order, g, planes)):
+    for x, (V, cand) in enumerate(fam.option_planes(g, planes)):
         v = g[x] = _mex_over_planes(V, cand)
         planes.extend([0] * (v.bit_length() - len(planes)))
         for b in iter_bits(v):
@@ -278,14 +271,12 @@ def grundy_position(table: GrundyTable, position: int) -> int:
 
 class GenericGame:
     """Explicit impartial game on positions 0..N-1, held as flip masks:
-    option i of `pos` is `pos ^ flips[pos][i]`.
+    option i of `pos` is `pos ^ flips[pos][i]`, and every option is a
+    lower id than its position.  `values` stays None until
+    `brute_force_grundy` values every position."""
 
-    `order` lists every position after all of its options.  `values` stays
-    None until `brute_force_grundy` values every position."""
-
-    def __init__(self, flips, order):
+    def __init__(self, flips):
         self.flips = flips
-        self.order = order
         self.values: list[int] | None = None
 
     @property
@@ -299,9 +290,8 @@ class GenericGame:
         A move flips a turning set, so the flips of a position are its
         sets: built in ascending pos, those of `low | 1 << x` (low < 2^x)
         are those of low followed by `bucket(x)`, one tuple concatenation,
-        in `moves`' own order.  The order is the positions in increasing
-        potential, grown the same way along the poset's linear extension: a
-        move lowers the potential.  Refused with TooLargeError before any
+        in `moves`' own order.  A move clears its set's maximum, the
+        highest bit it changes, so it lowers the position id.  Refused with TooLargeError before any
         list is built when the positions or the flip entries,
         sum |bucket(x)| * 2^(n-1), are over their caps.
         """
@@ -315,10 +305,7 @@ class GenericGame:
         flips = [()]
         for bucket_x in buckets:
             flips += [f + bucket_x for f in flips]
-        order = [0]
-        for x in fam.poset.linear_extension_order():
-            order += [s | 1 << x for s in order]
-        return cls(flips, order)
+        return cls(flips)
 
 
 def brute_force_grundy(game: GenericGame, position: int) -> int:
@@ -326,20 +313,17 @@ def brute_force_grundy(game: GenericGame, position: int) -> int:
     positions, mex of the option values elsewhere.
 
     The first call values every position into `game.values`, in
-    `game.order`.  Values start at -1, so an order that lists a position
-    before one of its options raises ValueError (`1 << -1`) instead of
-    being trusted, and so does an order that leaves a position out; no
-    order of a cyclic game passes.  Every later call is a list index."""
+    ascending id.  Values start at -1, so an option that is not a lower id
+    than its position raises ValueError (`1 << -1`) instead of being
+    trusted, and so does any cycle.  Every later call is a list index."""
     if game.values is None:
         flips = game.flips
         values = [-1] * len(flips)
-        for p in game.order:
+        for p, fp in enumerate(flips):
             seen = 0
-            for f in flips[p]:
+            for f in fp:
                 seen |= 1 << values[p ^ f]
             values[p] = ((seen + 1) & ~seen).bit_length() - 1
-        if -1 in values:
-            raise ValueError(f"order leaves out position {values.index(-1)}")
         game.values = values
     return game.values[position]
 
@@ -351,8 +335,8 @@ def combined(g1: GenericGame, g2: GenericGame) -> GenericGame:
     n2 must be a power of two (ValueError otherwise), as every game the
     library builds is: then p1 * n2 + p2 is p1's bits above p2's, and the
     flips of (p1, p2) are p1's scaled by n2 followed by p2's, the scaled
-    tuple made once per p1.  A move changes one part, so the parts' orders,
-    g2's nested in g1's, order the sum.  Refused with TooLargeError before
+    tuple made once per p1.  A move lowers one part's id and so the sum's.
+    Refused with TooLargeError before
     any list is built when its positions or its flip entries,
     n2 * E1 + n1 * E2 for parts with E1 and E2 entries, are over their caps.
     """
@@ -368,5 +352,4 @@ def combined(g1: GenericGame, g2: GenericGame) -> GenericGame:
     for f1 in g1.flips:
         scaled = tuple([f * n2 for f in f1])
         flips += [scaled + f2 for f2 in g2.flips]
-    order = [p1 * n2 + p2 for p1 in g1.order for p2 in g2.order]
-    return GenericGame(flips, order)
+    return GenericGame(flips)

@@ -1,25 +1,31 @@
 """Finite poset kernel.
 
-Elements are integer ids 0..n-1; an optional `labels` list maps ids back to
-domain objects (divisors, subspaces, set partitions, lattice points).  The
-order relation is stored as one bitmask per element: `down[i]` holds every
-t <= i, so comparability is one bit test.  No filter is stored: the ruler
-interval [x, y] is the set of z in down(y) with x in down(z).
+Elements are integer ids 0..n-1 numbered along a linear extension, so
+`range(n)` visits each element after everything below it; `labels` maps
+ids back to domain objects (divisors, subspaces, set partitions, lattice
+points), and `ids[i]` is the id of the caller's element i.  The order
+relation is stored as one bitmask per element: `down[i]` holds every
+t <= i, within bits 0..i, so comparability is one bit test.  No filter is
+stored: the ruler interval [x, y] is the set of z in down(y) with x in
+down(z).
 
 Every constructor states the order by its covers (any edge set whose
 reflexive-transitive closure is the order will do) and hands them to
-`from_covers`, the one place masks are built: its topological sort is also
-its cycle check, the down masks close along that order, and it keeps the
-edges as the read-only `preds`, one tuple of predecessors per element.
+`from_covers`, the one place ids are given and masks are built: its
+topological sort is also its cycle check and gives the ids, the down masks
+close in id order, and it keeps the edges as the read-only `preds`, one
+tuple of predecessors per element.
 `covers()` filters those: every cover is an edge of any generating set, and
 edge (i, j) is a cover exactly when i is below no other predecessor of j.
 `from_json` reads covers from a file.
-`FinitePoset(down, preds, labels)` only stores what these give it.
+`FinitePoset(down, preds, labels, ids)` only stores what these give it.
 
 Posets are immutable after construction; every query is read-only.
 """
 
 from __future__ import annotations
+
+import heapq
 
 
 def iter_bits(mask: int):
@@ -30,15 +36,16 @@ def iter_bits(mask: int):
 
 
 class FinitePoset:
-    __slots__ = ("n", "labels", "_down", "preds")
+    __slots__ = ("n", "labels", "ids", "_down", "preds")
 
-    def __init__(self, down, preds, labels=None):
-        """Store closed masks and edges as given; internal, build through
-        from_covers, which checks its input."""
+    def __init__(self, down, preds, labels, ids):
+        """Store closed masks, edges, labels and the caller's ids as given;
+        internal, build through from_covers, which checks its input."""
         self.n = len(down)
         self._down = down
         self.preds = preds
-        self.labels = list(labels) if labels is not None else None
+        self.labels = labels
+        self.ids = ids
 
     # -- construction -----------------------------------------------------
 
@@ -46,8 +53,12 @@ class FinitePoset:
     def from_covers(cls, n, covers, labels=None):
         """Reflexive-transitive closure of edges (i, j), each read as i below j.
 
-        The edges are kept as one deduplicated tuple of predecessors per
-        element.  Rejects inputs whose edge set contains a directed cycle.
+        A top-down topological sort, largest ready caller id first, gives
+        the k-th element it takes the id n-1-k, so edges that all run upward
+        keep their ids.  The labels (the caller's ids when none are given)
+        and the edges, one deduplicated tuple of predecessors per element,
+        move to the new ids.  Rejects inputs whose edge set contains a
+        directed cycle.
         """
         if labels is not None and len(labels) != n:
             raise ValueError("labels length mismatch")
@@ -58,23 +69,32 @@ class FinitePoset:
                 raise ValueError(f"bad cover edge ({i}, {j})")
             preds[j].append(i)
             outdeg[i] += 1
-        # top-down: each element is listed after every element above it
-        ready = [j for j in range(n) if outdeg[j] == 0]
-        order = []
+        # a max-heap of caller ids with no element left above them
+        ready = [-j for j in range(n) if outdeg[j] == 0]
+        heapq.heapify(ready)
+        ids = [0] * n
+        k = n
         while ready:
-            j = ready.pop()
-            order.append(j)
+            j = -heapq.heappop(ready)
+            k -= 1
+            ids[j] = k
             for i in preds[j]:
                 outdeg[i] -= 1
                 if outdeg[i] == 0:
-                    ready.append(i)
-        if len(order) != n:
+                    heapq.heappush(ready, -i)
+        if k:
             raise ValueError("cover edges contain a cycle")
-        down = [1 << i for i in range(n)]
-        for j in reversed(order):
-            for i in preds[j]:
-                down[j] |= down[i]
-        return cls(down, [tuple(dict.fromkeys(p)) for p in preds], labels=labels)
+        kept = [()] * n
+        new_labels = [None] * n
+        old_labels = range(n) if labels is None else list(labels)
+        for j, x in enumerate(ids):
+            kept[x] = tuple([ids[i] for i in dict.fromkeys(preds[j])])
+            new_labels[x] = old_labels[j]
+        down = [1 << x for x in range(n)]
+        for x, px in enumerate(kept):  # every predecessor has a lower id
+            for i in px:
+                down[x] |= down[i]
+        return cls(down, kept, new_labels, ids)
 
     # -- basic queries ----------------------------------------------------
 
@@ -99,23 +119,6 @@ class FinitePoset:
         full = (1 << self.n) - 1
         return next((x for x, m in enumerate(self._down) if m == full), None)
 
-    # -- structure --------------------------------------------------------
-
-    def linear_extension(self):
-        """tau with x <= y implying tau[x] <= tau[y]; ties broken by id."""
-        tau = [0] * self.n
-        for pos, x in enumerate(self.linear_extension_order()):
-            tau[x] = pos
-        return tau
-
-    def linear_extension_order(self):
-        """Element ids listed bottom-up: each element after everything below it.
-
-        x < y makes down(x) a proper subset of down(y), so sorting by the
-        size of the down-set (a stable sort, so ties by id) is a linear
-        extension."""
-        return sorted(range(self.n), key=lambda x: self._down[x].bit_count())
-
     # -- serialization ----------------------------------------------------
 
     @classmethod
@@ -133,7 +136,7 @@ class FinitePoset:
         return cls.from_covers(n, obj["covers"], labels=obj.get("labels"))
 
     def label(self, x: int):
-        return self.labels[x] if self.labels is not None else x
+        return self.labels[x]
 
     def __repr__(self):
         return f"FinitePoset(n={self.n})"

@@ -90,19 +90,30 @@ def rank_function(p):
     lower = [[] for _ in range(p.n)]
     for c, x in p.covers():
         lower[x].append(c)
-    for x in p.linear_extension_order():
+    for x in range(p.n):  # ids are a linear extension
         if lower[x]:
             rank[x] = 1 + max(rank[c] for c in lower[x])
     graded = all(rank[x] == rank[c] + 1 for x in range(p.n) for c in lower[x])
     return rank if graded else None
 
 
+def caller_ids(p):
+    """The inverse of `p.ids`: the caller's id of each element."""
+    inv = [0] * p.n
+    for i, x in enumerate(p.ids):
+        inv[x] = i
+    return inv
+
+
 def to_json(p):
-    """The poset as `FinitePoset.from_json` reads it: its covers, and its
-    labels as strings."""
-    obj = {"n": p.n, "covers": [list(c) for c in p.covers()]}
-    if p.labels is not None:
-        obj["labels"] = [str(l) for l in p.labels]
+    """The poset as `FinitePoset.from_json` reads it, in the caller's ids:
+    its covers, and its labels as strings."""
+    inv = caller_ids(p)
+    obj = {
+        "n": p.n,
+        "covers": sorted([inv[x], inv[y]] for x, y in p.covers()),
+        "labels": [str(p.labels[x]) for x in p.ids],
+    }
     return json.dumps(obj, sort_keys=True)
 
 

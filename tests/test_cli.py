@@ -23,7 +23,7 @@ from grundylab.cli import (
 )
 from grundylab.closedforms import asm_ideal_grundy
 from grundylab.errors import BudgetExceededError
-from grundylab.families import asm_pi, asm_poset
+from grundylab.families import asm_elements, asm_pi, asm_poset
 from helpers import RSS_LAUNCHER
 
 PHI_ROW = [1, 2, 1, 4, 1, 2, 1, 8, 1, 2, 1, 4, 1, 2, 1]
@@ -70,8 +70,8 @@ def test_grundy_asm_ideal_matches_closed_form(capsys):
     code, out, _ = run(capsys, "grundy", "asm:5", "ideal", "--format", "json")
     assert code == EXIT_OK
     obj = json.loads(out)
-    p = asm_poset(5)
-    for (label, value), e in zip(obj["rows"], p.labels):
+    # rows follow the constructor's listing, not the poset's ids
+    for (label, value), e in zip(obj["rows"], asm_elements(5), strict=True):
         assert label == str(e)
         assert value == asm_ideal_grundy(5, e)
 
@@ -82,6 +82,31 @@ def test_grundy_from_file(tmp_path, capsys):
     code, out, _ = run(capsys, "grundy", f"file:{path}", "ruler", "--format", "csv")
     assert code == EXIT_OK
     assert csv_body(out)[1:] == ["a,1", "b,2", "c,1"]
+
+
+# 4 < 0 < 2 < 1 and 3 < 2: the file's ids run against the order, so the
+# poset renumbers them; rows are printed in the file's order all the same
+SHUFFLED_POSET = {"n": 5, "covers": [[4, 0], [0, 2], [3, 2], [2, 1]]}
+
+
+@pytest.mark.parametrize(
+    "family, values",
+    [("ruler", [2, 1, 4, 1, 1]), ("tt", [2, 4, 3, 1, 1]), ("ideal", [0, 0, 1, 1, 1])],
+)
+def test_grundy_from_file_prints_rows_in_the_files_order(tmp_path, capsys, family, values):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(SHUFFLED_POSET))
+    rows = [[str(x), v] for x, v in enumerate(values)]
+    spec = f"file:{path}"
+    code, out, _ = run(capsys, "grundy", spec, family)
+    assert code == EXIT_OK
+    assert [line.split() for line in out.splitlines()[-5:]] == [[x, str(v)] for x, v in rows]
+    code, out, _ = run(capsys, "grundy", spec, family, "--format", "csv")
+    assert code == EXIT_OK
+    assert csv_body(out)[1:] == [f"{x},{v}" for x, v in rows]
+    code, out, _ = run(capsys, "grundy", spec, family, "--format", "json")
+    assert code == EXIT_OK
+    assert json.loads(out)["rows"] == rows
 
 
 def test_tables_phi(capsys):
@@ -592,9 +617,11 @@ def test_ruler_solve_holds_one_bucket_at_a_time():
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_set_partition_ideal_stores_down_masks_only():
-    # setpartitions:9 has 21 147 elements and its down masks take about
-    # 60 MB.  A filter mask stored beside each of them adds about 30 MB and
-    # lifts the peak RSS of this run from about 100 MB to about 127 MB
+    # setpartitions:9 has 21 147 elements.  Numbered along a linear
+    # extension, each down mask is only as wide as its own id, and the peak
+    # RSS of this run is about 66 MB; masks numbered in RGS order are as
+    # wide as the whole poset and took about 97 MB, and a filter mask
+    # stored beside each down mask added about 30 MB more
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     cli = [sys.executable, "-m", "grundylab.cli", "grundy", "setpartitions:9", "ideal"]
     proc = subprocess.run(
@@ -606,7 +633,7 @@ def test_set_partition_ideal_stores_down_masks_only():
     )
     code, maxrss_kib = map(int, proc.stdout.split())
     assert code == EXIT_OK
-    assert maxrss_kib / 1024 < 113
+    assert maxrss_kib / 1024 < 76
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")

@@ -1,9 +1,10 @@
 """Differential test of the closures `FinitePoset.from_covers` builds.
 
 Every constructor only states covers, so each down mask is checked against
-the family's own order relation over all pairs.  `covers()`, which filters
-the edges the poset was built from, is checked against the Hasse diagram of
-the closed down masks.
+the family's own order relation over all pairs, read in the constructor's
+own ids through `ids`, and must lie within the bits up to its element: ids
+are a linear extension.  `covers()`, which filters the edges the poset was
+built from, is checked against the Hasse diagram of the closed down masks.
 """
 
 import hashlib
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from grundylab import gf
 from grundylab.families import (
+    asm_elements,
     asm_leq,
     asm_poset,
     chain,
@@ -25,7 +27,7 @@ from grundylab.families import (
 )
 from grundylab.partitions import partitions_of
 from grundylab.poset import FinitePoset, iter_bits
-from helpers import antichain, product, refinement_poset, refines, to_json
+from helpers import antichain, caller_ids, product, refinement_poset, refines, to_json
 
 
 def hasse(down):
@@ -42,9 +44,15 @@ def hasse(down):
 
 
 def assert_closures(p, leq):
+    """`leq` is the order on the caller's ids."""
     n = p.n
     down = [p.down_mask(y) for y in range(n)]
-    assert down == [sum(1 << x for x in range(n) if leq(x, y)) for y in range(n)]
+    assert all(m >> y == 1 for y, m in enumerate(down))
+    ids = p.ids
+    assert sorted(ids) == list(range(n))
+    assert [down[ids[y]] for y in range(n)] == [
+        sum(1 << ids[x] for x in range(n) if leq(x, y)) for y in range(n)
+    ]
     assert p.covers() == hasse(down)
 
 
@@ -58,7 +66,8 @@ def antichain_case(n):
 
 def divisor_case(n):
     p = divisor_poset(n)
-    return p, lambda x, y: p.labels[y] % p.labels[x] == 0
+    divs = [p.labels[x] for x in p.ids]
+    return p, lambda x, y: divs[y] % divs[x] == 0
 
 
 def subspace_case(n, q):
@@ -77,8 +86,8 @@ def set_partition_case(n):
 
 
 def asm_case(n):
-    p = asm_poset(n)
-    return p, lambda x, y: asm_leq(p.labels[x], p.labels[y])
+    elems = asm_elements(n)
+    return asm_poset(n), lambda x, y: asm_leq(elems[x], elems[y])
 
 
 def refinement_case(n):
@@ -87,11 +96,14 @@ def refinement_case(n):
 
 
 def product_case(left, right):
+    """`product` pairs the parts' ids, so the parts' relations are read
+    through their caller ids."""
     (p, p_leq), (q, q_leq) = left, right
+    pc, qc = caller_ids(p), caller_ids(q)
 
     def leq(x, y):
         (a, b), (c, d) = divmod(x, q.n), divmod(y, q.n)
-        return p_leq(a, c) and q_leq(b, d)
+        return p_leq(pc[a], pc[c]) and q_leq(qc[b], qc[d])
 
     return product(p, q), leq
 
@@ -163,10 +175,34 @@ def test_random_dag_closures_match_reachability(dag):
     leq = reachability(n, edges)
     p = FinitePoset.from_covers(n, edges)
     assert_closures(p, leq)
-    assert set(p.covers()) <= set(edges)
+    inv = caller_ids(p)
+    assert {(inv[x], inv[y]) for x, y in p.covers()} <= set(edges)
     q = FinitePoset.from_covers(n, p.covers())
     assert [q.down_mask(x) for x in range(n)] == [p.down_mask(x) for x in range(n)]
     assert q.covers() == p.covers()
+
+
+@settings(max_examples=100, deadline=None)
+@given(cover_dags())
+def test_upward_edges_keep_their_ids(dag):
+    n, edges = dag
+    up = [(min(i, j), max(i, j)) for i, j in edges]
+    assert FinitePoset.from_covers(n, up).ids == list(range(n))
+
+
+@pytest.mark.parametrize("name", ["chain:9", "divisors:720720", "subspaces:3:3", "subspaces:4:2"])
+def test_constructors_listed_upward_keep_their_ids(name):
+    p, _ = CASES[name]()
+    assert p.ids == list(range(p.n))
+
+
+def test_set_partitions_and_asm_points_are_renumbered():
+    # a merge makes the RGS smaller, so the first RGS, the one-block
+    # partition, is the maximum and takes the last id
+    p = set_partition_poset(4)
+    assert p.ids != list(range(p.n))
+    assert p.maximum() == p.ids[0] == p.n - 1
+    assert asm_poset(5).ids != list(range(asm_poset(5).n))
 
 
 # SHA-256 of `to_json(p)` as written when covers were read off the closed

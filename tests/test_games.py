@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from grundylab.errors import TooLargeError
 from grundylab.families import (
-    asm_elements,
     asm_poset,
     chain,
     divisor_poset,
@@ -27,14 +26,13 @@ from grundylab.games import (
     grundy_position,
     moves,
     order_ideal_family,
-    potential,
     ruler_family,
     solve_elementwise,
     turning_turtles,
 )
 from grundylab.nimber import mex, nim_mul, ruler_phi
 from grundylab.poset import FinitePoset, iter_bits
-from helpers import RSS_LAUNCHER, asm_xi, assert_grundy_respects_isomorphism, product
+from helpers import RSS_LAUNCHER, asm_xi, assert_grundy_respects_isomorphism, caller_ids, product
 
 
 def ft_suite():
@@ -80,20 +78,16 @@ def product_family(p1, f1, p2, f2):
 
 
 def game_lengths(game):
-    """Maximum play length from each position, folded over `game.order`.
+    """Maximum play length from each position, folded in ascending id.
 
     Lengths start at -1 and, as in `brute_force_grundy`, an option read
-    before it is folded or a position the order leaves out raises
-    ValueError."""
-    flips = game.flips
-    lengths = [-1] * len(flips)
-    for p in game.order:
-        below = [lengths[p ^ f] for f in flips[p]]
+    before it is folded, one that is not a lower id, raises ValueError."""
+    lengths = [-1] * game.n_positions
+    for p, flips in enumerate(game.flips):
+        below = [lengths[p ^ f] for f in flips]
         if -1 in below:
-            raise ValueError(f"position {p} is listed before one of its options")
+            raise ValueError(f"position {p} has an option that is not a lower id")
         lengths[p] = max(below, default=-1) + 1
-    if -1 in lengths:
-        raise ValueError(f"order leaves out position {lengths.index(-1)}")
     return lengths
 
 
@@ -121,19 +115,29 @@ def test_product_family_satisfies_sharp():
 @st.composite
 def cover_dags(draw, max_n=10):
     """Random posets of at most max_n elements: the closure of a random
-    acyclic edge set, with element ids shuffled so that ids do not follow
-    the order.  Some draws add redundant edges (pairs already related
-    through the closure), so a kept predecessor need not be a cover."""
+    acyclic edge set on shuffled ids, which `from_covers` renumbers along
+    a linear extension.  Some draws add redundant edges (pairs already
+    related through the closure), so a kept predecessor need not be a
+    cover."""
     n = draw(st.integers(1, max_n))
     perm = draw(st.permutations(range(n)))
     pairs = [(i, j) for j in range(n) for i in range(j)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
-    p = FinitePoset.from_covers(n, [(perm[i], perm[j]) for i, j in edges])
-    redundant = [(i, j) for j in range(n) for i in iter_bits(p.down_mask(j)) if i != j]
+    edges = [(perm[i], perm[j]) for i, j in edges]
+    p = FinitePoset.from_covers(n, edges)
+    inv = caller_ids(p)
+    redundant = [(inv[i], inv[j]) for j in range(n) for i in iter_bits(p.down_mask(j)) if i != j]
     if redundant and draw(st.booleans()):
         extra = draw(st.lists(st.sampled_from(redundant), unique=True, max_size=6))
-        p = FinitePoset.from_covers(n, [(perm[i], perm[j]) for i, j in edges] + extra)
+        p = FinitePoset.from_covers(n, edges + extra)
     return p
+
+
+@settings(max_examples=100, deadline=None)
+@given(cover_dags())
+def test_cover_dags_are_numbered_along_a_linear_extension(p):
+    # down(y) lies within bits 0..y
+    assert all(p.down_mask(y) >> y == 1 for y in range(p.n))
 
 
 @st.composite
@@ -167,7 +171,7 @@ def member_loop_solve(fam):
     values, summed member by member."""
     p = fam.poset
     g = [0] * p.n
-    for x in p.linear_extension_order():
+    for x in range(p.n):
         opts = []
         for m in fam.bucket(x):
             s = 0
@@ -185,7 +189,7 @@ def bit_plane_solve(fam):
     p = fam.poset
     g = [0] * p.n
     planes = []
-    for x in p.linear_extension_order():
+    for x in range(p.n):
         bucket = fam.bucket(x)
         sums = [0] * len(bucket)
         bit = 1
@@ -251,17 +255,15 @@ def test_bit_plane_solver_matches_member_loop_on_wide_values():
 
 
 def test_ruler_kernel_matches_the_bit_plane_oracle_on_wide_masks():
-    # the ruler's option planes walk each down-set from its top bit; on
-    # Pi_6 the minimum has the last id, so every down mask is full width,
-    # and on a chain whose ids run top-down each delta holds bits far above
-    # the element being solved
+    # the ruler's option planes walk each down-set from its top bit, on
+    # posets that from_covers renumbers: Pi_6 and asm:10, listed against
+    # their order, and a chain whose caller's ids run top-down
     top_down_chain = FinitePoset.from_covers(40, [(i + 1, i) for i in range(39)])
     for p in (set_partition_poset(6), asm_poset(10), top_down_chain):
         ruler = ruler_family(p)
         assert solve_elementwise(ruler).values == bit_plane_solve(ruler)
-    assert solve_elementwise(ruler_family(top_down_chain)).values == [
-        ruler_phi(40 - x) for x in range(40)
-    ]
+    values = solve_elementwise(ruler_family(top_down_chain)).values
+    assert [values[x] for x in top_down_chain.ids] == [ruler_phi(40 - i) for i in range(40)]
 
 
 def test_from_masks_rejects_sets_without_a_maximum():
@@ -312,22 +314,14 @@ def test_ending_positions_avoid_maxima():
                 assert (moves(fam, pos) == []) == (pos & heads == 0)
 
 
-def test_potential():
-    c2 = chain(2)
-    tau = c2.linear_extension()
-    assert potential(tau, 0) == 0
-    assert potential(tau, 0b11) == 3
-
-
 def test_potential_strictly_decreases():
+    # ids are a linear extension, so the potential of a position, the sum
+    # of 2^x over its elements, is its mask: every move lowers it
     for p, fams in ft_suite():
-        tau = p.linear_extension()
         for name in fams:
             fam = BUILDERS[name](p)
             for pos in range(1 << p.n):
-                fp = potential(tau, pos)
-                for opt in moves(fam, pos):
-                    assert potential(tau, opt) < fp
+                assert all(opt < pos for opt in moves(fam, pos))
 
 
 def test_solve_elementwise_chain_examples():
@@ -359,8 +353,8 @@ def test_brute_force_matches_elementwise_everywhere():
 @settings(max_examples=60, deadline=None)
 @given(random_families())
 def test_option_graph_lists_the_moves_of_every_position(fams):
-    # cover_dags shuffles ids, so a turning set may hold bits above its
-    # maximum's id; the random-set family covers sets outside the built-ins
+    # cover_dags shuffles the caller's ids, which from_covers renumbers;
+    # the random-set family covers sets outside the built-ins
     for fam in fams:
         n = fam.poset.n
         if n > 12:
@@ -374,12 +368,13 @@ def test_option_graph_lists_the_moves_of_every_position(fams):
 
 
 def test_option_graph_on_ids_that_are_not_a_linear_extension():
-    # 2 < 0 < 1: the ruler set [2, 0] has maximum 0 but holds the higher bit 2
+    # 2 < 0 < 1 in the caller's ids: renumbered, the caller's 2, 0, 1 are
+    # 0, 1, 2, and the ruler set [2, 0] is the set 0b011 with maximum 1
     p = FinitePoset.from_covers(3, [(2, 0), (0, 1)])
-    assert p.linear_extension_order() != [0, 1, 2]
+    assert p.ids == [1, 2, 0]
     fam = ruler_family(p)
     game = GenericGame.from_turning_family(fam)
-    assert game.flips[0b001] == (0b001, 0b101)
+    assert game.flips[0b010] == (0b011, 0b010)
     table = solve_elementwise(fam)
     for pos in range(8):
         assert tuple(pos ^ f for f in game.flips[pos]) == tuple(moves(fam, pos))
@@ -410,9 +405,9 @@ def test_brute_force_refuses_over_the_flip_cap():
 
 
 def relabelled_chain(n):
-    """A chain whose ids run against its order: id i is the (i * 3 % n)-th
-    smallest element (n not a multiple of 3), so sets hold bits above their
-    maximum's id."""
+    """A chain whose caller's ids run against its order: id i is the
+    (i * 3 % n)-th smallest element (n not a multiple of 3), so
+    `from_covers` renumbers it."""
     rank = [i * 3 % n for i in range(n)]
     at = {r: i for i, r in enumerate(rank)}
     return FinitePoset.from_covers(n, [(at[r], at[r + 1]) for r in range(n - 1)])
@@ -421,38 +416,34 @@ def relabelled_chain(n):
 @pytest.mark.parametrize("poset", [set_partition_poset(4), relabelled_chain(11)], ids=["Pi4", "chain11"])
 def test_flips_and_order_on_ids_against_the_linear_extension(poset):
     n = poset.n
-    assert poset.linear_extension_order() != list(range(n))
+    assert poset.ids != list(range(n))
     fam = ruler_family(poset)
     game = GenericGame.from_turning_family(fam)
     # the same buckets, each made once, for the literal move rule to read
     stored = TurningFamily(poset, [fam.bucket(y) for y in range(n)].__getitem__)
     for pos in range(1 << n):
         assert tuple(pos ^ f for f in game.flips[pos]) == tuple(moves(stored, pos))
-    # the order lists each position once, after all of its options
-    at = [0] * (1 << n)
-    for i, pos in enumerate(game.order):
-        at[pos] = i
-    assert sorted(game.order) == list(range(1 << n))
-    assert all(at[pos ^ f] < at[pos] for pos in range(1 << n) for f in game.flips[pos])
+    # the sweep runs in ascending id: every option is a lower id
+    assert all(pos ^ f < pos for pos in range(1 << n) for f in game.flips[pos])
     table = solve_elementwise(fam)
     for pos in range(1 << n):
         assert brute_force_grundy(game, pos) == grundy_position(table, pos)
 
 
 def test_an_order_that_lists_a_position_before_its_option_raises():
-    # position 1's option is 0, but the order values 1 first
+    # the sweep runs in ascending id: position 0's option is 1, which the
+    # sweep values later
     with pytest.raises(ValueError):
-        brute_force_grundy(GenericGame(flips=[(), (1,)], order=[1, 0]), 0)
-    # an order that leaves position 1 out, with and without a repeat
-    with pytest.raises(ValueError, match="leaves out position 1"):
-        brute_force_grundy(GenericGame(flips=[(), ()], order=[0]), 1)
-    with pytest.raises(ValueError, match="leaves out position 1"):
-        brute_force_grundy(GenericGame(flips=[(), (1,)], order=[0, 0]), 0)
-    # a turning-family game swept against its own order
+        brute_force_grundy(GenericGame(flips=[(1,), ()]), 1)
+    # a turning-family game with every position renamed to its complement:
+    # a flip is unchanged by the renaming, so every option is a higher id
     game = GenericGame.from_turning_family(ruler_family(relabelled_chain(5)))
-    game.order.reverse()
+    full = game.n_positions - 1
+    upward = GenericGame([game.flips[pos ^ full] for pos in range(game.n_positions)])
     with pytest.raises(ValueError):
-        brute_force_grundy(game, 0)
+        brute_force_grundy(upward, 0)
+    with pytest.raises(ValueError):
+        game_lengths(upward)
 
 
 def peak_rss_mb(script):
@@ -509,7 +500,7 @@ def test_combined_refuses_a_second_part_whose_size_is_not_a_power_of_two():
     # p1 * 3 + p2 does not keep p1's bits apart from p2's, so no flip
     # makes a move in g alone; only the second part's size matters
     g = GenericGame.from_turning_family(ruler_family(chain(2)))
-    three = GenericGame(flips=[(), (1,), (3,)], order=[0, 1, 2])
+    three = GenericGame(flips=[(), (1,), (3,)])
     with pytest.raises(ValueError, match="3 positions, not a power of two"):
         combined(g, three)
     both = combined(three, g)
@@ -541,21 +532,23 @@ def test_combined_sweep_stores_one_flip_tuple_per_position():
 
 def test_brute_force_detects_cycles():
     # 0 and 1 are each other's option
-    cyclic = GenericGame(flips=[(1,), (1,)], order=[0, 1])
+    cyclic = GenericGame(flips=[(1,), (1,)])
     with pytest.raises(ValueError):
         brute_force_grundy(cyclic, 0)
     # 0 is its own option
     with pytest.raises(ValueError):
-        brute_force_grundy(GenericGame(flips=[(0,)], order=[0]), 0)
+        brute_force_grundy(GenericGame(flips=[(0,)]), 0)
     # 1's options are 0 and itself
     with pytest.raises(ValueError):
-        game_lengths(GenericGame(flips=[(), (0, 1)], order=[0, 1]))
+        brute_force_grundy(GenericGame(flips=[(), (0, 1)]), 0)
+    with pytest.raises(ValueError):
+        game_lengths(GenericGame(flips=[(), (0, 1)]))
 
 
 def test_a_cycle_the_position_cannot_reach_still_raises():
     # position 0 ends the game, but 1 and 2 are each other's option: the
     # first call values every position, so the cycle is found
-    game = GenericGame(flips=[(), (3,), (3,)], order=[0, 1, 2])
+    game = GenericGame(flips=[(), (3,), (3,)])
     with pytest.raises(ValueError):
         brute_force_grundy(game, 0)
     with pytest.raises(ValueError):
@@ -564,18 +557,14 @@ def test_a_cycle_the_position_cannot_reach_still_raises():
 
 @st.composite
 def acyclic_games(draw, max_n=9):
-    """Random acyclic games: each position's options rank below it in a
-    shuffled order, so they point to both higher and lower ids; the game's
-    order lists the positions by rank."""
+    """Random acyclic games: each position's options are lower ids, with
+    repeats."""
     n = draw(st.integers(1, max_n))
-    rank = draw(st.permutations(range(n)))
-    options = []
+    flips = []
     for p in range(n):
-        below = [o for o in range(n) if rank[o] < rank[p]]
-        opts = draw(st.lists(st.sampled_from(below), max_size=4)) if below else []
-        options.append(tuple(opts))
-    flips = [tuple(p ^ o for o in opts) for p, opts in enumerate(options)]
-    return GenericGame(flips=flips, order=sorted(range(n), key=rank.__getitem__))
+        opts = draw(st.lists(st.integers(0, p - 1), max_size=4)) if p else []
+        flips.append(tuple(p ^ o for o in opts))
+    return GenericGame(flips=flips)
 
 
 @settings(max_examples=100, deadline=None)
@@ -625,7 +614,7 @@ def test_combined_game_values_are_nim_sums():
 
 def test_combined_with_moveless_game_is_original():
     g1 = GenericGame.from_turning_family(ruler_family(chain(3)))
-    null_game = GenericGame(flips=[()], order=[0])
+    null_game = GenericGame(flips=[()])
     both = combined(g1, null_game)
     assert both.n_positions == g1.n_positions
     for p in range(g1.n_positions):
@@ -666,8 +655,7 @@ def test_grundy_respects_isomorphism():
     fam = ruler_family(d12)
     assert_grundy_respects_isomorphism(d12, fam, d12, fam, list(range(6)))
     p5 = asm_poset(5)
-    elems = asm_elements(5)
-    xi_map = [elems.index(asm_xi(5, e)) for e in elems]
+    xi_map = [p5.labels.index(asm_xi(5, e)) for e in p5.labels]
     r5 = ruler_family(p5)
     assert_grundy_respects_isomorphism(p5, r5, p5, r5, xi_map)
 

@@ -212,9 +212,9 @@ def test_grundy_values_constant_on_type_classes():
         for i, rgs in enumerate(rgs_list):
             lam = tuple(sorted(Counter(rgs).values(), reverse=True))
             if lam == (n,):
-                assert table.values[i] == h[n]
+                assert table.values[p.ids[i]] == h[n]
             else:
-                assert table.values[i] == g_of_type(lam, h)
+                assert table.values[p.ids[i]] == g_of_type(lam, h)
 
 
 def test_refinement_poset_is_valid_partial_order():
@@ -223,15 +223,17 @@ def test_refinement_poset_is_valid_partial_order():
     for n in range(1, 13):
         p = refinement_poset(n)
         pars = partitions_of(n)
-        assert p.n == len(pars) and p.labels == list(pars)
+        ids = p.ids
+        assert p.n == len(pars) and [p.labels[x] for x in ids] == list(pars)
         for y in range(p.n):
-            assert p.down_mask(y) == sum(1 << x for x in range(p.n) if refines(pars[x], pars[y]))
+            expect = sum(1 << ids[x] for x in range(p.n) if refines(pars[x], pars[y]))
+            assert p.down_mask(ids[y]) == expect
         merges = set()
         for x, lam in enumerate(pars):
             for a, b in combinations(range(len(lam)), 2):
                 rest = [v for k, v in enumerate(lam) if k not in (a, b)]
                 merges.add((x, pars.index(tuple(sorted(rest + [lam[a] + lam[b]], reverse=True)))))
-        assert set(p.covers()) == merges
+        assert {(ids[x], ids[y]) for x, y in merges} == set(p.covers())
     p4 = refinement_poset(4)
     labels = p4.labels
     idx = {lam: i for i, lam in enumerate(labels)}
@@ -252,5 +254,5 @@ def test_type_map_is_order_preserving():
         types = [tuple(sorted(Counter(r).values(), reverse=True)) for r in restricted_growth_strings(n)]
         for i in range(p.n):
             for j in range(p.n):
-                if leq(p, i, j):
+                if leq(p, p.ids[i], p.ids[j]):
                     assert refines(types[i], types[j])

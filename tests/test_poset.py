@@ -131,18 +131,24 @@ def test_rank_function():
 
 
 def test_linear_extension():
-    c4 = chain(4)
-    assert c4.linear_extension() == [0, 1, 2, 3]
-    assert antichain(5).linear_extension() == [0, 1, 2, 3, 4]
+    # from_covers numbers the elements along a linear extension: x <= y
+    # implies x <= y as ids, so down(y) lies within bits 0..y
+    assert chain(4).ids == [0, 1, 2, 3]
+    assert antichain(5).ids == [0, 1, 2, 3, 4]
     rng = random.Random(3)
     for _ in range(10):
-        p = random_poset(rng.randint(1, 30), rng)
-        tau = p.linear_extension()
-        assert sorted(tau) == list(range(p.n))
-        for i in range(p.n):
-            for j in range(p.n):
-                if i != j and leq(p, i, j):
-                    assert tau[i] < tau[j]
+        n = rng.randint(1, 30)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        edges = [(perm[i], perm[j]) for i, j in random_poset(n, rng).covers()]
+        p = FinitePoset.from_covers(n, edges)
+        assert sorted(p.ids) == list(range(n))
+        # unlabelled elements are labelled by the caller's ids
+        assert [p.label(x) for x in p.ids] == list(range(n))
+        for j in range(n):
+            assert p.down_mask(j) >> j == 1
+        for i, j in edges:
+            assert leq(p, p.ids[i], p.ids[j]) and p.ids[i] < p.ids[j]
 
 
 def test_minimum_maximum():
@@ -180,3 +186,14 @@ def test_json_round_trip():
     assert back.n == d12.n
     assert all(back.down_mask(x) == d12.down_mask(x) for x in range(6))
     assert back.labels == [str(l) for l in d12.labels]
+
+
+def test_from_json_numbers_along_a_linear_extension():
+    # 4 < 0 < 2 < 1 and 3 < 2: the caller's ids run against the order
+    text = json.dumps({"n": 5, "covers": [[4, 0], [0, 2], [3, 2], [2, 1]]})
+    p = FinitePoset.from_json(text)
+    assert all(p.down_mask(y) >> y == 1 for y in range(p.n))
+    assert p.ids != list(range(5))
+    assert [p.label(x) for x in p.ids] == list(range(5))
+    for i, j in [(4, 0), (0, 2), (3, 2), (2, 1)]:
+        assert leq(p, p.ids[i], p.ids[j])
