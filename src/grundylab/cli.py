@@ -73,10 +73,15 @@ class TableReport:
         return "\n".join(lines) + "\n"
 
     def to_csv(self) -> str:
-        lines = self._meta_lines()
-        lines.append(",".join(self.columns))
-        lines.extend(",".join(str(v) for v in r) for r in self.rows)
-        return "\n".join(lines) + "\n"
+        import csv
+        import io
+
+        out = io.StringIO()
+        out.writelines(line + "\n" for line in self._meta_lines())
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(self.columns)
+        writer.writerows(self.rows)
+        return out.getvalue()
 
     def to_json(self) -> str:
         import json

@@ -11,10 +11,11 @@ human-readable labels.  Each states its covers on its own listing of the
 elements and leaves the ids and the down closure to
 `FinitePoset.from_covers`, which renumbers set partitions and ASM points
 (`ids` keeps their listing).  Set partitions and subspaces read their covers
-off canonical forms: span bitmasks, and restricted growth strings held as
-byte strings, whose block merges are `bytes.translate` calls and whose labels
-grow with them; `restricted_growth_strings` and `rgs_to_blocks` stay as the
-tuple oracle the tests build the same poset from.
+off canonical forms: RREF tuples extended by one row, and restricted
+growth strings held as byte strings, whose block merges are
+`bytes.translate` calls and whose labels grow with them;
+`restricted_growth_strings` and `rgs_to_blocks` stay as the tuple oracle
+the tests build the same poset from.
 """
 
 from __future__ import annotations
@@ -94,29 +95,20 @@ def subspace_lattice(n: int, q: int) -> FinitePoset:
     """All subspaces of F_q^n ordered by inclusion.
 
     Elements are canonical RREF matrices, listed by increasing dimension and
-    lexicographically within a dimension; every cover goes up one
-    dimension, so this listing is the ids.
+    lexicographically within a dimension; each is covered by its one-row
+    extensions (`gf.extensions`), which go up one dimension, so this listing
+    is the ids.
     """
     if n < 0:
         raise ValueError("dimension must be non-negative")
     from . import gf
 
-    f = gf.field(q)
-    layers = [sorted(gf.rref_matrices(f, n, r)) for r in range(n + 1)]
-    spans = [[gf.span_mask(f, n, s) for s in layer] for layer in layers]
-    covers = []
-    start = 0
-    for lower, upper in zip(spans, spans[1:]):
-        above = start + len(lower)
-        covers += [
-            (start + i, above + j)
-            for j, big in enumerate(upper)
-            for i, small in enumerate(lower)
-            if small & big == small
-        ]
-        start = above
-    labels = [_subspace_label(s, q) for layer in layers for s in layer]
-    return FinitePoset.from_covers(len(labels), covers, labels=labels)
+    f = gf.FiniteField(q)
+    elems = [s for r in range(n + 1) for s in sorted(gf.rref_matrices(f, n, r))]
+    index = {s: i for i, s in enumerate(elems)}
+    covers = [(i, index[t]) for i, s in enumerate(elems) for t in gf.extensions(f, n, s)]
+    labels = [_subspace_label(s, q) for s in elems]
+    return FinitePoset.from_covers(len(elems), covers, labels=labels)
 
 
 def subspace_dimensions(n: int, q: int) -> list[int]:

@@ -7,9 +7,10 @@ Conway polynomials, so element encodings are reproducible.
 
 Subspaces of F_q^n are represented by their reduced row echelon basis (a
 tuple of row tuples), which is a unique canonical form: enumeration by pivot
-columns times free entries produces each subspace exactly once.  With spans
-as int bitmasks (`span_mask`) containment is `a & b == a`; `subspace_leq`
-row-reduces instead and is kept as the independent oracle for that test.
+columns times free entries produces each subspace exactly once.
+`extensions` lists the subspaces one dimension up by adding one row;
+`subspace_leq` row-reduces instead and is kept as the independent oracle
+for containment.
 """
 
 from __future__ import annotations
@@ -122,16 +123,6 @@ class FiniteField:
         return f"FiniteField({self.q})"
 
 
-_field_cache: dict[int, FiniteField] = {}
-
-
-def field(q: int) -> FiniteField:
-    f = _field_cache.get(q)
-    if f is None:
-        f = _field_cache[q] = FiniteField(q)
-    return f
-
-
 def rref_matrices(f: FiniteField, n: int, r: int):
     """Yield every r-dimensional subspace of F_q^n as a canonical RREF tuple.
 
@@ -160,14 +151,19 @@ def rref_matrices(f: FiniteField, n: int, r: int):
             yield tuple(tuple(row) for row in rows)
 
 
-def span_mask(f: FiniteField, n: int, rows) -> int:
-    """The span of linearly independent `rows` as a bitmask over F_q^n: bit k
-    is the vector whose base-q digits, lowest first, are k."""
-    span = [(0,) * n]
-    for row in rows:
-        span = [tuple(f.add(x, f.mul(c, y)) for x, y in zip(v, row))
-                for v in span for c in f.elements()]
-    return sum(1 << sum(x * f.q ** j for j, x in enumerate(v)) for v in span)
+def extensions(f: FiniteField, n: int, rows):
+    """Yield the RREF of each subspace one dimension above the span of RREF
+    `rows`: span(rows, v) for each v that is zero on the pivots of `rows`
+    and has leading entry 1, which is `rows` with v's pivot column cleared,
+    plus v, in pivot order."""
+    free = [j for j in range(n) if all(r.index(1) != j for r in rows)]
+    for (line,) in rref_matrices(f, len(free), 1):
+        v = [0] * n
+        for j, x in zip(free, line):
+            v[j] = x
+        p = v.index(1)
+        rest = [tuple([f.sub(x, f.mul(r[p], y)) for x, y in zip(r, v)]) if r[p] else r for r in rows]
+        yield tuple(sorted(rest + [tuple(v)], reverse=True))
 
 
 def reduce_row(f: FiniteField, row, basis):

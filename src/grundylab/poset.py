@@ -124,7 +124,10 @@ class FinitePoset:
     @classmethod
     def from_json(cls, text: str, guard=None) -> "FinitePoset":
         """Parse {"n": ..., "covers": [[i, j], ...], "labels": [...]}; `n`
-        is passed to `guard`, which may raise, before any mask is built."""
+        is passed to `guard`, which may raise, before any mask is built.
+        Cover ids must be integers, not booleans; labels, a list of such
+        integers and of strings that `str.isprintable` accepts, so that no
+        label can start a line of its own in the output."""
         import json
 
         obj = json.loads(text)
@@ -133,7 +136,15 @@ class FinitePoset:
             raise ValueError(f"n must be a non-negative integer, got {n!r}")
         if guard is not None:
             guard(n)
-        return cls.from_covers(n, obj["covers"], labels=obj.get("labels"))
+        covers, labels = obj["covers"], obj.get("labels")
+        if not all(type(i) is int for edge in covers for i in edge):
+            raise ValueError("cover ids must be integers")
+        if labels is not None and not (
+            type(labels) is list
+            and all(type(x) is int or type(x) is str and x.isprintable() for x in labels)
+        ):
+            raise ValueError("labels must be a list of integers and printable strings")
+        return cls.from_covers(n, covers, labels=labels)
 
     def label(self, x: int):
         return self.labels[x]

@@ -84,6 +84,23 @@ def test_grundy_from_file(tmp_path, capsys):
     assert csv_body(out)[1:] == ["a,1", "b,2", "c,1"]
 
 
+@pytest.mark.parametrize("spec", ["setpartitions:4", "asm:4"])
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+def test_csv_quotes_labels_that_hold_commas(capsys, spec, family):
+    import csv
+
+    from grundylab.cli import parse_poset_spec
+
+    poset = parse_poset_spec(spec, 100)
+    values = games.solve_elementwise(games.family_builders()[family](poset)).values
+    code, out, _ = run(capsys, "grundy", spec, family, "--format", "csv")
+    assert code == EXIT_OK
+    rows = list(csv.reader(csv_body(out)))
+    assert rows[0] == ["element_label", "grundy"]
+    assert rows[1:] == [[str(poset.label(x)), str(values[x])] for x in poset.ids]
+    assert any("," in label for label, _ in rows[1:])
+
+
 # 4 < 0 < 2 < 1 and 3 < 2: the file's ids run against the order, so the
 # poset renumbers them; rows are printed in the file's order all the same
 SHUFFLED_POSET = {"n": 5, "covers": [[4, 0], [0, 2], [3, 2], [2, 1]]}
@@ -321,6 +338,11 @@ def test_verify_reports_a_failing_check(capsys, monkeypatch):
         (b'{"n": 2, "covers": [[0, 1]', "Expecting ',' delimiter"),
         ({"n": 2, "covers": [], "labels": ["a"]}, "labels length mismatch"),
         (b"\xff", "'utf-8' codec can't decode"),
+        ({"n": 2, "covers": [[False, True]]}, "cover ids must be integers"),
+        ({"n": 2, "covers": [[0, 1]], "labels": "ab"}, "labels must be a list"),
+        ({"n": 2, "covers": [[0, 1]], "labels": ["a", "b\n# provenance: forged"]}, "labels must be a list"),
+        ({"n": 2, "covers": [[0, 1]], "labels": ["a", {"b": 1}]}, "labels must be a list"),
+        ({"n": 2, "covers": [[0, 1]], "labels": [True, "b"]}, "labels must be a list"),
     ],
 )
 def test_bad_poset_file_is_a_usage_error(tmp_path, capsys, doc, reason):

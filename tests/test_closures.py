@@ -71,7 +71,7 @@ def divisor_case(n):
 
 
 def subspace_case(n, q):
-    f = gf.field(q)
+    f = gf.FiniteField(q)
     subs = [s for r in range(n + 1) for s in sorted(gf.rref_matrices(f, n, r))]
     return subspace_lattice(n, q), lambda x, y: gf.subspace_leq(f, subs[x], subs[y])
 
@@ -119,7 +119,8 @@ CASES = {
     **{f"subspaces:{n}:2": (lambda n=n: subspace_case(n, 2)) for n in range(5)},
     **{f"subspaces:{n}:3": (lambda n=n: subspace_case(n, 3)) for n in range(4)},
     **{f"subspaces:{n}:4": (lambda n=n: subspace_case(n, 4)) for n in range(4)},
-    # an odd prime and two prime powers, for span_mask's base-q vector encoding
+    # an odd prime and two prime powers, for gf.extensions' field arithmetic
+    # when it clears a pivot column
     "subspaces:3:5": lambda: subspace_case(3, 5),
     "subspaces:2:8": lambda: subspace_case(2, 8),
     "subspaces:2:9": lambda: subspace_case(2, 9),

@@ -49,6 +49,24 @@ def test_subspace_lattice_b32():
     assert ranks == dims
 
 
+@pytest.mark.parametrize("n, q", [(4, 2), (3, 3), (3, 4), (2, 9)])
+def test_subspace_lattice_covers_go_up_one_dimension(monkeypatch, n, q):
+    edges = []
+    build = FinitePoset.from_covers
+
+    def spy(size, covers, labels=None):
+        edges.extend(covers)
+        return build(size, covers, labels=labels)
+
+    monkeypatch.setattr(FinitePoset, "from_covers", spy)
+    p = subspace_lattice(n, q)
+    dims = subspace_dimensions(n, q)
+    assert edges and all(dims[j] == dims[i] + 1 for i, j in edges)
+    # each k-space lies in [n - k, 1]_q spaces of dimension k + 1
+    count = sum(q_binomial(n, k, q) * q_binomial(n - k, 1, q) for k in range(n + 1))
+    assert len(p.covers()) == len(edges) == count
+
+
 def test_subspace_lattice_size_guard():
     # The element cap on subspaces:N:Q is checked from the q-binomial count
     # in parse_poset_spec, before any subspace is enumerated.

@@ -1,7 +1,7 @@
 import pytest
 
 from grundylab.families import q_binomial
-from grundylab.gf import FiniteField, field, prime_power, rref_matrices, subspace_leq
+from grundylab.gf import FiniteField, extensions, prime_power, rref_matrices, subspace_leq
 
 SUPPORTED_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -23,7 +23,7 @@ def test_unsupported_orders():
 
 @pytest.mark.parametrize("q", SUPPORTED_Q)
 def test_field_axioms_exhaustive(q):
-    f = field(q)
+    f = FiniteField(q)
     els = list(f.elements())
     for a in els:
         assert f.add(a, 0) == a
@@ -42,7 +42,7 @@ def test_field_has_no_zero_divisors():
     # a finite commutative ring with no zero divisors is a field, so every
     # nonzero element has an inverse
     for q in SUPPORTED_Q:
-        f = field(q)
+        f = FiniteField(q)
         for a in range(1, q):
             for b in range(1, q):
                 assert f.mul(a, b) != 0
@@ -51,14 +51,14 @@ def test_field_has_no_zero_divisors():
 @pytest.mark.parametrize("q", [2, 3, 4, 5])
 @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
 def test_subspace_counts_match_q_binomials(n, q):
-    f = field(q)
+    f = FiniteField(q)
     for r in range(n + 1):
         count = sum(1 for _ in rref_matrices(f, n, r))
         assert count == q_binomial(n, r, q)
 
 
 def test_rref_canonical_and_distinct():
-    f = field(3)
+    f = FiniteField(3)
     seen = set(rref_matrices(f, 3, 2))
     assert len(seen) == q_binomial(3, 2, 3)
     for rows in seen:
@@ -72,7 +72,7 @@ def test_rref_canonical_and_distinct():
 
 
 def test_subspace_leq():
-    f = field(2)
+    f = FiniteField(2)
     zero = ()
     full = tuple(rref_matrices(f, 2, 2))[0]
     lines = list(rref_matrices(f, 2, 1))
@@ -82,6 +82,19 @@ def test_subspace_leq():
         assert subspace_leq(f, line, full)
         assert not subspace_leq(f, full, line)
     assert not subspace_leq(f, lines[0], lines[1])
+
+
+@pytest.mark.parametrize("n, q", [(4, 2), (3, 3), (3, 4), (2, 9)])
+def test_extensions_are_the_subspaces_one_dimension_up(n, q):
+    # rref_matrices yields every subspace once in canonical form, so each
+    # extension must be one of its (k+1)-dimensional tuples
+    f = FiniteField(q)
+    for k in range(n + 1):
+        above = set(rref_matrices(f, n, k + 1))
+        for rows in rref_matrices(f, n, k):
+            ext = list(extensions(f, n, rows))
+            assert len(ext) == len(set(ext))
+            assert set(ext) == {t for t in above if subspace_leq(f, rows, t)}
 
 
 def test_interval_in_subspace_lattice_looks_like_smaller_lattice():

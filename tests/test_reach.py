@@ -19,7 +19,7 @@ CALLERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "benchmarks").g
 # Oracles the tests compare the library against, the one checked entry for
 # turning sets made outside the library, and one property read by string.
 UNREACHED_ON_PURPOSE = {
-    "gf.subspace_leq",  # containment of span masks
+    "gf.subspace_leq",  # containment of RREF spans, for the covers by extension
     "families.restricted_growth_strings",  # the set partitions, as tuples
     "families.rgs_to_blocks",
     "families.asm_leq",  # the coordinate rule the ASM covers must close to
