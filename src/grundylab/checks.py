@@ -70,8 +70,10 @@ def brute_force_checks():
             label = f"{name} {fam_name}"
             yield f"elementwise solution equals brute force on {label} (all positions)", bad is None, detail
             # ids are a linear extension, so the potential, the sum of 2^x
-            # over the position, is the position's mask itself
-            dec = all(opt < pos for pos in positions for opt in games.moves(fam, pos))
+            # over the position, is the position's mask itself; the moves
+            # are played on the family's buckets, each made once
+            stored = games.TurningFamily(poset, [fam.bucket(x) for x in range(poset.n)].__getitem__)
+            dec = all(opt < pos for pos in positions for opt in games.moves(stored, pos))
             yield f"potential strictly decreases on {label}", dec, ""
 
 

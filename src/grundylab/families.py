@@ -97,7 +97,8 @@ def subspace_lattice(n: int, q: int) -> FinitePoset:
     Elements are canonical RREF matrices, listed by increasing dimension and
     lexicographically within a dimension; each is covered by its one-row
     extensions (`gf.extensions`), which go up one dimension, so this listing
-    is the ids.
+    is the ids.  The lines that extend a k-space depend only on n - k, so
+    each list of them is made once per build.
     """
     if n < 0:
         raise ValueError("dimension must be non-negative")
@@ -106,7 +107,8 @@ def subspace_lattice(n: int, q: int) -> FinitePoset:
     f = gf.FiniteField(q)
     elems = [s for r in range(n + 1) for s in sorted(gf.rref_matrices(f, n, r))]
     index = {s: i for i, s in enumerate(elems)}
-    covers = [(i, index[t]) for i, s in enumerate(elems) for t in gf.extensions(f, n, s)]
+    lines = [list(gf.rref_matrices(f, m, 1)) for m in range(n + 1)]
+    covers = [(i, index[t]) for i, s in enumerate(elems) for t in gf.extensions(f, n, s, lines[n - len(s)])]
     labels = [_subspace_label(s, q) for s in elems]
     return FinitePoset.from_covers(len(elems), covers, labels=labels)
 

@@ -21,8 +21,8 @@ mex recursion over an explicit `GenericGame`, whose moves are XOR flip
 masks that lead to lower position ids: its first call values every
 position in one ascending sweep.  A coin-turning move clears the highest
 changed bit, its set's maximum, and a move in a disjoint sum (`combined`)
-lowers one part's id.  Values start at -1, so an option above its position
-raises instead of being read, and so does any cycle.  The test suite plays
+lowers one part's id.  An option that is not a lower id, a self-loop
+included, makes the sweep raise, and so does any cycle.  The test suite plays
 the solver and the oracle against each other.  The CLI's `--max-seconds`
 timer may interrupt any of them.
 """
@@ -312,19 +312,23 @@ def brute_force_grundy(game: GenericGame, position: int) -> int:
     """Grundy value by the raw mex recursion over options: 0 at ending
     positions, mex of the option values elsewhere.
 
-    The first call values every position into `game.values`, in
-    ascending id.  Values start at -1, so an option that is not a lower id
-    than its position raises ValueError (`1 << -1`) instead of being
-    trusted, and so does any cycle.  Every later call is a list index."""
+    The first call values every position into `game.values`, in ascending
+    id, each value v kept as the bit 1 << v so that an option is read with
+    one OR.  Entries start at -1, which leaves a position that reads an
+    unvalued option a 0 entry, so an option that is not a lower id, a
+    self-loop or any cycle raises ValueError after the sweep instead of
+    being trusted.  Every later call is a list index."""
     if game.values is None:
         flips = game.flips
-        values = [-1] * len(flips)
+        bits = [-1] * len(flips)
         for p, fp in enumerate(flips):
             seen = 0
             for f in fp:
-                seen |= 1 << values[p ^ f]
-            values[p] = ((seen + 1) & ~seen).bit_length() - 1
-        game.values = values
+                seen |= bits[p ^ f]
+            bits[p] = (seen + 1) & ~seen
+        if 0 in bits:
+            raise ValueError(f"position {bits.index(0)} has an option that is not a lower id")
+        game.values = [b.bit_length() - 1 for b in bits]
     return game.values[position]
 
 

@@ -151,13 +151,15 @@ def rref_matrices(f: FiniteField, n: int, r: int):
             yield tuple(tuple(row) for row in rows)
 
 
-def extensions(f: FiniteField, n: int, rows):
+def extensions(f: FiniteField, n: int, rows, lines):
     """Yield the RREF of each subspace one dimension above the span of RREF
     `rows`: span(rows, v) for each v that is zero on the pivots of `rows`
     and has leading entry 1, which is `rows` with v's pivot column cleared,
-    plus v, in pivot order."""
+    plus v, in pivot order.  `lines` holds the v's entries on the other
+    columns, as `rref_matrices(f, n - len(rows), 1)` yields them, so that a
+    caller extending many subspaces lists them once."""
     free = [j for j in range(n) if all(r.index(1) != j for r in rows)]
-    for (line,) in rref_matrices(f, len(free), 1):
+    for (line,) in lines:
         v = [0] * n
         for j, x in zip(free, line):
             v[j] = x

@@ -12,10 +12,11 @@ with smaller coordinates, so a table that is too small is rebuilt from
 scratch to the next power of two (at most log2(cap) + 1 builds in an
 ascending sweep) and published by one assignment; an interrupted build
 leaves the old table in place.  The nim-add builder keeps option sets as
-int bitmasks; the nim-mul builder keeps them as byte strings, since every
-value below its cap fits in one byte, and XOR-translates them with
-`bytes.translate` through a table of the 256 translations it makes per
-build.  These tables and the `nim_mul` memo are the only state.
+int bitmasks.  Every value below the nim-mul cap fits in one byte, so the
+nim-mul builder keeps each column's options as bytes packed in one int: a
+cell's options are one XOR of that int with its row's bytes repeated, and
+its mex is the first byte that `bytes.translate` does not delete.  These
+tables and the `nim_mul` memo are the only state.
 """
 
 from __future__ import annotations
@@ -76,28 +77,25 @@ def nim_add_inductive(a: int, b: int) -> int:
 def _build_nim_mul_table(limit: int) -> list[list[int]]:
     # t[a][b] = mex{ t[a'][b] ^ t[a][b'] ^ t[a'][b'] : a' < a, b' < b }.  Every
     # value is below NIM_MUL_ORACLE_CAP = 256, one byte, though not always
-    # below limit (2 (x) 4 = 8).  Along row a, diffs[a'] holds the bytes
-    # t[a][b'] ^ t[a'][b'] over b' < b, so the options at (a, b) are diffs[a']
-    # XOR-translated by c = t[a'][b]: `translate(xor[c])`, where xor[c] maps
-    # each byte x to x ^ c, made by doubling over the bits of c.
-    xor = [bytes(range(NIM_MUL_ORACLE_CAP))]
-    for k in range(8):
-        flip = bytes(x ^ 1 << k for x in xor[0])
-        xor += [r.translate(flip) for r in xor]
+    # below limit (2 (x) 4 = 8).  cols[b] is the big-endian int of the bytes
+    # t[a'][b] ^ t[a'][b'] over the finished rows a' < a, a'-major, b' < b
+    # within each, so the options at (a, b) are one XOR of cols[b] with row
+    # a's first b bytes repeated a times; the mex is the first byte of
+    # 0..255 left after deleting them.  A finished row appends to cols[b]
+    # its first b bytes, each XORed with t[a][b] by one multiple of the int
+    # whose b bytes are all 1.
+    every = bytes(range(NIM_MUL_ORACLE_CAP))
+    cols = [0] * limit
     t: list[list[int]] = []
     for a in range(limit):
-        row = [0] * limit
-        diffs = [bytearray() for _ in range(a)]
+        row = bytearray(limit)
         for b in range(limit):
-            column = [r[b] for r in t]
-            options = b"".join([d.translate(xor[c]) for d, c in zip(diffs, column)])
-            v = 0
-            while v in options:
-                v += 1
-            row[b] = v
-            for d, c in zip(diffs, column):
-                d.append(v ^ c)
-        t.append(row)
+            options = cols[b] ^ int.from_bytes(row[:b] * a, "big")
+            row[b] = every.translate(None, options.to_bytes(a * b, "big"))[0]
+        for b in range(limit):
+            ones = (1 << 8 * b) // 255
+            cols[b] = cols[b] << 8 * b | int.from_bytes(row[:b], "big") ^ row[b] * ones
+        t.append(list(row))
     return t
 
 

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grundylab import checks, games
 from grundylab.errors import TooLargeError
 from grundylab.families import (
     asm_poset,
@@ -435,6 +436,11 @@ def test_an_order_that_lists_a_position_before_its_option_raises():
     # sweep values later
     with pytest.raises(ValueError):
         brute_force_grundy(GenericGame(flips=[(1,), ()]), 1)
+    # position 1 reads its option 0 first, then its option 3
+    game = GenericGame(flips=[(), (1, 2), (), ()])
+    with pytest.raises(ValueError):
+        brute_force_grundy(game, 0)
+    assert game.values is None
     # a turning-family game with every position renamed to its complement:
     # a flip is unchanged by the renaming, so every option is a higher id
     game = GenericGame.from_turning_family(ruler_family(relabelled_chain(5)))
@@ -543,6 +549,30 @@ def test_brute_force_detects_cycles():
         brute_force_grundy(GenericGame(flips=[(), (0, 1)]), 0)
     with pytest.raises(ValueError):
         game_lengths(GenericGame(flips=[(), (0, 1)]))
+    # 1's options are 0 and then itself, so the mask of values seen is
+    # already nonzero when the unvalued entry joins it
+    game = GenericGame(flips=[(), (1, 0)])
+    with pytest.raises(ValueError):
+        brute_force_grundy(game, 0)
+    assert game.values is None
+
+
+def test_potential_line_fails_on_a_set_whose_maximum_is_above_its_bucket(monkeypatch):
+    # bucket(y) holds {y, y + 1}, so a move at a position with y but not
+    # y + 1 raises its mask.  The brute-force line would refuse that game
+    # first, so both of its sides are stubbed out
+    def upward(poset):
+        return TurningFamily(poset, lambda y: [3 << y] if y + 1 < poset.n else [1 << y])
+
+    monkeypatch.setattr(checks, "BRUTE_FORCE_SUITE", (("chain3", lambda: chain(3), ("up",)),))
+    monkeypatch.setattr(games, "family_builders", lambda: {"up": upward})
+    monkeypatch.setattr(games, "brute_force_grundy", lambda game, pos: 0)
+    monkeypatch.setattr(games, "grundy_position", lambda table, pos: 0)
+    lines = list(checks.brute_force_checks())
+    assert [(name.split(" on ")[0], ok) for name, ok, _ in lines] == [
+        ("elementwise solution equals brute force", True),
+        ("potential strictly decreases", False),
+    ]
 
 
 def test_a_cycle_the_position_cannot_reach_still_raises():

@@ -92,7 +92,7 @@ def test_extensions_are_the_subspaces_one_dimension_up(n, q):
     for k in range(n + 1):
         above = set(rref_matrices(f, n, k + 1))
         for rows in rref_matrices(f, n, k):
-            ext = list(extensions(f, n, rows))
+            ext = list(extensions(f, n, rows, list(rref_matrices(f, n - k, 1))))
             assert len(ext) == len(set(ext))
             assert set(ext) == {t for t in above if subspace_leq(f, rows, t)}
 

@@ -1,3 +1,4 @@
+import random
 from functools import reduce
 from operator import xor
 
@@ -169,6 +170,45 @@ def test_nim_mul_laws():
             for c in rng:
                 assert nim_mul(nim_mul(a, b), c) == nim_mul(a, nim_mul(b, c))
                 assert nim_mul(a ^ b, c) == nim_mul(a, c) ^ nim_mul(b, c)
+
+
+# the Fermat 2-powers F = 2^(2^k) up to 2^32, where nim_mul splits
+FERMAT_POWERS = [1 << (1 << k) for k in range(6)]
+
+
+def test_nim_mul_fermat_identities(monkeypatch):
+    # F (x) F = 3F/2, and F multiplies anything smaller ordinarily: every
+    # x < F up to F = 2^16, seeded x at F = 2^32.  With the laws and the
+    # Frobenius identity below these pin the field to the nim field, past
+    # the oracle's cap of 256
+    monkeypatch.setattr(nimber, "_nim_mul_memo", {})
+    rng = random.Random(1)
+    for f in FERMAT_POWERS:
+        assert nim_mul(f, f) == 3 * f // 2
+        xs = range(f) if f <= 1 << 16 else [f - 1, *(rng.randrange(f) for _ in range(2000))]
+        assert all(nim_mul(f, x) == f * x for x in xs), f
+
+
+def test_nim_mul_frobenius_fixes_every_value_below_2_16(monkeypatch):
+    # x^(2^16) = x for every x < 2^16: sixteen squarings, read off a table
+    # of the squares
+    monkeypatch.setattr(nimber, "_nim_mul_memo", {})
+    size = 1 << 16
+    square = [nim_mul(x, x) for x in range(size)]
+    power = list(range(size))
+    for _ in range(16):
+        power = [square[y] for y in power]
+    assert power == list(range(size))
+
+
+def test_nim_mul_laws_on_random_triples_below_2_32(monkeypatch):
+    monkeypatch.setattr(nimber, "_nim_mul_memo", {})
+    rng = random.Random(1)
+    for _ in range(2000):
+        x, y, z = (rng.getrandbits(32) for _ in range(3))
+        assert nim_mul(x, y) == nim_mul(y, x), (x, y)
+        assert nim_mul(nim_mul(x, y), z) == nim_mul(x, nim_mul(y, z)), (x, y, z)
+        assert nim_mul(x ^ y, z) == nim_mul(x, z) ^ nim_mul(y, z), (x, y, z)
 
 
 def test_nim_mul_cancellation():
