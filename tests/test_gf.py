@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from grundylab.families import q_binomial
@@ -13,6 +16,17 @@ def test_prime_power():
     assert prime_power(1) is None
     assert prime_power(6) is None
     assert prime_power(12) is None
+
+
+def test_field_tables_are_pinned():
+    # subspace values depend only on dimension, so no grundy output pins the
+    # element encoding; this digest of every sub and mul table does
+    tables = []
+    for q in SUPPORTED_Q:
+        f = FiniteField(q)
+        tables.append([q, [[f.sub(a, b) for b in range(q)] for a in range(q)], [[f.mul(a, b) for b in range(q)] for a in range(q)]])
+    digest = hashlib.sha256(json.dumps(tables, separators=(",", ":")).encode()).hexdigest()
+    assert digest == "c038c7275ef28e47918f6db1913063c4bfdee3763e54bc149db50c5420b23ac8"
 
 
 def test_unsupported_orders():
