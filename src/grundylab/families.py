@@ -84,7 +84,7 @@ def q_binomial_parity(n: int, r: int, q: int) -> int:
     return 1 if q % 2 == 0 or r & (n - r) == 0 else 0
 
 
-def _subspace_label(rows, q: int) -> str:
+def _subspace_label(rows) -> str:
     if not rows:
         return "0"
     digits = "0123456789abcdefghijklmnopqrstuv"
@@ -109,7 +109,7 @@ def subspace_lattice(n: int, q: int) -> FinitePoset:
     index = {s: i for i, s in enumerate(elems)}
     lines = [list(gf.rref_matrices(f, m, 1)) for m in range(n + 1)]
     covers = [(i, index[t]) for i, s in enumerate(elems) for t in gf.extensions(f, n, s, lines[n - len(s)])]
-    labels = [_subspace_label(s, q) for s in elems]
+    labels = [_subspace_label(s) for s in elems]
     return FinitePoset.from_covers(len(elems), covers, labels=labels)
 
 
@@ -224,16 +224,6 @@ def asm_elements(n: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def asm_contains(n: int, e) -> bool:
-    x, y, z = e
-    return x >= 0 and y >= 0 and z >= 0 and x + y + z <= n - 2
-
-
-def _check_asm(n: int, e):
-    if not asm_contains(n, e):
-        raise ValueError(f"{e} is not in the poset for n={n}")
-
-
 def asm_leq(a, b) -> bool:
     """(x1,y1,z1) <= (x2,y2,z2) iff x1>=x2, y1>=y2, z1<=z2 and the
     coordinate sums weakly decrease."""
@@ -265,8 +255,9 @@ def asm_poset(n: int) -> FinitePoset:
 
 
 def asm_rank(n: int, e) -> int:
-    _check_asm(n, e)
-    x, y, _ = e
+    x, y, z = e
+    if not (x >= 0 and y >= 0 and z >= 0 and x + y + z <= n - 2):
+        raise ValueError(f"{e} is not in the poset for n={n}")
     return n - 2 - (x + y)
 
 
@@ -281,6 +272,5 @@ def asm_pi(n: int, e) -> tuple[int, int]:
     only on (r, z), and not on n.  Replacing z by n - 2 - (x + y + z) is an
     order automorphism that fixes the rank and sends z to r - z, so those
     values also satisfy g(r, z) = g(r, r - z)."""
-    _check_asm(n, e)
     return (asm_rank(n, e), e[2])
 

@@ -1,9 +1,10 @@
 """Small finite fields and canonical subspace enumeration.
 
-Fields F_q are supported for prime powers q <= 32.  Elements are encoded as
-integers 0..q-1 via base-p digits, read as coefficient vectors of
-polynomials over Z/p modulo a fixed irreducible of degree k.  The moduli are
-Conway polynomials, so element encodings are reproducible.
+F_q is supported for the primes q <= 31 and for the seven prime powers
+4, 8, 9, 16, 25, 27 and 32 that `_CONWAY` holds a modulus for.  Elements are
+encoded as integers 0..q-1 via base-p digits, read as coefficient vectors of
+polynomials over Z/p, constant term first, modulo that degree-k Conway
+polynomial, so element encodings are reproducible.
 
 Subspaces of F_q^n are represented by their reduced row echelon basis (a
 tuple of row tuples), which is a unique canonical form: enumeration by pivot
@@ -29,98 +30,48 @@ _CONWAY = {
     25: (2, 4, 1),           # x^2 + 4x + 2 over F_5
 }
 
-MAX_FIELD_ORDER = 32
-
-
-def prime_power(q: int):
-    """(p, k) with q = p^k, or None if q is not a prime power >= 2."""
-    if q < 2:
-        return None
-    for p in range(2, q + 1):
-        if p * p > q and p < q:
-            break
-        if q % p == 0:
-            k = 0
-            m = q
-            while m % p == 0:
-                m //= p
-                k += 1
-            return (p, k) if m == 1 else None
-    return (q, 1)
-
 
 class FiniteField:
-    """Arithmetic in F_q with exhaustively precomputed op tables."""
+    """F_q, for q a prime <= 31 or a key of `_CONWAY`, as exhaustive `sub`
+    and `mul` tables made once."""
 
     def __init__(self, q: int):
-        pk = prime_power(q)
-        if pk is None or q > MAX_FIELD_ORDER:
-            raise ValueError(f"q={q} is not a supported prime power (q <= {MAX_FIELD_ORDER})")
+        if not (q in _CONWAY or 2 <= q <= 31 and all(q % d for d in range(2, q))):
+            raise ValueError(f"q={q} is not a supported prime power (q <= 32)")
         self.q = q
-        self.p, self.k = pk
-        if self.k > 1 and q not in _CONWAY:
-            raise ValueError(f"no modulus on record for q={q}")
-        self._mul = [[self._poly_mul(a, b) for b in range(q)] for a in range(q)]
-        self._add = [[self._poly_add(a, b) for b in range(q)] for a in range(q)]
-        self._neg = [self._find_neg(a) for a in range(q)]
+        p = next(d for d in range(2, q + 1) if q % d == 0)
+        # a prime field has degree k = 1, so its modulus x is never read
+        mod = _CONWAY.get(q, (0, 1))
+        k = len(mod) - 1
+        polys = [[a // p**i % p for i in range(k)] for a in range(q)]
 
-    def _digits(self, a: int):
-        p = self.p
-        out = []
-        for _ in range(self.k):
-            a, r = divmod(a, p)
-            out.append(r)
-        return out
+        def encode(digits):
+            return sum(d % p * p**i for i, d in enumerate(digits))
 
-    def _encode(self, digits) -> int:
-        a = 0
-        for d in reversed(digits):
-            a = a * self.p + d
-        return a
+        def times(u, v):
+            # the product over Z, then each term of degree >= k replaced
+            # by that multiple of x^(deg - k) * (x^k - mod)
+            prod = [0] * (2 * k - 1)
+            for i, x in enumerate(u):
+                for j, y in enumerate(v):
+                    prod[i + j] += x * y
+            for deg in range(2 * k - 2, k - 1, -1):
+                c = prod[deg]
+                for j in range(k + 1):
+                    prod[deg - k + j] -= c * mod[j]
+            return encode(prod[:k])
 
-    def _poly_add(self, a: int, b: int) -> int:
-        p = self.p
-        return self._encode([(x + y) % p for x, y in zip(self._digits(a), self._digits(b))])
-
-    def _poly_mul(self, a: int, b: int) -> int:
-        p, k = self.p, self.k
-        if k == 1:
-            return (a * b) % p
-        da, db = self._digits(a), self._digits(b)
-        prod = [0] * (2 * k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    prod[i + j] = (prod[i + j] + x * y) % p
-        mod = _CONWAY[self.q]
-        for deg in range(2 * k - 2, k - 1, -1):
-            c = prod[deg]
-            if c:
-                prod[deg] = 0
-                for j in range(k):
-                    prod[deg - k + j] = (prod[deg - k + j] - c * mod[j]) % p
-        return self._encode(prod[:k])
-
-    def _find_neg(self, a: int) -> int:
-        for b in range(self.q):
-            if self._add[a][b] == 0:
-                return b
-        raise AssertionError("no additive inverse")
-
-    def add(self, a: int, b: int) -> int:
-        return self._add[a][b]
+        self._sub = [[encode([x - y for x, y in zip(u, v)]) for v in polys] for u in polys]
+        self._mul = [[times(u, v) for v in polys] for u in polys]
 
     def sub(self, a: int, b: int) -> int:
-        return self._add[a][self._neg[b]]
+        return self._sub[a][b]
 
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
     def elements(self):
         return range(self.q)
-
-    def __repr__(self):
-        return f"FiniteField({self.q})"
 
 
 def rref_matrices(f: FiniteField, n: int, r: int):
