@@ -27,7 +27,7 @@ from grundylab.games import (
 
 d12 = divisor_poset(12)
 print("board: divisors of 12 =", d12.labels)
-print("cover relations:", [(d12.label(i), d12.label(j)) for i, j in d12.covers()])
+print("cover relations:", [(d12.labels[i], d12.labels[j]) for i, j in d12.covers()])
 
 for name, build in [("turning turtles", turning_turtles), ("ideal game", order_ideal_family), ("ruler", ruler_family)]:
     fam = build(d12)

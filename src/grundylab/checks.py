@@ -72,7 +72,8 @@ def brute_force_checks():
             # ids are a linear extension, so the potential, the sum of 2^x
             # over the position, is the position's mask itself; the moves
             # are played on the family's buckets, each made once
-            stored = games.TurningFamily(poset, [fam.bucket(x) for x in range(poset.n)].__getitem__)
+            buckets = [fam.bucket(x) for x in range(poset.n)]
+            stored = games.TurningFamily(poset, buckets.__getitem__, fam.option_planes)
             dec = all(opt < pos for pos in positions for opt in games.moves(stored, pos))
             yield f"potential strictly decreases on {label}", dec, ""
 

@@ -177,7 +177,7 @@ def cmd_grundy(args) -> TableReport:
     poset = parse_poset_spec(args.poset, args.max_elements)
     fam = games.family_builders()[args.family](poset)
     table = games.solve_elementwise(fam)
-    rows = [(str(poset.label(x)), table.values[x]) for x in poset.ids]
+    rows = [(str(poset.labels[x]), table.values[x]) for x in poset.ids]
     return TableReport(
         ("element_label", "grundy"),
         rows,

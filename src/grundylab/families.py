@@ -13,9 +13,7 @@ elements and leaves the ids and the down closure to
 (`ids` keeps their listing).  Set partitions and subspaces read their covers
 off canonical forms: RREF tuples extended by one row, and restricted
 growth strings held as byte strings, whose block merges are
-`bytes.translate` calls and whose labels grow with them;
-`restricted_growth_strings` and `rgs_to_blocks` stay as the tuple oracle
-the tests build the same poset from.
+`bytes.translate` calls and whose labels grow with them.
 """
 
 from __future__ import annotations
@@ -121,34 +119,6 @@ def subspace_dimensions(n: int, q: int) -> list[int]:
 # -- set partitions -------------------------------------------------------
 
 
-def restricted_growth_strings(n: int):
-    """All RGS of length n in lexicographic order."""
-    rgs = [0] * n
-    while True:
-        yield tuple(rgs)
-        # advance: find rightmost position that can still grow
-        i = n - 1
-        while i > 0:
-            prefix_max = max(rgs[:i])
-            if rgs[i] <= prefix_max:
-                break
-            i -= 1
-        if i == 0:
-            return
-        rgs[i] += 1
-        for j in range(i + 1, n):
-            rgs[j] = 0
-
-
-def rgs_to_blocks(rgs) -> tuple:
-    """Blocks of {1..n}, each sorted, ordered by least element."""
-    nblocks = max(rgs) + 1 if rgs else 0
-    blocks = [[] for _ in range(nblocks)]
-    for i, b in enumerate(rgs):
-        blocks[b].append(i + 1)
-    return tuple(tuple(b) for b in blocks)
-
-
 def bell_number(n: int) -> int:
     """Number of set partitions of an n-set, read off the Bell triangle."""
     row = [1]
@@ -224,23 +194,11 @@ def asm_elements(n: int) -> list[tuple[int, int, int]]:
     ]
 
 
-def asm_leq(a, b) -> bool:
-    """(x1,y1,z1) <= (x2,y2,z2) iff x1>=x2, y1>=y2, z1<=z2 and the
-    coordinate sums weakly decrease."""
-    x1, y1, z1 = a
-    x2, y2, z2 = b
-    return (
-        x1 >= x2
-        and y1 >= y2
-        and z1 <= z2
-        and x1 + y1 + z1 >= x2 + y2 + z2
-    )
-
-
 def asm_poset(n: int) -> FinitePoset:
     """The ASM poset, closed from the four lattice points each element can
-    cover, kept where they lie in the poset; `asm_leq` is the relation it
-    must reproduce.  `ids` follows the listing of `asm_elements`."""
+    cover, kept where they lie in the poset: (x1, y1, z1) <= (x2, y2, z2)
+    iff x1 >= x2, y1 >= y2, z1 <= z2 and the coordinate sums weakly
+    decrease.  `ids` follows the listing of `asm_elements`."""
     if n < 2:
         raise ValueError("asm poset needs n >= 2")
     elems = asm_elements(n)

@@ -4,16 +4,16 @@ A position is a subset of the board, held as an int bitmask; a move picks a
 turning set whose maximum element is currently in the position and flips it
 (symmetric difference, i.e. XOR of masks).  A `TurningFamily` is a rule:
 `bucket(y)` makes the sets with maximum y from the poset's masks when it is
-called, and no built-in family stores its sets; `TurningFamily.from_masks`
-checks sets made elsewhere.
+called, and no built-in family stores its sets.
 
 `solve_elementwise` computes the per-element Grundy values by the
 mex-of-nim-sums recursion with one kernel: for each y in id order, a
-linear extension (see `poset`), the family's `option_planes` rule gives the nim-sums of y's options as transposed bit
-planes, and the mex is a walk down those planes.  Turning turtles read the
-planes off the solved values, the ruler carries its planes up from one
-predecessor, and every other family, the order ideals included, counts
-parities over its buckets.  The values come back as a `GrundyTable`;
+linear extension (see `poset`), the family's `option_planes` rule gives
+the nim-sums of y's options as transposed bit planes, and the mex is a walk
+down those planes.  Each built-in family has its own rule: turning turtles
+read the planes off the solved values, the order ideal's one option is a
+parity per plane, and the ruler carries its planes up from one
+predecessor.  The values come back as a `GrundyTable`;
 `grundy_position(table, position)` is then the nim-sum of the position's
 elements' values.
 `brute_force_grundy` ignores all of that and evaluates positions by the raw
@@ -47,50 +47,18 @@ class TurningFamily:
     `bucket(y)` returns the bitmasks of the turning sets whose maximum
     element is y; a move may flip them only while y is in the position.  The
     built-in families are rules: each makes a bucket from the poset's down
-    masks when it is asked for, and none stores its sets.  Sets from
-    outside the library go through `from_masks`, which finds each maximum,
-    refuses a set that has none, and serves the stored lists by the same
-    interface.
+    masks when it is asked for, and none stores its sets.
 
     Masks are over the poset's ids, not the caller's.
     `option_planes(g, planes)` is the family's rule for the solver, a
     generator of `(V, cand)` for each y in id order (see
-    `solve_elementwise`); the default counts the parity of each set of
-    `bucket(y)` in each value plane.
+    `solve_elementwise`).
     """
 
-    def __init__(self, poset: FinitePoset, bucket: Callable[[int], list[int]], option_planes=None):
+    def __init__(self, poset: FinitePoset, bucket: Callable[[int], list[int]], option_planes):
         self.poset = poset
         self.bucket = bucket
-        self.option_planes = option_planes or self._bucket_planes
-
-    def _bucket_planes(self, g, planes):
-        for y in range(self.poset.n):
-            bucket = self.bucket(y)
-            V = [0] * len(planes)
-            for i, m in enumerate(bucket):
-                for b, plane in enumerate(planes):
-                    if (m & plane).bit_count() & 1:
-                        V[b] |= 1 << i
-            yield V, (1 << len(bucket)) - 1
-
-    @classmethod
-    def from_masks(cls, poset: FinitePoset, masks) -> "TurningFamily":
-        """Bucket arbitrary sets by maximum: the member t with m <= down(t).
-
-        Raises ValueError naming the first set with no unique maximum (an
-        empty set, a set with no top element, or one with a bit outside the
-        poset, as every negative int has).
-        """
-        n = poset.n
-        by_max = [[] for _ in range(n)]
-        for idx, m in enumerate(masks):
-            # iter_bits never ends on a negative int: refuse outside bits first
-            tops = [] if m >> n else [t for t in iter_bits(m) if m & ~poset.down_mask(t) == 0]
-            if not tops:
-                raise ValueError(f"turning set {idx} ({m:#b}) has no unique maximum")
-            by_max[tops[0]].append(m)
-        return cls(poset, by_max.__getitem__)
+        self.option_planes = option_planes
 
     @property
     def masks(self) -> list[int]:
@@ -120,10 +88,18 @@ def turning_turtles(p: FinitePoset) -> TurningFamily:
 
 
 def order_ideal_family(p: FinitePoset) -> TurningFamily:
-    """One turning set per element: its principal order ideal.  Its one
-    option's planes are the default rule's: bit b is the parity of down(y)
-    in value plane b."""
-    return TurningFamily(p, lambda y: [p.down_mask(y)])
+    """One turning set per element: its principal order ideal.
+
+    The one option of down(y) is down(y) without y, and y is in no value
+    plane yet, so bit b of its nim-sum is the parity of down(y) in value
+    plane b."""
+
+    def option_planes(g, planes):
+        for y in range(p.n):
+            dm = p.down_mask(y)
+            yield [(dm & plane).bit_count() & 1 for plane in planes], 1
+
+    return TurningFamily(p, lambda y: [p.down_mask(y)], option_planes)
 
 
 def ruler_family(p: FinitePoset) -> TurningFamily:

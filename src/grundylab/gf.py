@@ -9,9 +9,7 @@ polynomial, so element encodings are reproducible.
 Subspaces of F_q^n are represented by their reduced row echelon basis (a
 tuple of row tuples), which is a unique canonical form: enumeration by pivot
 columns times free entries produces each subspace exactly once.
-`extensions` lists the subspaces one dimension up by adding one row;
-`subspace_leq` row-reduces instead and is kept as the independent oracle
-for containment.
+`extensions` lists the subspaces one dimension up by adding one row.
 """
 
 from __future__ import annotations
@@ -70,9 +68,6 @@ class FiniteField:
     def mul(self, a: int, b: int) -> int:
         return self._mul[a][b]
 
-    def elements(self):
-        return range(self.q)
-
 
 def rref_matrices(f: FiniteField, n: int, r: int):
     """Yield every r-dimensional subspace of F_q^n as a canonical RREF tuple.
@@ -93,7 +88,7 @@ def rref_matrices(f: FiniteField, n: int, r: int):
             for j in range(pivots[i] + 1, n)
             if j not in pivot_set
         ]
-        for values in product(f.elements(), repeat=len(free)):
+        for values in product(range(f.q), repeat=len(free)):
             rows = [[0] * n for _ in range(r)]
             for i, c in enumerate(pivots):
                 rows[i][c] = 1
@@ -118,22 +113,3 @@ def extensions(f: FiniteField, n: int, rows, lines):
         rest = [tuple([f.sub(x, f.mul(r[p], y)) for x, y in zip(r, v)]) if r[p] else r for r in rows]
         yield tuple(sorted(rest + [tuple(v)], reverse=True))
 
-
-def reduce_row(f: FiniteField, row, basis):
-    """Reduce a vector against RREF basis rows; the result has no component
-    in the span of `basis`."""
-    row = list(row)
-    for b in basis:
-        pivot = next(j for j, v in enumerate(b) if v)
-        c = row[pivot]
-        if c:
-            row = [f.sub(x, f.mul(c, y)) for x, y in zip(row, b)]
-    return row
-
-
-def subspace_leq(f: FiniteField, small, big) -> bool:
-    """Containment of spans of two RREF tuples."""
-    for row in small:
-        if any(reduce_row(f, row, big)):
-            return False
-    return True

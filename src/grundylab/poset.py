@@ -146,8 +146,5 @@ class FinitePoset:
             raise ValueError("labels must be a list of integers and printable strings")
         return cls.from_covers(n, covers, labels=labels)
 
-    def label(self, x: int):
-        return self.labels[x]
-
     def __repr__(self):
         return f"FinitePoset(n={self.n})"

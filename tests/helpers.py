@@ -1,15 +1,17 @@
-"""Posets, maps and checks that several test modules share.
+"""Posets, maps, oracles and checks that several test modules share.
 
 The library has no caller for any of them: they build the test cases
-(antichains, products, the refinement order on integer partitions), state
-the relations the tests compare against, check a theorem on a solved
-game, or read a child process's peak memory.  Import them as
+(antichains, products, the refinement order on integer partitions, turning
+sets made outside the library), state the relations the tests compare
+against (span containment by row reduction, the set partitions as tuples,
+the ASM coordinate rule), give the reference solver rule, check a theorem
+on a solved game, or read a child process's peak memory.  Import them as
 `from helpers import ...`; pytest puts this directory on `sys.path`.
 """
 
 import json
 
-from grundylab.games import solve_elementwise
+from grundylab.games import TurningFamily, solve_elementwise
 from grundylab.partitions import decompositions, partitions_of
 from grundylab.poset import FinitePoset, iter_bits
 
@@ -64,6 +66,105 @@ def refinement_poset(n):
                 merged = lam[:a] + lam[a + 1 : b] + lam[b + 1 :] + (lam[a] + lam[b],)
                 covers.append((i, index[tuple(sorted(merged, reverse=True))]))
     return FinitePoset.from_covers(len(pars), covers, labels=pars)
+
+
+# -- turning families made outside the library -------------------------------
+
+
+def bucket_family(poset, bucket):
+    """The family with these buckets under the reference rule for the
+    solver: bit i of option plane V[b] is the parity of set i of `bucket(y)`
+    in value plane b.  It reads every set, so it serves any family."""
+
+    def option_planes(g, planes):
+        for y in range(poset.n):
+            sets = bucket(y)
+            V = [0] * len(planes)
+            for i, m in enumerate(sets):
+                for b, plane in enumerate(planes):
+                    if (m & plane).bit_count() & 1:
+                        V[b] |= 1 << i
+            yield V, (1 << len(sets)) - 1
+
+    return TurningFamily(poset, bucket, option_planes)
+
+
+def from_masks(poset, masks):
+    """Bucket arbitrary sets by maximum, the member t with m <= down(t),
+    under the reference rule.
+
+    Raises ValueError naming the first set with no unique maximum (an
+    empty set, a set with no top element, or one with a bit outside the
+    poset, as every negative int has).
+    """
+    n = poset.n
+    by_max = [[] for _ in range(n)]
+    for idx, m in enumerate(masks):
+        # iter_bits never ends on a negative int: refuse outside bits first
+        tops = [] if m >> n else [t for t in iter_bits(m) if m & ~poset.down_mask(t) == 0]
+        if not tops:
+            raise ValueError(f"turning set {idx} ({m:#b}) has no unique maximum")
+        by_max[tops[0]].append(m)
+    return bucket_family(poset, by_max.__getitem__)
+
+
+# -- relations the constructors must reproduce ------------------------------
+
+
+def reduce_row(f, row, basis):
+    """Reduce a vector over the field f against RREF basis rows; the result
+    has no component in the span of `basis`."""
+    row = list(row)
+    for b in basis:
+        pivot = next(j for j, v in enumerate(b) if v)
+        c = row[pivot]
+        if c:
+            row = [f.sub(x, f.mul(c, y)) for x, y in zip(row, b)]
+    return row
+
+
+def subspace_leq(f, small, big):
+    """Containment of the spans of two RREF tuples."""
+    for row in small:
+        if any(reduce_row(f, row, big)):
+            return False
+    return True
+
+
+def restricted_growth_strings(n):
+    """All RGS of length n in lexicographic order."""
+    rgs = [0] * n
+    while True:
+        yield tuple(rgs)
+        # advance: find rightmost position that can still grow
+        i = n - 1
+        while i > 0:
+            prefix_max = max(rgs[:i])
+            if rgs[i] <= prefix_max:
+                break
+            i -= 1
+        if i == 0:
+            return
+        rgs[i] += 1
+        for j in range(i + 1, n):
+            rgs[j] = 0
+
+
+def rgs_to_blocks(rgs):
+    """Blocks of {1..n}, each sorted, ordered by least element."""
+    nblocks = max(rgs) + 1 if rgs else 0
+    blocks = [[] for _ in range(nblocks)]
+    for i, b in enumerate(rgs):
+        blocks[b].append(i + 1)
+    return tuple(tuple(b) for b in blocks)
+
+
+def asm_leq(a, b):
+    """(x1,y1,z1) <= (x2,y2,z2) iff x1>=x2, y1>=y2, z1<=z2 and the
+    coordinate sums weakly decrease."""
+    x1, y1, z1 = a
+    x2, y2, z2 = b
+    return x1 >= x2 and y1 >= y2 and z1 <= z2 and x1 + y1 + z1 >= x2 + y2 + z2
 
 
 # -- queries ----------------------------------------------------------------

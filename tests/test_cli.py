@@ -97,7 +97,7 @@ def test_csv_quotes_labels_that_hold_commas(capsys, spec, family):
     assert code == EXIT_OK
     rows = list(csv.reader(csv_body(out)))
     assert rows[0] == ["element_label", "grundy"]
-    assert rows[1:] == [[str(poset.label(x)), str(values[x])] for x in poset.ids]
+    assert rows[1:] == [[str(poset.labels[x]), str(values[x])] for x in poset.ids]
     assert any("," in label for label, _ in rows[1:])
 
 
@@ -157,6 +157,18 @@ def test_tables_hn_past_the_paper_is_labelled(capsys):
     provenance = obj["metadata"]["provenance"]
     assert "h(18..20) confirmed by the M_n recurrence" in provenance
     assert "h(21..22) not independently confirmed" in provenance
+
+
+def test_tables_hn_provenance_names_each_unconfirmed_value(capsys):
+    # h(21) alone is past the M_n recurrence check at --max 21; at --max 20
+    # every value is confirmed
+    _, out, _ = run(capsys, "tables", "hn", "--max", "21", "--format", "json")
+    provenance = json.loads(out)["metadata"]["provenance"]
+    assert provenance.endswith("h(18..20) confirmed by the M_n recurrence; h(21) not independently confirmed")
+    _, out, _ = run(capsys, "tables", "hn", "--max", "20", "--format", "json")
+    provenance = json.loads(out)["metadata"]["provenance"]
+    assert provenance.endswith("h(18..20) confirmed by the M_n recurrence")
+    assert "not independently confirmed" not in provenance
 
 
 def test_tables_hn_csv_keeps_the_provenance(capsys):

@@ -139,7 +139,8 @@ def test_asm_ideal_closed_form():
     assert asm_ideal_grundy(5, (0, 0, 1)) == 1  # rank 3 = 2z + 1
     with pytest.raises(ValueError):
         asm_ideal_grundy(5, (2, 2, 0))
-    for n in range(3, 8):
+    # asm:20 and asm:30 reach ranks 18 and 28, every element of each
+    for n in (*range(3, 8), 20, 30):
         p = asm_poset(n)
         got = solve_elementwise(order_ideal_family(p)).values
         ranks = rank_function(p)

@@ -16,18 +16,26 @@ from hypothesis import strategies as st
 from grundylab import gf
 from grundylab.families import (
     asm_elements,
-    asm_leq,
     asm_poset,
     chain,
     divisor_poset,
-    restricted_growth_strings,
-    rgs_to_blocks,
     set_partition_poset,
     subspace_lattice,
 )
 from grundylab.partitions import partitions_of
 from grundylab.poset import FinitePoset, iter_bits
-from helpers import antichain, caller_ids, product, refinement_poset, refines, to_json
+from helpers import (
+    antichain,
+    asm_leq,
+    caller_ids,
+    product,
+    refinement_poset,
+    refines,
+    restricted_growth_strings,
+    rgs_to_blocks,
+    subspace_leq,
+    to_json,
+)
 
 
 def hasse(down):
@@ -73,7 +81,7 @@ def divisor_case(n):
 def subspace_case(n, q):
     f = gf.FiniteField(q)
     subs = [s for r in range(n + 1) for s in sorted(gf.rref_matrices(f, n, r))]
-    return subspace_lattice(n, q), lambda x, y: gf.subspace_leq(f, subs[x], subs[y])
+    return subspace_lattice(n, q), lambda x, y: subspace_leq(f, subs[x], subs[y])
 
 
 def set_partition_case(n):

@@ -4,7 +4,6 @@ from grundylab.cli import parse_poset_spec
 from grundylab.errors import TooLargeError
 from grundylab.families import (
     asm_elements,
-    asm_leq,
     asm_pi,
     asm_poset,
     asm_rank,
@@ -12,14 +11,22 @@ from grundylab.families import (
     divisor_poset,
     q_binomial,
     q_binomial_parity,
-    restricted_growth_strings,
-    rgs_to_blocks,
     set_partition_poset,
     subspace_dimensions,
     subspace_lattice,
 )
 from grundylab.poset import FinitePoset
-from helpers import asm_eta, asm_xi, leq, minimum, principal_ideal, rank_function
+from helpers import (
+    asm_eta,
+    asm_leq,
+    asm_xi,
+    leq,
+    minimum,
+    principal_ideal,
+    rank_function,
+    restricted_growth_strings,
+    rgs_to_blocks,
+)
 
 
 def test_chain_basics():
@@ -44,7 +51,7 @@ def test_subspace_lattice_b32():
     assert p.n == 16
     dims = subspace_dimensions(3, 2)
     assert [dims.count(r) for r in range(4)] == [1, 7, 7, 1]
-    assert p.label(minimum(p)) == "0"
+    assert p.labels[minimum(p)] == "0"
     ranks = rank_function(p)
     assert ranks == dims
 
@@ -121,11 +128,11 @@ def test_set_partition_poset():
     p4 = set_partition_poset(4)
     assert p4.n == 15
     bottom, top = minimum(p4), p4.maximum()
-    assert p4.label(bottom) == "1|2|3|4"
-    assert p4.label(top) == "1,2,3,4"
+    assert p4.labels[bottom] == "1|2|3|4"
+    assert p4.labels[top] == "1,2,3,4"
     ranks = rank_function(p4)
     for x in range(p4.n):
-        blocks = p4.label(x).count("|") + 1
+        blocks = p4.labels[x].count("|") + 1
         assert ranks[x] == 4 - blocks
     # {{1},{3},{2,4}} refines {{1,3},{2,4}}
     fine = p4.labels.index("1|2,4|3")

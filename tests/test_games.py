@@ -20,7 +20,6 @@ from grundylab.families import (
 from grundylab.games import (
     MAX_BRUTE_FORCE_FLIPS,
     GenericGame,
-    TurningFamily,
     _mex_over_planes,
     brute_force_grundy,
     combined,
@@ -33,7 +32,15 @@ from grundylab.games import (
 )
 from grundylab.nimber import mex, nim_mul, ruler_phi
 from grundylab.poset import FinitePoset, iter_bits
-from helpers import RSS_LAUNCHER, asm_xi, assert_grundy_respects_isomorphism, caller_ids, product
+from helpers import (
+    RSS_LAUNCHER,
+    asm_xi,
+    assert_grundy_respects_isomorphism,
+    bucket_family,
+    caller_ids,
+    from_masks,
+    product,
+)
 
 
 def ft_suite():
@@ -75,7 +82,7 @@ def product_family(p1, f1, p2, f2):
             out.extend(sum(m2 << s for s in shifts) for m2 in bucket2)
         return out
 
-    return prod, TurningFamily(prod, bucket)
+    return prod, bucket_family(prod, bucket)
 
 
 def game_lengths(game):
@@ -100,17 +107,17 @@ def test_check_sharp():
     d12 = divisor_poset(12)
     for build in BUILDERS.values():
         fam = build(d12)
-        assert sorted_buckets(fam) == sorted_buckets(TurningFamily.from_masks(d12, fam.masks))
+        assert sorted_buckets(fam) == sorted_buckets(from_masks(d12, fam.masks))
     # {4, 6} is an antichain in the divisors of 12
     four, six = d12.labels.index(4), d12.labels.index(6)
     with pytest.raises(ValueError, match="turning set 0"):
-        TurningFamily.from_masks(d12, [(1 << four) | (1 << six)])
+        from_masks(d12, [(1 << four) | (1 << six)])
 
 
 def test_product_family_satisfies_sharp():
     p1, p2 = chain(3), chain(2)
     prod, fam = product_family(p1, ruler_family(p1), p2, ruler_family(p2))
-    assert sorted_buckets(fam) == sorted_buckets(TurningFamily.from_masks(prod, fam.masks))
+    assert sorted_buckets(fam) == sorted_buckets(from_masks(prod, fam.masks))
 
 
 @st.composite
@@ -151,7 +158,7 @@ def random_families(draw):
     masks = []
     for y in draw(st.lists(st.integers(0, p.n - 1), max_size=3 * p.n)):
         masks.append((draw(st.integers(0, p.down_mask(y))) & p.down_mask(y)) | 1 << y)
-    fams.append(TurningFamily.from_masks(p, masks))
+    fams.append(from_masks(p, masks))
     names = st.sampled_from(sorted(BUILDERS))
     fams.append(product_family(p, BUILDERS[draw(names)](p), q, BUILDERS[draw(names)](q))[1])
     return fams
@@ -160,8 +167,11 @@ def random_families(draw):
 @settings(max_examples=60, deadline=None)
 @given(random_families())
 def test_builtin_buckets_match_from_masks(fams):
+    # the same sets under the bucket-parity rule: each built-in family's
+    # own option-plane rule, the ideal's one parity per plane included,
+    # must give the values that rule gives
     for fam in fams:
-        ref = TurningFamily.from_masks(fam.poset, fam.masks)
+        ref = from_masks(fam.poset, fam.masks)
         assert sorted_buckets(fam) == sorted_buckets(ref)
         assert solve_elementwise(fam).values == solve_elementwise(ref).values
 
@@ -271,7 +281,7 @@ def test_from_masks_rejects_sets_without_a_maximum():
     c2 = chain(2)
     for bad in (0, 0b100):
         with pytest.raises(ValueError, match="turning set 1"):
-            TurningFamily.from_masks(c2, [0b11, bad])
+            from_masks(c2, [0b11, bad])
 
 
 def test_from_masks_refuses_a_negative_mask():
@@ -279,13 +289,47 @@ def test_from_masks_refuses_a_negative_mask():
     # child process and its timeout keep such a hang from stalling the suite
     code = (
         "from grundylab.families import chain\n"
-        "from grundylab.games import TurningFamily\n"
-        "TurningFamily.from_masks(chain(3), [0b1, -1])\n"
+        "from helpers import from_masks\n"
+        "from_masks(chain(3), [0b1, -1])\n"
     )
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    here = Path(__file__).resolve().parent
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
     assert proc.returncode == 1
     assert "ValueError: turning set 1 (-0b1) has no unique maximum" in proc.stderr
+
+
+def longest_chain_heights(p):
+    """The number of elements in a longest chain that ends at each element:
+    1 at a minimal element, else 1 + the largest height among the kept
+    predecessors, which include every cover."""
+    heights = [0] * p.n
+    for y in range(p.n):  # ids are a linear extension
+        heights[y] = 1 + max((heights[x] for x in p.preds[y]), default=0)
+    return heights
+
+
+TT_HEIGHT_POSETS = {
+    "asm30": lambda: asm_poset(30),
+    "setpartitions7": lambda: set_partition_poset(7),
+    "divisors720": lambda: divisor_poset(720),
+    "subspaces4q3": lambda: subspace_lattice(4, 3),
+    "asm12": lambda: asm_poset(12),
+    "chain9": lambda: chain(9),
+}
+
+
+@pytest.mark.parametrize("name", list(TT_HEIGHT_POSETS))
+def test_turning_turtles_value_is_the_longest_chain(name):
+    # g(y) = mex({0} and every g(x), x < y) is by induction the height of y
+    poset = TT_HEIGHT_POSETS[name]()
+    assert solve_elementwise(turning_turtles(poset)).values == longest_chain_heights(poset)
+
+
+@settings(max_examples=100, deadline=None)
+@given(cover_dags())
+def test_turning_turtles_value_is_the_longest_chain_on_random_posets(p):
+    assert solve_elementwise(turning_turtles(p)).values == longest_chain_heights(p)
 
 
 def test_moves():
@@ -294,7 +338,7 @@ def test_moves():
     # flipping from {top}: the two intervals with maximum 2 lead to {1} and {}
     assert sorted(moves(fam, 0b10)) == [0b00, 0b01]
     # position inside the non-maxima zone is ending
-    ideal = TurningFamily.from_masks(c2, [0b11])  # single turning set, maximum 2
+    ideal = from_masks(c2, [0b11])  # single turning set, maximum 2
     assert moves(ideal, 0b01) == []
     assert moves(ruler_family(chain(4)), 0) == []
 
@@ -363,7 +407,7 @@ def test_option_graph_lists_the_moves_of_every_position(fams):
         game = GenericGame.from_turning_family(fam)
         assert game.n_positions == 1 << n
         # the same buckets, each made once, for the literal move rule to read
-        stored = TurningFamily(fam.poset, [fam.bucket(y) for y in range(n)].__getitem__)
+        stored = bucket_family(fam.poset, [fam.bucket(y) for y in range(n)].__getitem__)
         for pos in range(game.n_positions):
             assert tuple(pos ^ f for f in game.flips[pos]) == tuple(moves(stored, pos))
 
@@ -421,7 +465,7 @@ def test_flips_and_order_on_ids_against_the_linear_extension(poset):
     fam = ruler_family(poset)
     game = GenericGame.from_turning_family(fam)
     # the same buckets, each made once, for the literal move rule to read
-    stored = TurningFamily(poset, [fam.bucket(y) for y in range(n)].__getitem__)
+    stored = bucket_family(poset, [fam.bucket(y) for y in range(n)].__getitem__)
     for pos in range(1 << n):
         assert tuple(pos ^ f for f in game.flips[pos]) == tuple(moves(stored, pos))
     # the sweep runs in ascending id: every option is a lower id
@@ -562,7 +606,7 @@ def test_potential_line_fails_on_a_set_whose_maximum_is_above_its_bucket(monkeyp
     # y + 1 raises its mask.  The brute-force line would refuse that game
     # first, so both of its sides are stubbed out
     def upward(poset):
-        return TurningFamily(poset, lambda y: [3 << y] if y + 1 < poset.n else [1 << y])
+        return bucket_family(poset, lambda y: [3 << y] if y + 1 < poset.n else [1 << y])
 
     monkeypatch.setattr(checks, "BRUTE_FORCE_SUITE", (("chain3", lambda: chain(3), ("up",)),))
     monkeypatch.setattr(games, "family_builders", lambda: {"up": upward})

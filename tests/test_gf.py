@@ -4,7 +4,8 @@ import json
 import pytest
 
 from grundylab.families import q_binomial
-from grundylab.gf import FiniteField, extensions, rref_matrices, subspace_leq
+from grundylab.gf import FiniteField, extensions, rref_matrices
+from helpers import subspace_leq
 
 SUPPORTED_Q = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27, 29, 31, 32]
 
@@ -31,7 +32,7 @@ def test_unsupported_orders():
 @pytest.mark.parametrize("q", SUPPORTED_Q)
 def test_field_axioms_exhaustive(q):
     f = FiniteField(q)
-    els = list(f.elements())
+    els = range(q)
 
     def add(a, b):
         return f.sub(a, f.sub(0, b))

@@ -4,11 +4,7 @@ from itertools import combinations
 
 import pytest
 
-from grundylab.families import (
-    restricted_growth_strings,
-    rgs_to_blocks,
-    set_partition_poset,
-)
+from grundylab.families import set_partition_poset
 from grundylab.games import ruler_family, solve_elementwise
 from grundylab.nimber import mex
 from grundylab.partitions import (
@@ -22,7 +18,7 @@ from grundylab.partitions import (
     partitions_of,
     s_of_mu,
 )
-from helpers import leq, minimum, refinement_poset, refines
+from helpers import leq, minimum, refinement_poset, refines, restricted_growth_strings, rgs_to_blocks
 
 H_TABLE = list(H_ROW)
 
@@ -244,8 +240,8 @@ def test_refinement_poset_is_valid_partial_order():
         (idx[(3, 1)], idx[(4,)]),
         (idx[(2, 2)], idx[(4,)]),
     }
-    assert p4.label(p4.maximum()) == (4,)
-    assert p4.label(minimum(p4)) == (1, 1, 1, 1)
+    assert p4.labels[p4.maximum()] == (4,)
+    assert p4.labels[minimum(p4)] == (1, 1, 1, 1)
 
 
 def test_type_map_is_order_preserving():

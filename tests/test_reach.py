@@ -16,14 +16,9 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "grundylab").glob("*.py"))
 CALLERS = sorted((ROOT / "demos").glob("*.py")) + sorted((ROOT / "benchmarks").glob("*.py"))
 
-# Oracles the tests compare the library against, the one checked entry for
-# turning sets made outside the library, and one property read by string.
+# One property read by string; the oracles the tests compare the library
+# against live in tests/helpers.py.
 UNREACHED_ON_PURPOSE = {
-    "gf.subspace_leq",  # containment of RREF spans, for the covers by extension
-    "families.restricted_growth_strings",  # the set partitions, as tuples
-    "families.rgs_to_blocks",
-    "families.asm_leq",  # the coordinate rule the ASM covers must close to
-    "games.TurningFamily.from_masks",
     # benchmarks/tracer.py reads it as getattr(f, "masks", ()) for
     # games.set_members; it goes when that count is taken without it
     "games.TurningFamily.masks",
