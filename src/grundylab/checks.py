@@ -71,10 +71,8 @@ def brute_force_checks():
             yield f"elementwise solution equals brute force on {label} (all positions)", bad is None, detail
             # ids are a linear extension, so the potential, the sum of 2^x
             # over the position, is the position's mask itself; the moves
-            # are played on the family's buckets, each made once
-            buckets = [fam.bucket(x) for x in range(poset.n)]
-            stored = games.TurningFamily(poset, buckets.__getitem__, fam.option_planes)
-            dec = all(opt < pos for pos in positions for opt in games.moves(stored, pos))
+            # are the game's flips, made once from the family's buckets
+            dec = all(pos ^ f < pos for pos, flips in enumerate(game.flips) for f in flips)
             yield f"potential strictly decreases on {label}", dec, ""
 
 

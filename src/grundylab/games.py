@@ -15,7 +15,10 @@ read the planes off the solved values, the order ideal's one option is a
 parity per plane, and the ruler carries its planes up from one
 predecessor.  The values come back as a `GrundyTable`;
 `grundy_position(table, position)` is then the nim-sum of the position's
-elements' values.
+elements' values, read a byte at a time: the table keeps, for each byte k
+of the board, the 256 nim-sums of the subsets of elements 8k..8k+7.  The
+first query that reaches byte k makes that list with 255 XORs, and the
+solver makes none.
 `brute_force_grundy` ignores all of that and evaluates positions by the raw
 mex recursion over an explicit `GenericGame`, whose moves are XOR flip
 masks that lead to lower position ids: its first call values every
@@ -169,18 +172,17 @@ def family_builders() -> dict:
     return {"tt": turning_turtles, "ideal": order_ideal_family, "ruler": ruler_family}
 
 
-def moves(fam: TurningFamily, position: int) -> list[int]:
-    """All positions reachable in one move: flip any set whose maximum is in
-    the position.  Empty exactly when the position avoids every maximum."""
-    return [position ^ m for x in iter_bits(position) for m in fam.bucket(x)]
-
-
 class GrundyTable:
     """Per-element Grundy values of one game; `grundy_position` reads a
-    position's value off them."""
+    position's value off them a byte at a time.
+
+    `byte_sums[k]` lists the nim-sums of the subsets of elements
+    8k..8k+7, indexed by the subset's byte.  It starts empty and grows
+    only when a query reaches a new byte, so the solver builds none."""
 
     def __init__(self, values: list[int]):
         self.values = values
+        self.byte_sums: list[list[int]] = []
 
 
 def _mex_over_planes(V, cand) -> int:
@@ -232,13 +234,29 @@ def solve_elementwise(fam: TurningFamily) -> GrundyTable:
 
 
 def grundy_position(table: GrundyTable, position: int) -> int:
-    """Nim-sum of per-element values over the position."""
-    values = table.values
-    s = 0
-    while position:
-        lsb = position & -position
-        s ^= values[lsb.bit_length() - 1]
-        position ^= lsb
+    """Nim-sum of per-element values over the position, a byte at a time.
+
+    Byte k of the position indexes `table.byte_sums[k]`.  The first query
+    that reaches byte k makes that list by doubling, 255 XORs (fewer in a
+    short last byte); every later query pays one index per byte.  A bit at
+    or above the board's size raises IndexError: inside the last byte its
+    index is past that byte's short list, and above it the position is
+    refused before any list is made.
+    """
+    sums = table.byte_sums
+    while position >> 8 * len(sums):
+        values = table.values
+        if position >> len(values):
+            raise IndexError(f"position has an element outside the board of {len(values)}")
+        k = 8 * len(sums)
+        subsets = [0]
+        for v in values[k : k + 8]:
+            subsets += [x ^ v for x in subsets]
+        sums.append(subsets)
+    s = k = 0
+    for b in position.to_bytes((position.bit_length() + 7) >> 3, "little"):
+        s ^= sums[k][b]
+        k += 1
     return s
 
 
@@ -266,10 +284,11 @@ class GenericGame:
         A move flips a turning set, so the flips of a position are its
         sets: built in ascending pos, those of `low | 1 << x` (low < 2^x)
         are those of low followed by `bucket(x)`, one tuple concatenation,
-        in `moves`' own order.  A move clears its set's maximum, the
-        highest bit it changes, so it lowers the position id.  Refused with TooLargeError before any
-        list is built when the positions or the flip entries,
-        sum |bucket(x)| * 2^(n-1), are over their caps.
+        so they run bucket by bucket in ascending maximum.  A move clears
+        its set's maximum, the highest bit it changes, so it lowers the
+        position id.  Refused with TooLargeError before any list is built
+        when the positions or the flip entries, sum |bucket(x)| * 2^(n-1),
+        are over their caps.
         """
         n = fam.poset.n
         if 1 << n > MAX_BRUTE_FORCE_POSITIONS:

@@ -1,25 +1,31 @@
 """Nimber arithmetic: mex, nim-addition and nim-multiplication.
 
-Nim-addition is XOR, which the library writes as `^`; `nim_add` names it
-for `verify`, which checks it and its inductive oracle against `^`.
+Nim-addition is XOR, which the library writes as `^`; `nim_add` is
+`operator.xor` under that name, for `verify`, which checks it and its
+inductive oracle against `^`.
 `nim_mul` is the fast product the rest of the library uses.
 `nim_add_inductive` and `nim_mul_inductive` evaluate the defining mex
 recursions literally; they are quadratic, capped, and exist purely as
 correctness oracles for the fast paths.
 
-Each oracle reads its table through one lookup.  A cell reads only cells
-with smaller coordinates, so a table that is too small is rebuilt from
-scratch to the next power of two (at most log2(cap) + 1 builds in an
-ascending sweep) and published by one assignment; an interrupted build
-leaves the old table in place.  The nim-add builder keeps option sets as
-int bitmasks.  Every value below the nim-mul cap fits in one byte, so the
-nim-mul builder keeps each column's options as bytes packed in one int: a
-cell's options are one XOR of that int with its row's bytes repeated, and
-its mex is the first byte that `bytes.translate` does not delete.  These
-tables and the `nim_mul` memo are the only state.
+Each oracle reads its table through one lookup.  It indexes the table
+first, once the arguments' sign is checked, since a list index would wrap
+a negative one; the cap and the table's size are checked only when that
+index misses.  A cell reads only cells with smaller coordinates, so a
+table that is too small is rebuilt from scratch to the next power of two
+(at most log2(cap) + 1 builds in an ascending sweep) and published by one
+assignment; an interrupted build leaves the old table in place.  The
+nim-add builder keeps option sets as int bitmasks.  Every value below the
+nim-mul cap fits in one byte, so the nim-mul builder keeps each column's
+options as bytes packed in one int: a cell's options are one XOR of that
+int with its row's bytes repeated, and its mex is the first byte that
+`bytes.translate` does not delete.  These tables and the `nim_mul` memo
+are the only state.
 """
 
 from __future__ import annotations
+
+from operator import xor
 
 from .errors import TooLargeError
 
@@ -37,19 +43,23 @@ def mex(values) -> int:
     return ((seen + 1) & ~seen).bit_length() - 1
 
 
-def nim_add(a, b):
-    """Nim-sum of a and b: binary addition without carries (XOR)."""
-    return a ^ b
+# the nim-sum, binary addition without carries: XOR itself, so a call
+# runs no Python frame
+nim_add = xor
 
 
 def _lookup(name: str, build, cap: int, a: int, b: int) -> int:
+    # a | b is negative when either is
+    try:
+        if a | b >= 0:
+            return _tables[name][a][b]
+    except (KeyError, IndexError):
+        pass
     if a < 0 or b < 0:
         raise ValueError("nimbers are non-negative")
     if a >= cap or b >= cap:
         raise TooLargeError(f"inductive {name} capped at {cap}, got ({a}, {b})")
-    table = _tables.get(name, ())
-    if max(a, b) >= len(table):
-        table = _tables[name] = build(min(cap, 1 << max(a, b).bit_length()))
+    table = _tables[name] = build(min(cap, 1 << max(a, b).bit_length()))
     return table[a][b]
 
 

@@ -4,8 +4,9 @@ The library has no caller for any of them: they build the test cases
 (antichains, products, the refinement order on integer partitions, turning
 sets made outside the library), state the relations the tests compare
 against (span containment by row reduction, the set partitions as tuples,
-the ASM coordinate rule), give the reference solver rule, check a theorem
-on a solved game, or read a child process's peak memory.  Import them as
+the ASM coordinate rule), give the reference solver rule, the literal
+move rule and the set-bit nim-sum of a position, check a theorem on a
+solved game, or read a child process's peak memory.  Import them as
 `from helpers import ...`; pytest puts this directory on `sys.path`.
 """
 
@@ -106,6 +107,27 @@ def from_masks(poset, masks):
             raise ValueError(f"turning set {idx} ({m:#b}) has no unique maximum")
         by_max[tops[0]].append(m)
     return bucket_family(poset, by_max.__getitem__)
+
+
+# -- the rules the library's fast paths are compared with --------------------
+
+
+def moves(fam, position):
+    """All positions reachable in one move: flip any set whose maximum is in
+    the position.  Empty exactly when the position avoids every maximum."""
+    return [position ^ m for x in iter_bits(position) for m in fam.bucket(x)]
+
+
+def set_bit_grundy(values, position):
+    """Nim-sum of `values` over the position's set bits, one bit at a time,
+    the lowest first.  A bit at or above len(values), a negative position's
+    included, raises IndexError."""
+    s = 0
+    while position:
+        lsb = position & -position
+        s ^= values[lsb.bit_length() - 1]
+        position ^= lsb
+    return s
 
 
 # -- relations the constructors must reproduce ------------------------------

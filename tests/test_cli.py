@@ -101,6 +101,47 @@ def test_csv_quotes_labels_that_hold_commas(capsys, spec, family):
     assert any("," in label for label, _ in rows[1:])
 
 
+def parse_text_body(body):
+    """(label, value) rows of the text table: the value column starts where
+    the header's `grundy` does, and the label is what precedes it."""
+    header, *lines = body
+    assert header.split() == ["element_label", "grundy"]
+    start = header.index("grundy")
+    return [(line[:start].rstrip(), int(line[start:])) for line in lines]
+
+
+def parse_csv_body(body):
+    import csv
+
+    header, *rows = csv.reader(body)
+    assert header == ["element_label", "grundy"]
+    return [(label, int(value)) for label, value in rows]
+
+
+@pytest.mark.parametrize("family", FAMILY_NAMES)
+@pytest.mark.parametrize("spec", ["chain:5", "divisors:12", "setpartitions:4", "asm:5", "subspaces:3:2"])
+def test_every_format_parses_back_to_the_solved_rows(capsys, spec, family):
+    from grundylab.cli import parse_poset_spec
+
+    poset = parse_poset_spec(spec, 100)
+    values = games.solve_elementwise(games.family_builders()[family](poset)).values
+    rows = [(str(poset.labels[x]), values[x]) for x in poset.ids]
+    metadata = {"elements": poset.n, "family": family, "poset": spec, "tool_version": __version__}
+    meta_lines = [f"# {k}: {metadata[k]}" for k in sorted(metadata)]
+    for fmt, parse in (("text", parse_text_body), ("csv", parse_csv_body)):
+        code, out, _ = run(capsys, "grundy", spec, family, "--format", fmt)
+        assert code == EXIT_OK
+        lines = out.splitlines()
+        assert [line for line in lines if line.startswith("# ")] == lines[: len(meta_lines)] == meta_lines
+        assert parse(lines[len(meta_lines) :]) == rows, fmt
+    code, out, _ = run(capsys, "grundy", spec, family, "--format", "json")
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert obj["metadata"] == metadata
+    assert obj["columns"] == ["element_label", "grundy"]
+    assert [tuple(row) for row in obj["rows"]] == rows
+
+
 # 4 < 0 < 2 < 1 and 3 < 2: the file's ids run against the order, so the
 # poset renumbers them; rows are printed in the file's order all the same
 SHUFFLED_POSET = {"n": 5, "covers": [[4, 0], [0, 2], [3, 2], [2, 1]]}

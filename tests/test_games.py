@@ -20,11 +20,11 @@ from grundylab.families import (
 from grundylab.games import (
     MAX_BRUTE_FORCE_FLIPS,
     GenericGame,
+    GrundyTable,
     _mex_over_planes,
     brute_force_grundy,
     combined,
     grundy_position,
-    moves,
     order_ideal_family,
     ruler_family,
     solve_elementwise,
@@ -39,7 +39,9 @@ from helpers import (
     bucket_family,
     caller_ids,
     from_masks,
+    moves,
     product,
+    set_bit_grundy,
 )
 
 
@@ -383,6 +385,72 @@ def test_grundy_position():
     for x in range(3):
         assert grundy_position(t, 1 << x) == t.values[x]
     assert grundy_position(t, 0b111) == 1 ^ 2 ^ 1 == 2
+
+
+def assert_matches_the_set_bit_loop(table, positions):
+    for pos in positions:
+        assert grundy_position(table, pos) == set_bit_grundy(table.values, pos), pos
+
+
+def outside_the_board(n):
+    """Positions with a bit at or above n: in the last byte when n is not a
+    multiple of 8, in the next byte, far above, and a negative one."""
+    return [1 << n, (1 << n) | 1, 1 << (n + 8), 1 << (n + 100), -1, -(1 << n)]
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+def test_grundy_position_matches_the_set_bit_loop(n):
+    # random values up to 2^16, so no byte list can pass by a coincidence
+    # of small values; the byte lists cover the board only once the
+    # largest position is asked
+    rng = random.Random(f"grundy-position:{n}")
+    table = GrundyTable([rng.randrange(1, 1 << 16) for _ in range(n)])
+    full = (1 << n) - 1
+    positions = [0, full] + [1 << x for x in range(n)] + [rng.getrandbits(n) for _ in range(400)]
+    assert_matches_the_set_bit_loop(table, positions)
+    assert len(table.byte_sums) == (n + 7) // 8
+    assert [len(sums) for sums in table.byte_sums] == [1 << min(8, n - 8 * k) for k in range((n + 7) // 8)]
+
+
+def test_grundy_position_matches_the_set_bit_loop_on_asm20_ruler():
+    table = solve_elementwise(ruler_family(asm_poset(20)))
+    assert table.byte_sums == []  # the solver builds no byte list
+    n = len(table.values)
+    rng = random.Random("grundy-position:asm20")
+    positions = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(100)]
+    positions += [rng.getrandbits(rng.randrange(1, n)) for _ in range(100)]
+    assert_matches_the_set_bit_loop(table, positions)
+
+
+def test_many_queries_on_one_table_grow_its_byte_lists_as_they_reach_them():
+    rng = random.Random("grundy-position:growth")
+    table = GrundyTable([rng.randrange(1 << 10) for _ in range(30)])
+    assert_matches_the_set_bit_loop(table, [0])
+    assert table.byte_sums == []
+    # a query reaches the bytes up to its highest set bit, no further
+    for top, built in ((5, 1), (3, 1), (12, 2), (29, 4), (20, 4)):
+        assert_matches_the_set_bit_loop(table, [1 << top | rng.getrandbits(top) for _ in range(50)])
+        assert len(table.byte_sums) == built
+    lists = [id(sums) for sums in table.byte_sums]
+    assert_matches_the_set_bit_loop(table, [rng.getrandbits(30) for _ in range(500)])
+    assert [id(sums) for sums in table.byte_sums] == lists
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 9, 17])
+def test_grundy_position_refuses_a_bit_outside_the_board(n):
+    table = GrundyTable(list(range(1, n + 1)))
+    for pos in outside_the_board(n):
+        with pytest.raises(IndexError):
+            set_bit_grundy(table.values, pos)
+        with pytest.raises(IndexError):
+            grundy_position(table, pos)
+    # refused before any byte list is made, and again once all are made
+    assert table.byte_sums == []
+    assert grundy_position(table, (1 << n) - 1) == set_bit_grundy(table.values, (1 << n) - 1)
+    for pos in outside_the_board(n):
+        with pytest.raises(IndexError):
+            grundy_position(table, pos)
+    assert len(table.byte_sums) == (n + 7) // 8
 
 
 def test_brute_force_matches_elementwise_everywhere():

@@ -2,10 +2,14 @@
 
 A top-level function or class counts as reached when some `ast.Name` or
 `ast.Attribute` node in `src/`, `demos/` or `benchmarks/` spells it, outside
-the name's own definition.  A method or property counts only through an
-`ast.Attribute` node, so a parameter or local of the same name does not
-reach it; any attribute of that name still does.  Docstrings and other
-strings, `getattr`'s included, never count.
+the name's own definition.  A bare `ast.Name` counts only in the module that
+defines the name, or in a file that imports the name from that module
+(`from grundylab.games import ...`, or `from .games import ...` inside the
+package), so a local of the same name elsewhere does not reach it.  A
+method or property counts only through an `ast.Attribute` node, so a
+parameter or local of the same name does not reach it; any attribute of
+that name still does.  Docstrings and other strings, `getattr`'s included,
+never count.
 """
 
 import ast
@@ -26,31 +30,49 @@ UNREACHED_ON_PURPOSE = {
 
 
 def public_definitions(trees):
-    """(qualified name, name, definition node, is a method) for each public
-    top-level function and class, and each public method of a top-level
-    class."""
+    """(module, qualified name, name, definition node, is a method) for
+    each public top-level function and class, and each public method of a
+    top-level class."""
     for path in SOURCES:
         for node in trees[path].body:
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
                 continue
-            yield f"{path.stem}.{node.name}", node.name, node, False
+            yield path.stem, f"{path.stem}.{node.name}", node.name, node, False
             if isinstance(node, ast.ClassDef):
                 for item in node.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
-                        yield f"{path.stem}.{node.name}.{item.name}", item.name, item, True
+                        yield path.stem, f"{path.stem}.{node.name}.{item.name}", item.name, item, True
+
+
+def imported_module(node):
+    """The grundylab module an `ast.ImportFrom` reads, as its file's stem,
+    or None when it reads no module of the package by name."""
+    if node.level:
+        return node.module
+    head, _, rest = (node.module or "").partition(".")
+    return (rest or None) if head == "grundylab" else None
 
 
 def spellings(trees):
-    """Each name spelled by a Name node and each spelled by an Attribute
-    node, with the set of function and class definitions around every
-    place it is spelled."""
+    """The (module, name) each Name node spells and each name spelled by an
+    Attribute node, with the set of function and class definitions around
+    every place it is spelled.  A Name spells a name imported from a
+    grundylab module as that module's, and any other name as its own
+    file's, which is a module only in src/grundylab."""
     names, attributes = defaultdict(list), defaultdict(list)
-    for tree in trees.values():
+    for path, tree in trees.items():
+        own = path.stem if path in SOURCES else None
+        imported = {
+            alias.asname or alias.name: (imported_module(node), alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
         stack = [(tree, frozenset())]
         while stack:
             node, inside = stack.pop()
             if isinstance(node, ast.Name):
-                names[node.id].append(inside)
+                names[imported.get(node.id, (own, node.id))].append(inside)
             elif isinstance(node, ast.Attribute):
                 attributes[node.attr].append(inside)
             elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -64,7 +86,7 @@ def test_every_public_src_name_is_reached_outside_the_tests():
     names, attributes = spellings(trees)
     unreached = sorted(
         qualname
-        for qualname, name, node, is_method in public_definitions(trees)
-        if all(node in inside for inside in attributes[name] + ([] if is_method else names[name]))
+        for module, qualname, name, node, is_method in public_definitions(trees)
+        if all(node in inside for inside in attributes[name] + ([] if is_method else names[module, name]))
     )
     assert unreached == sorted(UNREACHED_ON_PURPOSE)
