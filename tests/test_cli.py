@@ -238,6 +238,21 @@ def test_tables_asm_ideal(capsys):
     assert ones == expected
 
 
+# sha256 of the `tables asm-ideal` stdout at n = 10 (45 rows) and n = 60
+# (1 770 rows); a row is the closed form at its (rank, z) fiber
+ASM_IDEAL_SHA256 = {
+    10: "ac749c20657a4982b7d49bdc61972fcf26932bb42474dbc4be718a76575cb70e",
+    60: "4b4222d0f3c72bebec2b9cff0045db3103f47f026163ae9651234dc636809237",
+}
+
+
+@pytest.mark.parametrize("n", sorted(ASM_IDEAL_SHA256))
+def test_tables_asm_ideal_is_pinned(capsys, n):
+    code, out, _ = run(capsys, "tables", "asm-ideal", "--n", str(n))
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == ASM_IDEAL_SHA256[n]
+
+
 def test_tables_asm_ruler_symmetry(capsys):
     code, out, _ = run(capsys, "tables", "asm-ruler", "--n", "6", "--format", "json")
     assert code == EXIT_OK
