@@ -27,7 +27,7 @@ def fiber_table(values):
 
 
 ideal_values = solve_elementwise(order_ideal_family(poset)).values
-closed = [asm_ideal_grundy(n, e) for e in poset.labels]
+closed = [asm_ideal_grundy(*asm_pi(n, e)) for e in poset.labels]
 print("ideal game solver equals the closed form:", ideal_values == closed)
 
 print("\nideal game on (rank, z) fibers (rows: z top-down, columns: rank):")

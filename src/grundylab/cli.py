@@ -239,11 +239,7 @@ def _table_asm_ideal(args) -> TableReport:
     from . import closedforms
 
     n = args.n
-    rows = []
-    for r in range(n - 1):
-        for s in range(r + 1):
-            e = (0, n - 2 - r, s)  # witness with the requested rank and z
-            rows.append((r, s, closedforms.asm_ideal_grundy(n, e)))
+    rows = [(r, s, closedforms.asm_ideal_grundy(r, s)) for r in range(n - 1) for s in range(r + 1)]
     return TableReport(("r", "s", "grundy"), rows, _meta(table="asm-ideal", n=n))
 
 

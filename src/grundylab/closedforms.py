@@ -2,11 +2,13 @@
 
 Each function here evaluates a proven formula directly; the test suite
 re-derives every one of them from `solve_elementwise` on small instances.
+A per-element formula takes the key its rows print (a divisor, a dimension,
+an ASM (rank, z) fiber) and raises ValueError outside its domain.
 """
 
 from __future__ import annotations
 
-from .families import asm_rank, q_binomial_parity
+from .families import q_binomial_parity
 from .nimber import mex, nim_product, nu2, ruler_phi
 
 
@@ -65,11 +67,13 @@ def subspace_recurrence(q: int, d_max: int) -> tuple[list[int], dict[tuple[int, 
     return g, s
 
 
-def asm_ideal_grundy(n: int, e) -> int:
-    """Order-ideal game on the ASM poset: value 1 iff the rank is 0 or
-    equals 2z +/- 1."""
-    rank, z = asm_rank(n, e), e[2]
-    return 1 if rank == 0 or rank == 2 * z + 1 or rank == 2 * z - 1 else 0
+def asm_ideal_grundy(r: int, z: int) -> int:
+    """Order-ideal game on the ASM poset, by the (rank, z) fiber that
+    `families.asm_pi` projects an element to: value 1 iff r is 0 or equals
+    2z +/- 1."""
+    if not 0 <= z <= r:
+        raise ValueError(f"({r}, {z}) is not a (rank, z) fiber: needs 0 <= z <= rank")
+    return 1 if r == 0 or r == 2 * z + 1 or r == 2 * z - 1 else 0
 
 
 # -- ruler-sequence mex characterization -----------------------------------

@@ -212,15 +212,9 @@ def asm_poset(n: int) -> FinitePoset:
     return FinitePoset.from_covers(len(elems), covers, labels=elems)
 
 
-def asm_rank(n: int, e) -> int:
-    x, y, z = e
-    if not (x >= 0 and y >= 0 and z >= 0 and x + y + z <= n - 2):
-        raise ValueError(f"{e} is not in the poset for n={n}")
-    return n - 2 - (x + y)
-
-
 def asm_pi(n: int, e) -> tuple[int, int]:
-    """Projection to (rank, z), r = n - 2 - (x + y).
+    """Projection to (rank, z), r = n - 2 - (x + y); a point outside ASM_n
+    raises ValueError.
 
     The per-element Grundy data depends only on this pair.  Lemma:
     translating by (x, y, 0) maps down((x, y, z)) onto
@@ -230,5 +224,8 @@ def asm_pi(n: int, e) -> tuple[int, int]:
     only on (r, z), and not on n.  Replacing z by n - 2 - (x + y + z) is an
     order automorphism that fixes the rank and sends z to r - z, so those
     values also satisfy g(r, z) = g(r, r - z)."""
-    return (asm_rank(n, e), e[2])
+    x, y, z = e
+    if not (x >= 0 and y >= 0 and z >= 0 and x + y + z <= n - 2):
+        raise ValueError(f"{e} is not in the poset for n={n}")
+    return n - 2 - (x + y), z
 

@@ -4,7 +4,8 @@ F_q is supported for the primes q <= 31 and for the seven prime powers
 4, 8, 9, 16, 25, 27 and 32 that `_CONWAY` holds a modulus for.  Elements are
 encoded as integers 0..q-1 via base-p digits, read as coefficient vectors of
 polynomials over Z/p, constant term first, modulo that degree-k Conway
-polynomial, so element encodings are reproducible.
+polynomial, so element encodings are reproducible.  A field is its two
+exhaustive tables, made once: a - b is `f.sub[a][b]` and a * b `f.mul[a][b]`.
 
 Subspaces of F_q^n are represented by their reduced row echelon basis (a
 tuple of row tuples), which is a unique canonical form: enumeration by pivot
@@ -30,8 +31,7 @@ _CONWAY = {
 
 
 class FiniteField:
-    """F_q, for q a prime <= 31 or a key of `_CONWAY`, as exhaustive `sub`
-    and `mul` tables made once."""
+    """F_q, for q a prime <= 31 or a key of `_CONWAY`, as its two tables."""
 
     def __init__(self, q: int):
         if not (q in _CONWAY or 2 <= q <= 31 and all(q % d for d in range(2, q))):
@@ -59,14 +59,8 @@ class FiniteField:
                     prod[deg - k + j] -= c * mod[j]
             return encode(prod[:k])
 
-        self._sub = [[encode([x - y for x, y in zip(u, v)]) for v in polys] for u in polys]
-        self._mul = [[times(u, v) for v in polys] for u in polys]
-
-    def sub(self, a: int, b: int) -> int:
-        return self._sub[a][b]
-
-    def mul(self, a: int, b: int) -> int:
-        return self._mul[a][b]
+        self.sub = [[encode([x - y for x, y in zip(u, v)]) for v in polys] for u in polys]
+        self.mul = [[times(u, v) for v in polys] for u in polys]
 
 
 def rref_matrices(f: FiniteField, n: int, r: int):
@@ -104,12 +98,13 @@ def extensions(f: FiniteField, n: int, rows, lines):
     plus v, in pivot order.  `lines` holds the v's entries on the other
     columns, as `rref_matrices(f, n - len(rows), 1)` yields them, so that a
     caller extending many subspaces lists them once."""
+    sub, mul = f.sub, f.mul
     free = [j for j in range(n) if all(r.index(1) != j for r in rows)]
     for (line,) in lines:
         v = [0] * n
         for j, x in zip(free, line):
             v[j] = x
         p = v.index(1)
-        rest = [tuple([f.sub(x, f.mul(r[p], y)) for x, y in zip(r, v)]) if r[p] else r for r in rows]
+        rest = [tuple([sub[x][mul[r[p]][y]] for x, y in zip(r, v)]) if r[p] else r for r in rows]
         yield tuple(sorted(rest + [tuple(v)], reverse=True))
 

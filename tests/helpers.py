@@ -5,14 +5,18 @@ The library has no caller for any of them: they build the test cases
 sets made outside the library), state the relations the tests compare
 against (span containment by row reduction, the set partitions as tuples,
 the ASM coordinate rule), give the reference solver rule, the literal
-move rule and the set-bit nim-sum of a position, check a theorem on a
+move rule, the set-bit nim-sum of a position and the ASM ruler's (rank, z)
+recurrence, check a theorem on a
 solved game, or read a child process's peak memory.  Import them as
 `from helpers import ...`; pytest puts this directory on `sys.path`.
 """
 
 import json
+from itertools import accumulate
+from operator import xor
 
 from grundylab.games import TurningFamily, solve_elementwise
+from grundylab.nimber import mex
 from grundylab.partitions import decompositions, partitions_of
 from grundylab.poset import FinitePoset, iter_bits
 
@@ -130,6 +134,46 @@ def set_bit_grundy(values, position):
     return s
 
 
+def asm_ruler_fibers(n):
+    """The ruler game's value G(r, z) on every (rank, z) fiber of ASM_n, as
+    rows[r][z], by a recurrence over fibers that builds no poset.
+
+    By the lemma in `families.asm_pi`, down((x, y, z0)) is
+    D(r, z0) = {(a, b, c) >= 0 : c <= z0 <= a + b + c <= r} with top
+    t = (0, 0, z0), and (a, b, c) lies in fiber (r - a - b, c).  The option
+    of the interval [w, t], w = (a, b, c), is the nim-sum X(w) of G over
+    [w, t).  Its elements (a', b', c') with a' + b' = s number
+    N(s) = min(a, s) - max(0, s - b) + 1 and have
+    max(c, z0 - s) <= c' <= min(z0, a + b + c - s), so
+
+        X(w) = XOR over s = 1..a+b with N(s) odd of
+               XOR over those c' of G(r - s, c')
+        G(r, z0) = mex({0} | {X(w) : w in D(r, z0), w != t})
+
+    Row r reads only rows below it, each through its prefix nim-sums, so
+    the inner XOR is two lookups."""
+    rows, prefix = [], []
+    for r in range(n - 1):
+        row = []
+        for z0 in range(r + 1):
+            seen = {0}
+            for c in range(z0 + 1):
+                # m = a + b; m = 0 leaves only w = t
+                for m in range(max(1, z0 - c), r - c + 1):
+                    for a in range(m + 1):
+                        b = m - a
+                        x = 0
+                        for s in range(1, m + 1):
+                            if (min(a, s) - max(0, s - b)) % 2 == 0:  # N(s) odd
+                                p = prefix[r - s]
+                                x ^= p[min(z0, m + c - s) + 1] ^ p[max(c, z0 - s)]
+                        seen.add(x)
+            row.append(mex(seen))
+        rows.append(row)
+        prefix.append(list(accumulate(row, xor, initial=0)))
+    return rows
+
+
 # -- relations the constructors must reproduce ------------------------------
 
 
@@ -141,7 +185,7 @@ def reduce_row(f, row, basis):
         pivot = next(j for j, v in enumerate(b) if v)
         c = row[pivot]
         if c:
-            row = [f.sub(x, f.mul(c, y)) for x, y in zip(row, b)]
+            row = [f.sub[x][f.mul[c][y]] for x, y in zip(row, b)]
     return row
 
 

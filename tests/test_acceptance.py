@@ -5,13 +5,14 @@ lines and timings.  Where `grundylab verify` runs the same check, a criterion
 calls its generator in `grundylab.checks` at the acceptance sizes.
 """
 
+import operator
 import time
 
-from grundylab import checks
+from grundylab import checks, nimber
 from grundylab.closedforms import subspace_recurrence, subspace_ruler_grundy
 from grundylab.families import asm_pi, asm_poset, divisor_poset
 from grundylab.games import order_ideal_family, ruler_family, solve_elementwise
-from grundylab.nimber import nim_add, nim_mul
+from grundylab.nimber import nim_mul
 from grundylab.partitions import multiplicity_M
 from helpers import asm_eta, asm_xi, assert_grundy_respects_isomorphism
 
@@ -43,10 +44,8 @@ class _Criterion:
 
 
 def test_criterion_01_nim_add_is_xor():
-    with _Criterion(1, "nim-add equals XOR (a,b < 4096); inductive oracle agrees (a,b < 256)", 5):
-        cols = range(4096)
-        for a in cols:
-            assert [nim_add(a, b) for b in cols] == [a ^ b for b in cols], a
+    with _Criterion(1, "nim-add is operator.xor; inductive oracle agrees (a,b < 256)", 5):
+        assert nimber.nim_add is operator.xor
         assert_all_pass(checks.nim_add_checks(inductive_below=256))
 
 

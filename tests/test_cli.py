@@ -10,6 +10,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from grundylab import __version__, checks, games
 from grundylab.cli import (
@@ -24,7 +26,7 @@ from grundylab.cli import (
 from grundylab.closedforms import asm_ideal_grundy
 from grundylab.errors import BudgetExceededError
 from grundylab.families import asm_elements, asm_pi, asm_poset
-from helpers import RSS_LAUNCHER
+from helpers import RSS_LAUNCHER, asm_ruler_fibers
 
 PHI_ROW = [1, 2, 1, 4, 1, 2, 1, 8, 1, 2, 1, 4, 1, 2, 1]
 
@@ -73,7 +75,7 @@ def test_grundy_asm_ideal_matches_closed_form(capsys):
     # rows follow the constructor's listing, not the poset's ids
     for (label, value), e in zip(obj["rows"], asm_elements(5), strict=True):
         assert label == str(e)
-        assert value == asm_ideal_grundy(5, e)
+        assert value == asm_ideal_grundy(*asm_pi(5, e))
 
 
 def test_grundy_from_file(tmp_path, capsys):
@@ -320,6 +322,15 @@ def test_tables_asm_ruler_rows_do_not_depend_on_n(capsys):
     rows20, rows30 = ([line.split() for line in csv_body(out)[1:]] for out in (out20, out30))
     assert len(rows20) == 190 and len(rows30) == 435
     assert rows30[:190] == rows20
+
+
+def test_tables_asm_ruler_equals_the_fiber_recurrence(capsys):
+    # the (rank, z) recurrence builds no poset and shares only mex with the
+    # solver, so it confirms every row the kernel prints
+    code, out, _ = run(capsys, "tables", "asm-ruler", "--n", "20", "--format", "json")
+    assert code == EXIT_OK
+    rows = [[r, z, v] for r, row in enumerate(asm_ruler_fibers(20)) for z, v in enumerate(row)]
+    assert json.loads(out)["rows"] == rows
 
 
 def test_tables_ignore_a_planted_pickle(tmp_path, capsys, monkeypatch):
@@ -746,6 +757,32 @@ def test_oversized_poset_file_is_refused_unread(tmp_path):
     assert code == EXIT_RESOURCE
     assert "is over 102400000 bytes, 1024 per element (cap 100000)" in proc.stderr
     assert maxrss_kib / 1024 < 40
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=16,
+)
+# documents that carry the keys, so that the checks after the first are
+# reached: sizes on both sides of the cap of 64, ids on both sides of n
+small_ids = st.integers(min_value=-1, max_value=9)
+poset_docs = st.fixed_dictionaries(
+    {
+        "n": st.integers(min_value=-1, max_value=8) | st.integers(min_value=60, max_value=70) | json_values,
+        "covers": st.lists(st.lists(small_ids | json_values, max_size=3), max_size=8) | json_values,
+    },
+    optional={"labels": st.lists(small_ids | st.text(max_size=4) | json_values, max_size=8) | json_values},
+)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(json_values | poset_docs)
+def test_any_json_poset_file_is_solved_or_refused(tmp_path, capsys, doc):
+    path = tmp_path / "poset.json"
+    path.write_text(json.dumps(doc))
+    code, _, _ = run(capsys, "grundy", f"file:{path}", "ideal", "--max-elements", "64")
+    assert code in (EXIT_OK, EXIT_USAGE, EXIT_RESOURCE)
 
 
 def test_exit_code_constants_are_distinct():

@@ -135,17 +135,19 @@ def test_order_ideal_parity_rule():
 
 
 def test_asm_ideal_closed_form():
-    assert asm_ideal_grundy(5, (0, 0, 0)) == 0  # rank 3, z = 0
-    assert asm_ideal_grundy(5, (0, 0, 1)) == 1  # rank 3 = 2z + 1
-    with pytest.raises(ValueError):
-        asm_ideal_grundy(5, (2, 2, 0))
+    assert asm_ideal_grundy(3, 0) == 0
+    assert asm_ideal_grundy(3, 1) == 1  # rank 3 = 2z + 1
+    # the formula reads a fiber: z runs over 0..rank
+    for r, z in ((3, 4), (3, -1), (0, 1), (-1, 0)):
+        with pytest.raises(ValueError, match=rf"^\({r}, {z}\) is not a \(rank, z\) fiber"):
+            asm_ideal_grundy(r, z)
     # asm:20 and asm:30 reach ranks 18 and 28, every element of each
     for n in (*range(3, 8), 20, 30):
         p = asm_poset(n)
         got = solve_elementwise(order_ideal_family(p)).values
         ranks = rank_function(p)
         for i, e in enumerate(p.labels):
-            v = asm_ideal_grundy(n, e)
+            v = asm_ideal_grundy(*asm_pi(n, e))
             assert got[i] == v
             if ranks[i] == 0:
                 assert v == 1
