@@ -12,15 +12,16 @@ Each oracle reads its table through one lookup.  It indexes the table
 first, once the arguments' sign is checked, since a list index would wrap
 a negative one; the cap and the table's size are checked only when that
 index misses.  A cell reads only cells with smaller coordinates, so a
-table that is too small is rebuilt from scratch to the next power of two
-(at most log2(cap) + 1 builds in an ascending sweep) and published by one
-assignment; an interrupted build leaves the old table in place.  The
-nim-add builder keeps option sets as int bitmasks.  Every value below the
-nim-mul cap fits in one byte, so the nim-mul builder keeps each column's
-options as bytes packed in one int: a cell's options are one XOR of that
-int with its row's bytes repeated, and its mex is the first byte that
-`bytes.translate` does not delete.  These tables and the `nim_mul` memo
-are the only state.
+table that is too small is rebuilt from scratch, to the missed cell or to
+twice its old size, whichever is larger (at most log2(cap) + 1 builds in
+an ascending sweep, one in a sweep that starts at its largest cell), and
+published by one assignment; an interrupted build leaves the old table in
+place.  The nim-add builder keeps option sets as int bitmasks.  Every value
+below the nim-mul cap fits in one byte, so the nim-mul builder keeps each
+column's options as bytes packed in one int: a cell's options are one XOR
+of that int with its row's bytes repeated, and its mex is the first byte
+that `bytes.translate` does not delete.  These tables and the `nim_mul`
+memo are the only state.
 """
 
 from __future__ import annotations
@@ -59,7 +60,8 @@ def _lookup(name: str, build, cap: int, a: int, b: int) -> int:
         raise ValueError("nimbers are non-negative")
     if a >= cap or b >= cap:
         raise TooLargeError(f"inductive {name} capped at {cap}, got ({a}, {b})")
-    table = _tables[name] = build(min(cap, 1 << max(a, b).bit_length()))
+    size = max(max(a, b) + 1, 2 * len(_tables.get(name, ())))
+    table = _tables[name] = build(min(cap, size))
     return table[a][b]
 
 

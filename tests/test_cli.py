@@ -305,10 +305,26 @@ ASM_RULER_20_SHA256 = "b9867ef2d2dcd2e3819032fe2786cca95095be52e2f0995023f0f8425
 ASM_RULER_30_SHA256 = "aa86659c72ee3672a6037416ab8985f62eb56d2fdda10465f20d7f84f1ff0121"
 
 
-def test_tables_asm_ruler_n20_is_pinned(capsys):
-    code, out, _ = run(capsys, "tables", "asm-ruler", "--n", "20")
+def test_tables_asm_ruler_n20_is_pinned(capsys, n=20, digest=ASM_RULER_20_SHA256):
+    code, out, _ = run(capsys, "tables", "asm-ruler", "--n", str(n))
     assert code == EXIT_OK
-    assert hashlib.sha256(out.encode()).hexdigest() == ASM_RULER_20_SHA256
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# the fiber and eta-symmetry checks past n = 30, where any failed check
+# exits 1: asm:40 has 10 660 elements, asm:60 35 990 (about 20 s and
+# 133 MB)
+@pytest.mark.deep
+@pytest.mark.parametrize(
+    "n, digest",
+    [
+        (40, "4bcf390cb8d90d6d6d5adc2c94807050d1bce9180de6f535bf3f6a981d80e868"),
+        (60, "102fe230a04e7ba8c1f1f882abea3fe1546c6dbac022271ae793c4caef4d1747"),
+    ],
+    ids=["40", "60"],
+)
+def test_tables_asm_ruler_n40_and_n60_are_pinned(capsys, n, digest):
+    test_tables_asm_ruler_n20_is_pinned(capsys, n, digest)
 
 
 def test_tables_asm_ruler_rows_do_not_depend_on_n(capsys):
@@ -324,13 +340,19 @@ def test_tables_asm_ruler_rows_do_not_depend_on_n(capsys):
     assert rows30[:190] == rows20
 
 
-def test_tables_asm_ruler_equals_the_fiber_recurrence(capsys):
+def test_tables_asm_ruler_equals_the_fiber_recurrence(capsys, n=20):
     # the (rank, z) recurrence builds no poset and shares only mex with the
     # solver, so it confirms every row the kernel prints
-    code, out, _ = run(capsys, "tables", "asm-ruler", "--n", "20", "--format", "json")
+    code, out, _ = run(capsys, "tables", "asm-ruler", "--n", str(n), "--format", "json")
     assert code == EXIT_OK
-    rows = [[r, z, v] for r, row in enumerate(asm_ruler_fibers(20)) for z, v in enumerate(row)]
+    rows = [[r, z, v] for r, row in enumerate(asm_ruler_fibers(n)) for z, v in enumerate(row)]
     assert json.loads(out)["rows"] == rows
+
+
+@pytest.mark.deep
+def test_tables_asm_ruler_equals_the_fiber_recurrence_at_n30(capsys):
+    # the recurrence is O(n^6): about 4 s at n = 30
+    test_tables_asm_ruler_equals_the_fiber_recurrence(capsys, 30)
 
 
 def test_tables_ignore_a_planted_pickle(tmp_path, capsys, monkeypatch):
@@ -368,18 +390,27 @@ def test_verify_suites_pass(capsys):
 
 # sha256 of the `grundy setpartitions:8 ruler` and `ideal` stdout (4140
 # rows each), recorded before the byte-string construction of the poset and
-# the top-bit walk of the ruler's option planes; both must reproduce them
-SETPARTITIONS_8_SHA256 = {
-    "ruler": "a90e31321de1dde4fb19915b36e059a55eaadc866e59dbd269fb4ca400a20e01",
-    "ideal": "7cac2a7e1e8ca90281dac05701b1cb5274a400496ce2d5eea8df0ab9be69db9e",
-}
-
-
-@pytest.mark.parametrize("family", sorted(SETPARTITIONS_8_SHA256))
-def test_grundy_setpartitions_8_is_pinned(capsys, family):
-    code, out, _ = run(capsys, "grundy", "setpartitions:8", family)
+# the top-bit walk of the ruler's option planes; both must reproduce them.
+# subspaces:7:2 ideal (29 212 elements, about 3 s and 122 MB, most of it
+# poset construction) runs within a 10 s budget that a pairwise containment
+# scan of its layers (16-25 s) would exceed
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("setpartitions:8", "ideal"), "7cac2a7e1e8ca90281dac05701b1cb5274a400496ce2d5eea8df0ab9be69db9e"),
+        (("setpartitions:8", "ruler"), "a90e31321de1dde4fb19915b36e059a55eaadc866e59dbd269fb4ca400a20e01"),
+        pytest.param(
+            ("subspaces:7:2", "ideal", "--max-seconds", "10"),
+            "7f7cc9a771367b61f6b3064cbb7df722755a3c7d6eb6d5987557b015496ecc1f",
+            marks=pytest.mark.deep,
+        ),
+    ],
+    ids=["ideal", "ruler", "subspaces-7-2-ideal"],
+)
+def test_grundy_setpartitions_8_is_pinned(capsys, argv, digest):
+    code, out, _ = run(capsys, "grundy", *argv)
     assert code == EXIT_OK
-    assert hashlib.sha256(out.encode()).hexdigest() == SETPARTITIONS_8_SHA256[family]
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 # sha256 of the `verify all` stdout; the check names and their order are
@@ -570,12 +601,27 @@ def test_resource_cap_exit_code(capsys):
     assert code == EXIT_RESOURCE
 
 
+@pytest.fixture
+def without_foreign_gc_callbacks():
+    """Take out the gc callbacks that were there before the test for its
+    length.  Hypothesis keeps one for the rest of the process once any
+    `@given` test has run, and a budget alarm that lands in it is dropped
+    as unraisable, so a budget test would pass or fail by the order the
+    tests ran in."""
+    foreign = gc.callbacks[:]
+    gc.callbacks.clear()
+    yield
+    gc.callbacks[:0] = foreign
+
+
+@pytest.mark.usefixtures("without_foreign_gc_callbacks")
 def test_time_budget_exit_code(capsys):
     code, _, err = run(capsys, "tables", "hn", "--max", "17", "--max-seconds", "0.000001")
     assert code == EXIT_RESOURCE
     assert "resource cap" in err
 
 
+@pytest.mark.usefixtures("without_foreign_gc_callbacks")
 def test_time_budget_stops_hn_while_it_runs(capsys):
     started = time.monotonic()
     code, _, err = run(capsys, "tables", "hn", "--max", "200", "--max-seconds", "0.5")
@@ -592,6 +638,7 @@ def test_asm_ruler_size_cap_applies_before_construction(capsys):
     assert time.monotonic() - started < 1.0
 
 
+@pytest.mark.usefixtures("without_foreign_gc_callbacks")
 def test_time_budget_stops_the_solver_while_it_runs(capsys):
     code, _, err = run(capsys, "grundy", "setpartitions:8", "ruler", "--max-seconds", "0.05")
     assert code == EXIT_RESOURCE
@@ -611,6 +658,7 @@ def test_time_budget_stops_the_solver_while_it_runs(capsys):
     assert time.monotonic() - started < 1.5
 
 
+@pytest.mark.usefixtures("without_foreign_gc_callbacks")
 def test_time_budget_repeats_an_alarm_that_was_lost(capsys, monkeypatch):
     # an exception raised inside a gc callback is reported to
     # sys.unraisablehook and dropped; the first collection after the timer
@@ -644,6 +692,7 @@ def test_time_budget_repeats_an_alarm_that_was_lost(capsys, monkeypatch):
     assert time.monotonic() - started < 1.0
 
 
+@pytest.mark.usefixtures("without_foreign_gc_callbacks")
 def test_time_budget_covers_poset_construction(capsys):
     # both runs spend their budget building the poset, before any solve
     started = time.monotonic()
@@ -666,6 +715,7 @@ def test_time_budget_must_be_positive_and_finite(capsys, seconds):
     assert "--max-seconds must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.usefixtures("without_foreign_gc_callbacks")
 def test_time_budget_restores_the_timer_and_the_handler(capsys):
     def sentinel(signum, frame):
         raise AssertionError("SIGALRM reached the handler installed before main")
@@ -853,3 +903,20 @@ def test_parser_choices_are_the_lookups_names(capsys):
     assert exc.value.code == EXIT_USAGE
     err = capsys.readouterr().err
     assert "argument family: invalid choice: 'bogus' (choose from 'ideal', 'ruler', 'tt')" in err
+
+
+@pytest.mark.deep
+@pytest.mark.parametrize("workload", ["tables", "solve", "build", "oracle"])
+def test_benchmark_workload_reproduces_its_recorded_stdout(workload):
+    # run.py's last stdout line carries `correct`, false when any op's stdout
+    # differs from benchmarks/expected.json
+    root = Path(__file__).resolve().parents[1]
+    argv = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "0"]
+    proc = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "run.py"), *argv],
+        cwd=root,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -134,7 +134,7 @@ def test_order_ideal_parity_rule():
     assert [acc[x] for x in range(p.n)] == values
 
 
-def test_asm_ideal_closed_form():
+def test_asm_ideal_closed_form(sizes=(*range(3, 8), 20, 30)):
     assert asm_ideal_grundy(3, 0) == 0
     assert asm_ideal_grundy(3, 1) == 1  # rank 3 = 2z + 1
     # the formula reads a fiber: z runs over 0..rank
@@ -142,7 +142,7 @@ def test_asm_ideal_closed_form():
         with pytest.raises(ValueError, match=rf"^\({r}, {z}\) is not a \(rank, z\) fiber"):
             asm_ideal_grundy(r, z)
     # asm:20 and asm:30 reach ranks 18 and 28, every element of each
-    for n in (*range(3, 8), 20, 30):
+    for n in sizes:
         p = asm_poset(n)
         got = solve_elementwise(order_ideal_family(p)).values
         ranks = rank_function(p)
@@ -151,6 +151,12 @@ def test_asm_ideal_closed_form():
             assert got[i] == v
             if ranks[i] == 0:
                 assert v == 1
+
+
+@pytest.mark.deep
+def test_asm_ideal_closed_form_on_asm60():
+    # 35 990 elements, ranks up to 58
+    test_asm_ideal_closed_form((60,))
 
 
 def test_asm_ideal_constant_on_projection_fibers():

@@ -412,14 +412,20 @@ def test_grundy_position_matches_the_set_bit_loop(n):
     assert [len(sums) for sums in table.byte_sums] == [1 << min(8, n - 8 * k) for k in range((n + 7) // 8)]
 
 
-def test_grundy_position_matches_the_set_bit_loop_on_asm20_ruler():
-    table = solve_elementwise(ruler_family(asm_poset(20)))
+def test_grundy_position_matches_the_set_bit_loop_on_asm20_ruler(asm=20, seed="grundy-position:asm20", wide=100):
+    table = solve_elementwise(ruler_family(asm_poset(asm)))
     assert table.byte_sums == []  # the solver builds no byte list
     n = len(table.values)
-    rng = random.Random("grundy-position:asm20")
-    positions = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(100)]
+    rng = random.Random(seed)
+    positions = [0, (1 << n) - 1] + [rng.getrandbits(n) for _ in range(wide)]
     positions += [rng.getrandbits(rng.randrange(1, n)) for _ in range(100)]
     assert_matches_the_set_bit_loop(table, positions)
+
+
+@pytest.mark.deep
+def test_grundy_position_matches_the_set_bit_loop_on_asm40_ruler():
+    # asm:40 has 10 660 elements, so its full board reads 1 333 byte lists
+    test_grundy_position_matches_the_set_bit_loop_on_asm20_ruler(40, "asm40", 200)
 
 
 def test_many_queries_on_one_table_grow_its_byte_lists_as_they_reach_them():
@@ -513,7 +519,7 @@ def test_brute_force_refuses_over_the_flip_cap():
     assert 210 << 19 > MAX_BRUTE_FORCE_FLIPS
     with pytest.raises(TooLargeError, match="110100480 flip entries exceed cap"):
         GenericGame.from_turning_family(ruler_family(chain(20)))
-    # chain:16, the largest sweep run in CI, fits
+    # chain:16, the largest sweep the deep cases run, fits
     assert 136 << 15 <= MAX_BRUTE_FORCE_FLIPS
 
 
@@ -581,20 +587,29 @@ def peak_rss_mb(script):
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_brute_force_sweep_stores_one_flip_tuple_per_position():
+def test_brute_force_sweep_stores_one_flip_tuple_per_position(n=14, mb=35):
     # every position of chain:14 ruler: 2^14 positions and 860 160 flip
     # entries.  Option ids in fresh tuples beside them lift the peak RSS of
     # this run from about 22 MB to about 48 MB
     sweep = (
         "from grundylab.families import chain\n"
         "from grundylab import games\n"
-        "fam = games.ruler_family(chain(14))\n"
+        f"fam = games.ruler_family(chain({n}))\n"
         "table = games.solve_elementwise(fam)\n"
         "game = games.GenericGame.from_turning_family(fam)\n"
         "for pos in range(game.n_positions):\n"
         "    assert games.brute_force_grundy(game, pos) == games.grundy_position(table, pos)\n"
     )
-    assert peak_rss_mb(sweep) < 35
+    assert peak_rss_mb(sweep) < mb
+
+
+@pytest.mark.deep
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_brute_force_sweep_stores_one_flip_tuple_per_position_on_chain16():
+    # past the oracle driver's 2^14 positions: 2^16 and 4 456 448 flip
+    # entries.  A tuple of option ids per position beside the flips took
+    # about 192 MB
+    test_brute_force_sweep_stores_one_flip_tuple_per_position(16, 100)
 
 
 def test_combined_refuses_over_the_position_cap():
@@ -629,15 +644,15 @@ def test_combined_refuses_a_second_part_whose_size_is_not_a_power_of_two():
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_combined_sweep_stores_one_flip_tuple_per_position():
+def test_combined_sweep_stores_one_flip_tuple_per_position(n1=9, n2=8, mb=120):
     # chain:9 ruler + chain:8 ruler: 2^17 positions and 5 308 416 flip
     # entries.  Option lists beside the flips took about 360 MB; one flip
     # tuple per position takes about 68 MB
     sweep = (
         "from grundylab.families import chain\n"
         "from grundylab import games\n"
-        "g1 = games.GenericGame.from_turning_family(games.ruler_family(chain(9)))\n"
-        "g2 = games.GenericGame.from_turning_family(games.ruler_family(chain(8)))\n"
+        f"g1 = games.GenericGame.from_turning_family(games.ruler_family(chain({n1})))\n"
+        f"g2 = games.GenericGame.from_turning_family(games.ruler_family(chain({n2})))\n"
         "both = games.combined(g1, g2)\n"
         "v1 = [games.brute_force_grundy(g1, p) for p in range(g1.n_positions)]\n"
         "v2 = [games.brute_force_grundy(g2, p) for p in range(g2.n_positions)]\n"
@@ -645,7 +660,15 @@ def test_combined_sweep_stores_one_flip_tuple_per_position():
         "    for p2, b in enumerate(v2):\n"
         "        assert games.brute_force_grundy(both, p1 * g2.n_positions + p2) == a ^ b\n"
     )
-    assert peak_rss_mb(sweep) < 120
+    assert peak_rss_mb(sweep) < mb
+
+
+@pytest.mark.deep
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
+def test_combined_sweep_stores_one_flip_tuple_per_position_on_chain15_and_chain2():
+    # 2^17 positions again, but 8 060 928 flip entries, 96 % of the cap:
+    # about 156 MB.  Option lists beside the flips took about 615 MB
+    test_combined_sweep_stores_one_flip_tuple_per_position(15, 2, 235)
 
 
 def test_brute_force_detects_cycles():

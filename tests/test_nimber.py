@@ -79,10 +79,13 @@ def test_inductive_oracles_refuse_negative_arguments():
     [
         (nim_add_inductive, "_build_nim_add_table", nim_add, 256),
         (nim_mul_inductive, "_build_nim_mul_table", nim_mul, 32),
+        # the nim-mul oracle at its cap: every cell against the
+        # Fermat-splitting nim_mul
+        pytest.param(nim_mul_inductive, "_build_nim_mul_table", nim_mul, 256, marks=pytest.mark.deep),
     ],
 )
 def test_ascending_sweep_builds_each_table_log_times(monkeypatch, oracle, builder, fast, limit):
-    # a table grows to the next power of two, so log2(limit) + 1 builds
+    # a table grows to twice its size, so log2(limit) + 1 builds
     build = getattr(nimber, builder)
     sizes = []
 
@@ -117,11 +120,29 @@ def test_an_interrupted_build_leaves_the_previous_table(monkeypatch):
     ]
 
 
-def test_nim_mul_table_matches_a_set_double_mex():
+def test_a_sweep_from_its_largest_cell_builds_one_table_of_that_size(monkeypatch):
+    build = nimber._build_nim_mul_table
+    sizes = []
+
+    def counting(size):
+        sizes.append(size)
+        return build(size)
+
+    monkeypatch.setattr(nimber, "_tables", {})
+    monkeypatch.setattr(nimber, "_build_nim_mul_table", counting)
+    for a in reversed(range(48)):
+        for b in reversed(range(48)):
+            assert nim_mul_inductive(a, b) == nim_mul(a, b)
+    assert sizes == [48]
+    # a miss past the table doubles it
+    assert nim_mul_inductive(48, 0) == 0
+    assert sizes == [48, 96]
+
+
+def test_nim_mul_table_matches_a_set_double_mex(limit=32):
     # the builder's byte lists against the defining double mex over Python
     # sets, which uses neither builder; products below 32 reach 255, so the
     # builder's translations must cover every byte, not only those below 32
-    limit = 32
     t = [[0] * limit for _ in range(limit)]
     for a in range(limit):
         for b in range(limit):
@@ -129,6 +150,12 @@ def test_nim_mul_table_matches_a_set_double_mex():
                 {t[x][b] ^ t[a][y] ^ t[x][y] for x in range(a) for y in range(b)}
             )
     assert nimber._build_nim_mul_table(limit) == t
+
+
+@pytest.mark.deep
+def test_nim_mul_table_matches_a_set_double_mex_at_64():
+    # the 64 x 64 table that verify and the oracle driver read
+    test_nim_mul_table_matches_a_set_double_mex(64)
 
 
 def test_nim_mul_inductive_identities():

@@ -178,11 +178,17 @@ def test_dp_option_sums_match_the_recurrence():
             coarse[mu] = s ^ h[n]
 
 
-def test_h_sequence_matches_the_literal_mex_loop():
+def test_h_sequence_matches_the_literal_mex_loop(top=12):
     h = [0, 1]
-    for n in range(2, 13):
+    for n in range(2, top + 1):
         h.append(mex(s_of_mu(n, mu, h) for mu in partitions_of(n)))
-    assert h_sequence(12) == h
+    assert h_sequence(top) == h
+
+
+@pytest.mark.deep
+def test_h_sequence_matches_the_literal_mex_loop_to_14():
+    # the paper's M_n recurrence, by the literal mex over s_of_mu
+    test_h_sequence_matches_the_literal_mex_loop(14)
 
 
 def test_h_sequence_past_the_paper_table():
