@@ -1,8 +1,8 @@
 """Named verification checks, shared by `grundylab verify` and the acceptance suite.
 
-Each check is a generator of `(name, ok, detail)` lines.  Its size parameters
-default to the sizes `verify` runs and appear in the names; the acceptance
-suite calls the same generators at its own sizes.  The oracles are those of
+Each check is a generator of `(name, ok, detail)` lines, and its sizes appear
+in the names.  A check that the acceptance suite runs larger takes those sizes
+as parameters, defaulting to the sizes `verify` runs.  The oracles are those of
 Winning Ways vol. 3, ch. 14: brute force against the per-element nim-sums, and
 the ruler values.  The library is called through module attributes
 (`games.solve_elementwise`, ...), so a wrapper installed on one sees the call.
@@ -28,9 +28,9 @@ BRUTE_FORCE_SUITE = (
 )
 
 
-def nim_add_checks(grid=512, inductive_below=64):
-    ok = all(nimber.nim_add(x, y) == x ^ y for x, y in product(range(grid), repeat=2))
-    yield f"nim-add equals carry-free binary addition (a,b < {grid})", ok, ""
+def nim_add_checks(inductive_below=64):
+    ok = all(nimber.nim_add(x, y) == x ^ y for x, y in product(range(512), repeat=2))
+    yield "nim-add equals carry-free binary addition (a,b < 512)", ok, ""
     pairs = product(range(inductive_below), repeat=2)
     bad = next(((x, y) for x, y in pairs if nimber.nim_add_inductive(x, y) != x ^ y), None)
     yield f"inductive nim-add matches fast path (a,b < {inductive_below})", bad is None, str(bad)
@@ -89,29 +89,29 @@ def combined_game_checks():
     yield "combined-game values are the nim-sums of the parts", ok, ""
 
 
-def closed_form_checks(chain_n=32, divisor_ns=(12, 30, 60), qs=(2, 3), d_max=40):
+def closed_form_checks():
     """Ruler closed forms on a chain and on divisor posets, and the subspace
     dimension recurrence against its closed form."""
-    t = games.solve_elementwise(games.ruler_family(families.chain(chain_n)))
-    ok = t.values == [nimber.ruler_phi(x) for x in range(1, chain_n + 1)]
-    yield f"chain ruler equals the ruler sequence (n = {chain_n})", ok, ""
-    for n in divisor_ns:
+    t = games.solve_elementwise(games.ruler_family(families.chain(32)))
+    ok = t.values == [nimber.ruler_phi(x) for x in range(1, 33)]
+    yield "chain ruler equals the ruler sequence (n = 32)", ok, ""
+    for n in (12, 30, 60):
         poset = families.divisor_poset(n)
         t = games.solve_elementwise(games.ruler_family(poset))
         expect = [closedforms.divisor_ruler_grundy(n, d) for d in poset.labels]
         yield f"divisor ruler closed form on divisors of {n}", t.values == expect, ""
-    for q in qs:
-        g, _ = closedforms.subspace_recurrence(q, d_max)
-        cf = [closedforms.subspace_ruler_grundy(q, d) for d in range(d_max + 1)]
-        yield f"subspace recurrence equals closed form (q={q}, d <= {d_max})", g == cf, ""
+    for q in (2, 3):
+        g, _ = closedforms.subspace_recurrence(q, 40)
+        cf = [closedforms.subspace_ruler_grundy(q, d) for d in range(41)]
+        yield f"subspace recurrence equals closed form (q={q}, d <= 40)", g == cf, ""
 
 
-def subspace_solver_checks(n=3, q=2):
-    poset = families.subspace_lattice(n, q)
-    dims = families.subspace_dimensions(n, q)
+def subspace_solver_checks():
+    poset = families.subspace_lattice(3, 2)
+    dims = families.subspace_dimensions(3, 2)
     t = games.solve_elementwise(games.ruler_family(poset))
-    ok = all(t.values[i] == closedforms.subspace_ruler_grundy(q, dims[i]) for i in range(poset.n))
-    yield f"full solver on the subspace lattice (n={n}, q={q}) matches by dimension", ok, ""
+    ok = all(t.values[i] == closedforms.subspace_ruler_grundy(2, dims[i]) for i in range(poset.n))
+    yield "full solver on the subspace lattice (n=3, q=2) matches by dimension", ok, ""
 
 
 def asm_ideal_checks(ns=(3, 4, 5)):

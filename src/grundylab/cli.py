@@ -151,8 +151,9 @@ def parse_poset_spec(spec: str, max_elements: int) -> "FinitePoset":
             return families.subspace_lattice(n, q)
         if head == "setpartitions":
             n = int(rest)
-            if n <= families.MAX_SET_PARTITION_N:
-                guard(families.bell_number(n))
+            if n > families.MAX_SET_PARTITION_N and n - 1 > max_elements.bit_length():  # Bell(n) >= 2^(n-1)
+                raise TooLargeError(f"{spec} has at least 2^{n - 1} elements (cap {max_elements})")
+            guard(families.bell_number(n))
             return families.set_partition_poset(n)
         if head == "asm":
             n = int(rest)

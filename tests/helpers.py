@@ -7,18 +7,25 @@ against (span containment by row reduction, the set partitions as tuples,
 the ASM coordinate rule), give the reference solver rule, the literal
 move rule, the set-bit nim-sum of a position and the ASM ruler's (rank, z)
 recurrence, check a theorem on a
-solved game, or read a child process's peak memory.  Import them as
-`from helpers import ...`; pytest puts this directory on `sys.path`.
+solved game, or run a fresh interpreter and read its peak memory.  Import
+them as `from helpers import ...`; pytest puts this directory on
+`sys.path`.
 """
 
 import json
+import os
+import subprocess
+import sys
 from itertools import accumulate
 from operator import xor
+from pathlib import Path
 
 from grundylab.games import TurningFamily, solve_elementwise
 from grundylab.nimber import mex
 from grundylab.partitions import decompositions, partitions_of
 from grundylab.poset import FinitePoset, iter_bits
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # Runs its argv as a child and prints the child's exit code and ru_maxrss.
 # A child's peak RSS includes the image of the process that started it, so
@@ -29,6 +36,31 @@ proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
 print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 """
+
+# -- fresh interpreters -------------------------------------------------------
+
+
+def run_python(*args, code=0, timeout=None):
+    """Run `python *args` in a fresh interpreter from the repository root,
+    with `src/` and this directory on PYTHONPATH, and check that it exits
+    with `code`.  Returns the completed process, its output as text."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])}
+    proc = subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=env, capture_output=True, text=True, timeout=timeout
+    )
+    assert proc.returncode == code, proc.stderr
+    return proc
+
+
+def peak_rss_mb(*args, code=0):
+    """Run `python *args` from RSS_LAUNCHER and check that it exits with
+    `code`.  Returns its peak RSS in MB (ru_maxrss is in KiB on Linux) and
+    its stderr."""
+    proc = run_python("-c", RSS_LAUNCHER, sys.executable, *args)
+    child_code, maxrss_kib = map(int, proc.stdout.split())
+    assert child_code == code, proc.stderr
+    return maxrss_kib / 1024, proc.stderr
+
 
 # -- posets -----------------------------------------------------------------
 

@@ -92,7 +92,7 @@ def test_criterion_07_subspace_rulers():
         for q in (3, 5):
             assert [subspace_ruler_grundy(q, d) for d in range(15)] == odd_row
             assert subspace_recurrence(q, 14)[0] == odd_row
-        assert_all_pass(checks.subspace_solver_checks(n=3, q=2))
+        assert_all_pass(checks.subspace_solver_checks())
 
 
 def test_criterion_08_asm_ideal_game():

@@ -4,10 +4,8 @@ import json
 import os
 import pickle
 import signal
-import subprocess
 import sys
 import time
-from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -21,12 +19,13 @@ from grundylab.cli import (
     EXIT_VERIFY_FAILED,
     FAMILY_NAMES,
     SUITE_NAMES,
+    console_main,
     main,
 )
 from grundylab.closedforms import asm_ideal_grundy
 from grundylab.errors import BudgetExceededError
 from grundylab.families import asm_elements, asm_pi, asm_poset
-from helpers import RSS_LAUNCHER, asm_ruler_fibers
+from helpers import asm_ruler_fibers, peak_rss_mb, run_python
 
 PHI_ROW = [1, 2, 1, 4, 1, 2, 1, 8, 1, 2, 1, 4, 1, 2, 1]
 
@@ -495,6 +494,14 @@ def test_endless_poset_file_stops_at_the_byte_bound(capsys):
     assert time.monotonic() - started < 1.0
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_endless_poset_file_stops_at_the_default_byte_bound():
+    # the default cap buffers about 100 MB before it refuses, so a child
+    # reads it and the suite's own process keeps no such peak
+    proc = run_python("-m", "grundylab.cli", "grundy", "file:/dev/zero", "ideal", code=EXIT_RESOURCE)
+    assert "file:/dev/zero is over 102400000 bytes, 1024 per element (cap 100000)" in proc.stderr
+
+
 def test_table_size_flags_defaults_and_floors(capsys):
     for name, meta in (
         ("phi", {"max": 15}),
@@ -574,6 +581,19 @@ def test_set_partition_cap_applies_before_construction(capsys):
     code, _, err = run(capsys, "grundy", "setpartitions:9", "tt", "--max-elements", "100")
     assert code == EXIT_RESOURCE
     assert "21147 elements (cap 100)" in err
+    assert time.monotonic() - started < 1.0
+
+
+@pytest.mark.parametrize(
+    "n, count", [(10, "115975 elements"), (10**8, "at least 2^99999999 elements")], ids=["10", "1e8"]
+)
+def test_set_partition_cap_names_the_spec_past_the_built_sizes(capsys, n, count):
+    # past n = 9, where families.set_partition_poset stops, the element cap
+    # still refuses first; a huge n is refused by Bell(n) >= 2^(n-1) alone
+    started = time.monotonic()
+    code, out, err = run(capsys, "grundy", f"setpartitions:{n}", "ideal")
+    assert code == EXIT_RESOURCE and out == ""
+    assert err == f"resource cap: setpartitions:{n} has {count} (cap 100000)\n"
     assert time.monotonic() - started < 1.0
 
 
@@ -752,18 +772,8 @@ def test_ruler_solve_holds_one_bucket_at_a_time():
     # option planes up from one predecessor, so this guards against a solve
     # that makes the intervals again, all at once.  On asm:20 the carried
     # planes are small: keeping every element's planes costs about 1 MB
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    cli = [sys.executable, "-m", "grundylab.cli", "grundy", "asm:20", "ruler"]
-    proc = subprocess.run(
-        [sys.executable, "-c", RSS_LAUNCHER, *cli],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    code, maxrss_kib = map(int, proc.stdout.split())
-    assert code == EXIT_OK
-    assert maxrss_kib / 1024 < 35
+    mb, _ = peak_rss_mb("-m", "grundylab.cli", "grundy", "asm:20", "ruler")
+    assert mb < 35
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
@@ -773,18 +783,8 @@ def test_set_partition_ideal_stores_down_masks_only():
     # RSS of this run is about 66 MB; masks numbered in RGS order are as
     # wide as the whole poset and took about 97 MB, and a filter mask
     # stored beside each down mask added about 30 MB more
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    cli = [sys.executable, "-m", "grundylab.cli", "grundy", "setpartitions:9", "ideal"]
-    proc = subprocess.run(
-        [sys.executable, "-c", RSS_LAUNCHER, *cli],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    code, maxrss_kib = map(int, proc.stdout.split())
-    assert code == EXIT_OK
-    assert maxrss_kib / 1024 < 76
+    mb, _ = peak_rss_mb("-m", "grundylab.cli", "grundy", "setpartitions:9", "ideal")
+    assert mb < 76
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
@@ -794,19 +794,9 @@ def test_oversized_poset_file_is_refused_unread(tmp_path):
     path = tmp_path / "sparse.json"
     with open(path, "wb") as fh:
         fh.truncate(200 * 1024 * 1024)
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    cli = [sys.executable, "-m", "grundylab.cli", "grundy", f"file:{path}", "ideal"]
-    proc = subprocess.run(
-        [sys.executable, "-c", RSS_LAUNCHER, *cli],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    code, maxrss_kib = map(int, proc.stdout.split())
-    assert code == EXIT_RESOURCE
-    assert "is over 102400000 bytes, 1024 per element (cap 100000)" in proc.stderr
-    assert maxrss_kib / 1024 < 40
+    mb, err = peak_rss_mb("-m", "grundylab.cli", "grundy", f"file:{path}", "ideal", code=EXIT_RESOURCE)
+    assert "is over 102400000 bytes, 1024 per element (cap 100000)" in err
+    assert mb < 40
 
 
 json_values = st.recursive(
@@ -835,31 +825,40 @@ def test_any_json_poset_file_is_solved_or_refused(tmp_path, capsys, doc):
     assert code in (EXIT_OK, EXIT_USAGE, EXIT_RESOURCE)
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["tables", "phi"], EXIT_OK),
+        (["grundy", "pentagon:9", "ruler"], EXIT_USAGE),
+        (["grundy", "setpartitions:30", "ruler"], EXIT_RESOURCE),
+    ],
+    ids=["ok", "usage", "resource"],
+)
+def test_console_main_exits_with_mains_code(capsys, monkeypatch, argv, code):
+    # the installed `grundylab` script runs console_main, which reads sys.argv
+    monkeypatch.setattr(sys, "argv", ["grundylab", *argv])
+    with pytest.raises(SystemExit) as exc:
+        console_main()
+    assert exc.value.code == code
+
+
 def test_exit_code_constants_are_distinct():
     assert len({EXIT_OK, EXIT_VERIFY_FAILED, EXIT_USAGE, EXIT_RESOURCE}) == 4
 
 
 def test_cli_import_does_not_load_numpy():
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-c", "import grundylab.cli, sys; print('numpy' in sys.modules)"],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    proc = run_python("-c", "import grundylab.cli, sys; print('numpy' in sys.modules)")
     assert proc.stdout.strip() == "False"
 
 
 def test_imports_load_only_what_they_name():
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     probe = (
         "import sys, grundylab\n"
         "print(sorted(m for m in sys.modules if m.startswith('grundylab.')))\n"
         "import grundylab.cli\n"
         "print(*(m in sys.modules for m in ('dataclasses', 'json', 'signal')))\n"
     )
-    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    proc = run_python("-c", probe)
     assert proc.stdout.splitlines() == ["[]", "False False False"]
 
 
@@ -879,7 +878,6 @@ COMMAND_MODULES = {
 
 @pytest.mark.parametrize("command", list(COMMAND_MODULES), ids=lambda c: c or "import")
 def test_commands_load_only_their_modules(command):
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     probe = (
         "import contextlib, io, sys\n"
         "import grundylab.cli\n"
@@ -888,8 +886,7 @@ def test_commands_load_only_their_modules(command):
         "    code = grundylab.cli.main(argv) if argv else 0\n"
         "print(code, *sorted(m for m in sys.modules if m.startswith('grundylab.')))\n"
     )
-    argv = command.split()
-    proc = subprocess.run([sys.executable, "-c", probe, *argv], env=env, capture_output=True, text=True, check=True)
+    proc = run_python("-c", probe, *command.split())
     code, *loaded = proc.stdout.split()
     assert code == "0"
     assert loaded == sorted(f"grundylab.{m}" for m in COMMAND_MODULES[command])
@@ -910,13 +907,6 @@ def test_parser_choices_are_the_lookups_names(capsys):
 def test_benchmark_workload_reproduces_its_recorded_stdout(workload):
     # run.py's last stdout line carries `correct`, false when any op's stdout
     # differs from benchmarks/expected.json
-    root = Path(__file__).resolve().parents[1]
     argv = ["--workload", workload, "--seed", "1", "--seconds", "1", "--trace", "0"]
-    proc = subprocess.run(
-        [sys.executable, str(root / "benchmarks" / "run.py"), *argv],
-        cwd=root,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
+    proc = run_python("benchmarks/run.py", *argv)
     assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -1,8 +1,5 @@
-import os
 import random
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -33,27 +30,26 @@ from grundylab.games import (
 from grundylab.nimber import mex, nim_mul, ruler_phi
 from grundylab.poset import FinitePoset, iter_bits
 from helpers import (
-    RSS_LAUNCHER,
     asm_xi,
     assert_grundy_respects_isomorphism,
     bucket_family,
     caller_ids,
     from_masks,
     moves,
+    peak_rss_mb,
     product,
+    run_python,
     set_bit_grundy,
 )
 
 
-def ft_suite():
-    yield chain(4), ("tt", "ideal", "ruler")
-    yield divisor_poset(12), ("ruler", "ideal")
-    yield set_partition_poset(3), ("ruler",)
-    yield asm_poset(4), ("ideal", "ruler")
-    yield subspace_lattice(2, 2), ("ruler",)
-
-
-BUILDERS = {"tt": turning_turtles, "ideal": order_ideal_family, "ruler": ruler_family}
+def ft_families():
+    """Each family of the brute-force suite that `verify` plays, built."""
+    builders = games.family_builders()
+    for _, build, names in checks.BRUTE_FORCE_SUITE:
+        poset = build()
+        for name in names:
+            yield builders[name](poset)
 
 
 def test_family_counts():
@@ -107,7 +103,7 @@ def sorted_buckets(fam):
 
 def test_check_sharp():
     d12 = divisor_poset(12)
-    for build in BUILDERS.values():
+    for build in games.family_builders().values():
         fam = build(d12)
         assert sorted_buckets(fam) == sorted_buckets(from_masks(d12, fam.masks))
     # {4, 6} is an antichain in the divisors of 12
@@ -156,13 +152,14 @@ def random_families(draw):
     (each with a random maximum) and a product family of two built-in
     families on p x q."""
     p, q = draw(cover_dags()), draw(cover_dags(max_n=4))
-    fams = [build(p) for build in BUILDERS.values()]
+    builders = games.family_builders()
+    fams = [build(p) for build in builders.values()]
     masks = []
     for y in draw(st.lists(st.integers(0, p.n - 1), max_size=3 * p.n)):
         masks.append((draw(st.integers(0, p.down_mask(y))) & p.down_mask(y)) | 1 << y)
     fams.append(from_masks(p, masks))
-    names = st.sampled_from(sorted(BUILDERS))
-    fams.append(product_family(p, BUILDERS[draw(names)](p), q, BUILDERS[draw(names)](q))[1])
+    names = st.sampled_from(sorted(builders))
+    fams.append(product_family(p, builders[draw(names)](p), q, builders[draw(names)](q))[1])
     return fams
 
 
@@ -289,15 +286,12 @@ def test_from_masks_rejects_sets_without_a_maximum():
 def test_from_masks_refuses_a_negative_mask():
     # a negative int has endless set bits, so walking them never ends; the
     # child process and its timeout keep such a hang from stalling the suite
-    code = (
+    script = (
         "from grundylab.families import chain\n"
         "from helpers import from_masks\n"
         "from_masks(chain(3), [0b1, -1])\n"
     )
-    here = Path(__file__).resolve().parent
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(here.parent / "src"), str(here)])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=10)
-    assert proc.returncode == 1
+    proc = run_python("-c", script, code=1, timeout=10)
     assert "ValueError: turning set 1 (-0b1) has no unique maximum" in proc.stderr
 
 
@@ -353,22 +347,19 @@ def test_symmetric_difference_involution():
 
 
 def test_ending_positions_avoid_maxima():
-    for p, fams in ft_suite():
-        for name in fams:
-            fam = BUILDERS[name](p)
-            heads = sum(1 << y for y in range(p.n) if fam.bucket(y))
-            for pos in range(1 << p.n):
-                assert (moves(fam, pos) == []) == (pos & heads == 0)
+    for fam in ft_families():
+        n = fam.poset.n
+        heads = sum(1 << y for y in range(n) if fam.bucket(y))
+        for pos in range(1 << n):
+            assert (moves(fam, pos) == []) == (pos & heads == 0)
 
 
 def test_potential_strictly_decreases():
     # ids are a linear extension, so the potential of a position, the sum
     # of 2^x over its elements, is its mask: every move lowers it
-    for p, fams in ft_suite():
-        for name in fams:
-            fam = BUILDERS[name](p)
-            for pos in range(1 << p.n):
-                assert all(opt < pos for opt in moves(fam, pos))
+    for fam in ft_families():
+        for pos in range(1 << fam.poset.n):
+            assert all(opt < pos for opt in moves(fam, pos))
 
 
 def test_solve_elementwise_chain_examples():
@@ -460,13 +451,19 @@ def test_grundy_position_refuses_a_bit_outside_the_board(n):
 
 
 def test_brute_force_matches_elementwise_everywhere():
-    for p, fams in ft_suite():
-        for name in fams:
-            fam = BUILDERS[name](p)
-            table = solve_elementwise(fam)
-            game = GenericGame.from_turning_family(fam)
-            for pos in range(1 << p.n):
-                assert brute_force_grundy(game, pos) == grundy_position(table, pos)
+    for fam in ft_families():
+        table = solve_elementwise(fam)
+        game = GenericGame.from_turning_family(fam)
+        for pos in range(1 << fam.poset.n):
+            assert brute_force_grundy(game, pos) == grundy_position(table, pos)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_oracle_driver_finds_no_mismatch(seed):
+    # the benchmark's sweep on seeded random posets of 12-14 elements, each
+    # family and the nimber oracles, from a fresh interpreter as it is run
+    proc = run_python("benchmarks/oracle_driver.py", "--seed", str(seed))
+    assert proc.stdout.splitlines()[-1] == "OK: 0 mismatch(es)"
 
 
 @settings(max_examples=60, deadline=None)
@@ -570,22 +567,6 @@ def test_an_order_that_lists_a_position_before_its_option_raises():
         game_lengths(upward)
 
 
-def peak_rss_mb(script):
-    """Run `script` in a fresh interpreter from RSS_LAUNCHER; it must exit
-    0.  Returns its peak RSS in MB (ru_maxrss is in KiB on Linux)."""
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.run(
-        [sys.executable, "-c", RSS_LAUNCHER, sys.executable, "-c", script],
-        env=env,
-        capture_output=True,
-        text=True,
-        check=True,
-    )
-    code, maxrss_kib = map(int, proc.stdout.split())
-    assert code == 0, proc.stderr
-    return maxrss_kib / 1024
-
-
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
 def test_brute_force_sweep_stores_one_flip_tuple_per_position(n=14, mb=35):
     # every position of chain:14 ruler: 2^14 positions and 860 160 flip
@@ -600,7 +581,7 @@ def test_brute_force_sweep_stores_one_flip_tuple_per_position(n=14, mb=35):
         "for pos in range(game.n_positions):\n"
         "    assert games.brute_force_grundy(game, pos) == games.grundy_position(table, pos)\n"
     )
-    assert peak_rss_mb(sweep) < mb
+    assert peak_rss_mb("-c", sweep)[0] < mb
 
 
 @pytest.mark.deep
@@ -660,7 +641,7 @@ def test_combined_sweep_stores_one_flip_tuple_per_position(n1=9, n2=8, mb=120):
         "    for p2, b in enumerate(v2):\n"
         "        assert games.brute_force_grundy(both, p1 * g2.n_positions + p2) == a ^ b\n"
     )
-    assert peak_rss_mb(sweep) < mb
+    assert peak_rss_mb("-c", sweep)[0] < mb
 
 
 @pytest.mark.deep

@@ -1,11 +1,9 @@
 import ast
-import os
 import re
-import subprocess
-import sys
-from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+import pytest
+
+from helpers import ROOT, run_python
 
 
 def test_readme_quick_start_runs():
@@ -14,6 +12,10 @@ def test_readme_quick_start_runs():
     # the first print line carries the output it expects in its comment
     first_print = next(line for line in code.splitlines() if line.startswith("print("))
     expected = ast.literal_eval(first_print.split("#", 1)[1].strip())
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    proc = run_python("-c", code)
     assert ast.literal_eval(proc.stdout.splitlines()[0]) == expected
+
+
+@pytest.mark.parametrize("demo", sorted((ROOT / "demos").glob("0*.py")), ids=lambda path: path.stem)
+def test_demo_runs(demo):
+    run_python(str(demo))
