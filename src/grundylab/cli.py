@@ -137,7 +137,7 @@ def parse_poset_spec(spec: str, max_elements: int) -> "FinitePoset":
             return families.chain(int(rest))
         if head == "divisors":
             n = int(rest)
-            trials = isqrt(n)
+            trials = isqrt(max(n, 0))  # a negative n reaches divisor_poset's own check
             if trials > max_elements:
                 raise TooLargeError(f"{spec} needs {trials} trial divisions (cap {max_elements})")
             poset = families.divisor_poset(n)
@@ -145,13 +145,16 @@ def parse_poset_spec(spec: str, max_elements: int) -> "FinitePoset":
             return poset
         if head == "subspaces":
             n, q = (int(v) for v in rest.split(":"))
+            from . import gf
+
+            gf.FiniteField(q)  # an unsupported q is a usage error at any n
             if n > max_elements.bit_length():  # F_q^n has at least 2^n subspaces
                 raise TooLargeError(f"{spec} has at least 2^{n} elements (cap {max_elements})")
             guard(sum(families.q_binomial(n, r, q) for r in range(n + 1)))
             return families.subspace_lattice(n, q)
         if head == "setpartitions":
             n = int(rest)
-            if n > families.MAX_SET_PARTITION_N and n - 1 > max_elements.bit_length():  # Bell(n) >= 2^(n-1)
+            if n - 1 > max_elements.bit_length():  # Bell(n) >= 2^(n-1)
                 raise TooLargeError(f"{spec} has at least 2^{n - 1} elements (cap {max_elements})")
             guard(families.bell_number(n))
             return families.set_partition_poset(n)

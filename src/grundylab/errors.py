@@ -10,7 +10,7 @@ class GrundylabError(Exception):
 
 
 class TooLargeError(GrundylabError):
-    """A constructor, solver or inductive oracle would exceed its size cap."""
+    """Past a size cap: the CLI's spec, row or byte cap, or a brute-force or inductive oracle's."""
 
 
 class BudgetExceededError(GrundylabError):

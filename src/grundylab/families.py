@@ -20,10 +20,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .errors import TooLargeError
 from .poset import FinitePoset
-
-MAX_SET_PARTITION_N = 9
 
 
 def chain(n: int) -> FinitePoset:
@@ -153,12 +150,11 @@ def set_partition_poset(n: int) -> FinitePoset:
     later blocks move down one, so the RGS stays canonical; that is one
     `bytes.translate` per block pair.  A merge makes the RGS smaller, so
     the ids are renumbered; `ids` keeps the lexicographic RGS order, the
-    order `grundy` prints the labels in.
+    order `grundy` prints the labels in.  No cap of its own: the caller
+    bounds n (`cli.parse_poset_spec` checks Bell(n) against its cap).
     """
     if n < 1:
         raise ValueError("set partition poset needs n >= 1")
-    if n > MAX_SET_PARTITION_N:
-        raise TooLargeError(f"set partition poset supported for n <= {MAX_SET_PARTITION_N}")
     elems = [(b"\0", ("1",))]
     for e in range(2, n + 1):  # a chain of generators: no level is held in full
         elems = _grow_rgs(elems, e)

@@ -580,7 +580,11 @@ def test_set_partition_cap_applies_before_construction(capsys):
     started = time.monotonic()
     code, _, err = run(capsys, "grundy", "setpartitions:9", "tt", "--max-elements", "100")
     assert code == EXIT_RESOURCE
-    assert "21147 elements (cap 100)" in err
+    # 8 exceeds 100's bit length, so Bell(9) >= 2^8 refuses it uncounted
+    assert err == "resource cap: setpartitions:9 has at least 2^8 elements (cap 100)\n"
+    code, _, err = run(capsys, "grundy", "setpartitions:9", "tt", "--max-elements", "20000")
+    assert code == EXIT_RESOURCE
+    assert err == "resource cap: setpartitions:9 has 21147 elements (cap 20000)\n"
     assert time.monotonic() - started < 1.0
 
 
@@ -588,8 +592,8 @@ def test_set_partition_cap_applies_before_construction(capsys):
     "n, count", [(10, "115975 elements"), (10**8, "at least 2^99999999 elements")], ids=["10", "1e8"]
 )
 def test_set_partition_cap_names_the_spec_past_the_built_sizes(capsys, n, count):
-    # past n = 9, where families.set_partition_poset stops, the element cap
-    # still refuses first; a huge n is refused by Bell(n) >= 2^(n-1) alone
+    # the element cap is the only limit on n: Pi_10 is counted, and a huge n
+    # is refused by Bell(n) >= 2^(n-1) alone
     started = time.monotonic()
     code, out, err = run(capsys, "grundy", f"setpartitions:{n}", "ideal")
     assert code == EXIT_RESOURCE and out == ""
@@ -601,10 +605,20 @@ def test_usage_errors(capsys):
     code, _, err = run(capsys, "grundy", "pentagon:9", "ruler")
     assert code == EXIT_USAGE
     assert "bad poset spec" in err or "unknown poset spec" in err
-    for spec in ("setpartitions:0", "setpartitions:-2", "subspaces:3:6", "subspaces:3:1", "subspaces:3:64"):
-        code, _, err = run(capsys, "grundy", spec, "ruler")
-        assert code == EXIT_USAGE
-        assert "bad poset spec" in err
+    # a malformed spec is a usage error whatever its size
+    for spec, why in (
+        ("setpartitions:0", "set partition poset needs n >= 1"),
+        ("setpartitions:-2", "set partition poset needs n >= 1"),
+        ("subspaces:3:6", "q=6 is not a supported prime power"),
+        ("subspaces:3:1", "q=1 is not a supported prime power"),
+        ("subspaces:3:64", "q=64 is not a supported prime power"),
+        ("subspaces:20:6", "q=6 is not a supported prime power"),
+        ("subspaces:2000:1", "q=1 is not a supported prime power"),
+        ("divisors:-4", "divisor poset needs n >= 1"),
+    ):
+        code, out, err = run(capsys, "grundy", spec, "ruler")
+        assert code == EXIT_USAGE and out == ""
+        assert err.startswith(f"error: bad poset spec {spec!r}: {why}")
     with pytest.raises(SystemExit) as exc:
         main(["grundy", "chain:4", "nosuchfamily"])
     assert exc.value.code == EXIT_USAGE
@@ -714,7 +728,7 @@ def test_time_budget_repeats_an_alarm_that_was_lost(capsys, monkeypatch):
 
 @pytest.mark.usefixtures("without_foreign_gc_callbacks")
 def test_time_budget_covers_poset_construction(capsys):
-    # both runs spend their budget building the poset, before any solve
+    # every run spends its budget building the poset, before any solve
     started = time.monotonic()
     code, _, err = run(capsys, "grundy", "subspaces:7:2", "ideal", "--max-seconds", "0.5")
     assert code == EXIT_RESOURCE
@@ -723,6 +737,13 @@ def test_time_budget_covers_poset_construction(capsys):
     started = time.monotonic()
     code, _, err = run(capsys, "grundy", "setpartitions:9", "tt", "--max-seconds", "0.05")
     assert code == EXIT_RESOURCE
+    assert time.monotonic() - started < 1.0
+    # Pi_10 (115 975 elements) is under this element cap, so only the budget stops it
+    started = time.monotonic()
+    argv = ("setpartitions:10", "ideal", "--max-elements", "200000", "--max-seconds", "0.3")
+    code, out, err = run(capsys, "grundy", *argv)
+    assert code == EXIT_RESOURCE and out == ""
+    assert "command not finished within 0.3s" in err
     assert time.monotonic() - started < 1.0
 
 

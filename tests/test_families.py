@@ -81,6 +81,14 @@ def test_subspace_lattice_size_guard():
     assert parse_poset_spec("subspaces:4:2", max_elements=67).n == 67
 
 
+def test_set_partition_poset_size_guard():
+    # The element cap on setpartitions:N is checked from the Bell number in
+    # parse_poset_spec; the constructor has no cap of its own.
+    with pytest.raises(TooLargeError, match=r"203 elements \(cap 202\)"):
+        parse_poset_spec("setpartitions:6", max_elements=202)
+    assert parse_poset_spec("setpartitions:6", max_elements=203).n == 203
+
+
 def test_rgs_enumeration():
     all3 = list(restricted_growth_strings(3))
     assert all3 == [(0, 0, 0), (0, 0, 1), (0, 1, 0), (0, 1, 1), (0, 1, 2)]
@@ -138,8 +146,6 @@ def test_set_partition_poset():
     coarse = p4.labels.index("1,3|2,4")
     assert leq(p4, fine, coarse)
     assert not leq(p4, coarse, fine)
-    with pytest.raises(TooLargeError):
-        set_partition_poset(10)
     for n in (0, -2):
         with pytest.raises(ValueError):
             set_partition_poset(n)
