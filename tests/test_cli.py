@@ -254,6 +254,34 @@ def test_tables_asm_ideal_is_pinned(capsys, n):
     assert hashlib.sha256(out.encode()).hexdigest() == ASM_IDEAL_SHA256[n]
 
 
+# sha256 of `tables <name> --format <fmt>` at each table's default size;
+# covers the renderer of every format and the defaults of the size flags
+TABLE_DEFAULT_SHA256 = {
+    ("phi", "text"): "d1acee9d1960ca166da160f460f162629dac889ee37048a9e55863b9dc4d6faf",
+    ("phi", "csv"): "a6569dd87f0bab324efe3e0d6fa489cd67825b9cdbd7aa00f26b5fb9209ef3eb",
+    ("phi", "json"): "0179d2fce5c60882a0fb010a57a5afd33eef7342560ae8842c41c802c431042f",
+    ("gq", "text"): "79b33432f46f992f55535a19e5a193a99808ca656b1f973cec17a6a271f5c731",
+    ("gq", "csv"): "bdf0f1dbc0c0e46dcebeed6d48c51a2a6fe2d06568133bb074b443ab188de107",
+    ("gq", "json"): "dad30265bf05ed44c73c494b91cb9229edbd8fe729d3d69e89da997ff6b36fb6",
+    ("hn", "text"): "7e1f3c282df754ad02284b14c220554f221750dc563c9185f2b6ffa4b79ec82c",
+    ("hn", "csv"): "51748876293c2e3e5368b445632d428953e5ed688db336148e4f34d9e068ac47",
+    ("hn", "json"): "9b13dddcd79d1f4b6c325110c26802eec8ca72821bce6335c6a4ddd6c905da5e",
+    ("asm-ideal", "text"): "ac749c20657a4982b7d49bdc61972fcf26932bb42474dbc4be718a76575cb70e",
+    ("asm-ideal", "csv"): "06c66bddc7d8178f0e2a18b67ed4bf23e0a31da72645e475d0c2695b92edac88",
+    ("asm-ideal", "json"): "830896019118f63ea07d24ba3e700cc57d0e322f75f67c42d0a51be9ba1f6745",
+    ("asm-ruler", "text"): "186159a551a068320526fc781724aeec72b7c7d4b553b72717f81ac5f7f2f3cc",
+    ("asm-ruler", "csv"): "32a98f23cbed86e27fe2f079dbea385f33510943efc635a0ae61a547463a9a60",
+    ("asm-ruler", "json"): "136dc7d503da2ebbeec34aade7bc73510f3613f300c878b41856c783fbf1d5bc",
+}
+
+
+@pytest.mark.parametrize("name, fmt", sorted(TABLE_DEFAULT_SHA256), ids="-".join)
+def test_table_defaults_are_pinned_in_every_format(capsys, name, fmt):
+    code, out, _ = run(capsys, "tables", name, "--format", fmt)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_DEFAULT_SHA256[(name, fmt)]
+
+
 def test_tables_asm_ruler_symmetry(capsys):
     code, out, _ = run(capsys, "tables", "asm-ruler", "--n", "6", "--format", "json")
     assert code == EXIT_OK
