@@ -8,6 +8,12 @@ Subcommands:
 Poset specs: chain:N | divisors:N | subspaces:N:Q | setpartitions:N | asm:N
 | file:PATH (JSON {"n":..., "covers":[[i,j],...], "labels":[...]}).
 
+Each table has its own sub-parser, built from `_TABLES`, whose options
+follow the name: its one size flag (`--max` for phi, gq and hn, `--n` for
+the asm tables), `--format`, `--max-elements` and `--max-seconds`.  Every
+default and every range lives where its flag is declared: the argparse
+type of a numeric flag refuses a value out of range as a usage error.
+
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 resource cap.
 
 Importing this module loads only `errors` from the package; each subcommand
@@ -50,51 +56,24 @@ EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
 
-class TableReport:
-    """Deterministically ordered rows plus run metadata."""
+def _render(fmt: str, columns: tuple[str, ...], rows: list[tuple], metadata: dict) -> str:
+    """Text and csv: one `# key: value` line per metadata key, then the
+    header and the rows; json: one object of the three."""
+    if fmt == "json":
+        import json
 
-    def __init__(self, columns: tuple[str, ...], rows: list[tuple], metadata: dict):
-        self.columns = columns
-        self.rows = rows
-        self.metadata = metadata
-
-    def _meta_lines(self) -> list[str]:
-        return [f"# {k}: {self.metadata[k]}" for k in sorted(self.metadata)]
-
-    def to_text(self) -> str:
-        lines = self._meta_lines()
-        widths = [
-            max(len(str(c)), *(len(str(r[i])) for r in self.rows)) if self.rows else len(str(c))
-            for i, c in enumerate(self.columns)
-        ]
-        lines.append("  ".join(str(c).ljust(w) for c, w in zip(self.columns, widths)))
-        for r in self.rows:
-            lines.append("  ".join(str(v).ljust(w) for v, w in zip(r, widths)))
-        return "\n".join(lines) + "\n"
-
-    def to_csv(self) -> str:
+        return json.dumps({"columns": columns, "rows": rows, "metadata": metadata}, sort_keys=True) + "\n"
+    lines = [f"# {k}: {metadata[k]}\n" for k in sorted(metadata)]
+    if fmt == "csv":
         import csv
         import io
 
         out = io.StringIO()
-        out.writelines(line + "\n" for line in self._meta_lines())
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(self.columns)
-        writer.writerows(self.rows)
-        return out.getvalue()
-
-    def to_json(self) -> str:
-        import json
-
-        obj = {
-            "columns": list(self.columns),
-            "rows": [list(r) for r in self.rows],
-            "metadata": self.metadata,
-        }
-        return json.dumps(obj, sort_keys=True) + "\n"
-
-    def render(self, fmt: str) -> str:
-        return {"text": self.to_text, "csv": self.to_csv, "json": self.to_json}[fmt]()
+        csv.writer(out, lineterminator="\n").writerows([columns, *rows])
+        return "".join(lines) + out.getvalue()
+    widths = [max(len(str(v)) for v in column) for column in zip(columns, *rows)]
+    lines += ["  ".join(str(v).ljust(w) for v, w in zip(row, widths)) + "\n" for row in [columns, *rows]]
+    return "".join(lines)
 
 
 class SpecError(GrundylabError):
@@ -114,7 +93,7 @@ def parse_poset_spec(spec: str, max_elements: int) -> "FinitePoset":
     try:
         if head == "file":
             # also bounds the covers list; setpartitions:9 serialises to ~145 bytes per element
-            limit = 1024 * max(max_elements, 0)
+            limit = 1024 * max_elements
             with open(rest, "rb") as fh:
                 # a regular file is refused by its size unread; /dev/zero and
                 # pipes report size 0 and stop at the read bound
@@ -173,40 +152,37 @@ def _meta(**kw) -> dict:
 
 
 # -- subcommands --------------------------------------------------------------
+# a command returns an exit code, or a table as (columns, rows, metadata)
 
 
-def cmd_grundy(args) -> TableReport:
+def cmd_grundy(args) -> tuple:
     from . import games
 
     poset = parse_poset_spec(args.poset, args.max_elements)
     fam = games.family_builders()[args.family](poset)
     table = games.solve_elementwise(fam)
     rows = [(str(poset.labels[x]), table.values[x]) for x in poset.ids]
-    return TableReport(
-        ("element_label", "grundy"),
-        rows,
-        _meta(poset=args.poset, family=args.family, elements=poset.n),
-    )
+    return ("element_label", "grundy"), rows, _meta(poset=args.poset, family=args.family, elements=poset.n)
 
 
-def _table_phi(args) -> TableReport:
+def _table_phi(args) -> tuple:
     from . import nimber
 
     rows = [(x, nimber.nu2(x), nimber.ruler_phi(x)) for x in range(1, args.max + 1)]
-    return TableReport(("x", "nu", "phi"), rows, _meta(table="phi", max=args.max))
+    return ("x", "nu", "phi"), rows, _meta(table="phi", max=args.max)
 
 
-def _table_gq(args) -> TableReport:
+def _table_gq(args) -> tuple:
     from . import closedforms
 
     rows = [
         (d, closedforms.subspace_ruler_grundy(2, d), closedforms.subspace_ruler_grundy(3, d))
         for d in range(args.max + 1)
     ]
-    return TableReport(("d", "q_even", "q_odd"), rows, _meta(table="gq", max=args.max))
+    return ("d", "q_even", "q_odd"), rows, _meta(table="gq", max=args.max)
 
 
-def _table_hn(args) -> TableReport:
+def _table_hn(args) -> tuple:
     from . import partitions
 
     h = partitions.h_sequence(args.max)
@@ -216,7 +192,7 @@ def _table_hn(args) -> TableReport:
     paper_max = len(partitions.H_ROW)
     if args.max > paper_max:
         meta["provenance"] = _hn_provenance(args.max, paper_max)
-    return TableReport(("n", "h"), rows, meta)
+    return ("n", "h"), rows, meta
 
 
 # h(18..20) from the DP were checked once against the M_n recurrence
@@ -239,15 +215,15 @@ def _hn_provenance(n_max: int, paper_max: int) -> str:
     return "; ".join(notes)
 
 
-def _table_asm_ideal(args) -> TableReport:
+def _table_asm_ideal(args) -> tuple:
     from . import closedforms
 
     n = args.n
     rows = [(r, s, closedforms.asm_ideal_grundy(r, s)) for r in range(n - 1) for s in range(r + 1)]
-    return TableReport(("r", "s", "grundy"), rows, _meta(table="asm-ideal", n=n))
+    return ("r", "s", "grundy"), rows, _meta(table="asm-ideal", n=n)
 
 
-def _table_asm_ruler(args) -> TableReport | int:
+def _table_asm_ruler(args) -> tuple | int:
     from . import families, games
 
     n = args.n
@@ -282,11 +258,12 @@ def _table_asm_ruler(args) -> TableReport | int:
         n=n,
         provenance="computed by the generic per-element solver; not checked against external values",
     )
-    return TableReport(("s", "t", "grundy"), rows, meta)
+    return ("s", "t", "grundy"), rows, meta
 
 
 # name -> (builder, size flag, its default, row count from the flag's value);
-# asm-ruler has no row count: its asm:N poset meets the spec guard
+# asm-ruler has no row count: its asm:N poset meets the spec guard.  Each
+# name is a `tables` sub-parser that takes its own size flag alone.
 _TABLES = {
     "phi": (_table_phi, "max", 15, lambda m: m),
     "gq": (_table_gq, "max", 14, lambda m: m + 1),
@@ -296,7 +273,7 @@ _TABLES = {
 }
 
 
-def cmd_tables(args) -> TableReport | int:
+def cmd_tables(args) -> tuple | int:
     builder, flag, _, count = _TABLES[args.name]
     if count is not None:  # checked before any row is built
         rows = count(getattr(args, flag))
@@ -324,6 +301,27 @@ def cmd_verify(args) -> int:
 # -- entry point ---------------------------------------------------------------
 
 
+def _checked(kind, ok, why: str):
+    """An argparse type: the text as `kind`, refused with `why` unless `ok`."""
+
+    def convert(text: str):
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(why)
+        return value
+
+    convert.__name__ = kind.__name__  # argparse's "invalid int value: 'x'"
+    return convert
+
+
+def _at_least(low: int):
+    return _checked(int, lambda v: v >= low, f"must be at least {low}")
+
+
+# a table's size flag -> (its floor, help)
+_SIZE_FLAGS = {"max": (1, "row bound"), "n": (2, "board size")}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grundylab",
@@ -331,24 +329,27 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_caps(p):
-        p.add_argument("--max-elements", type=int, default=MAX_POSET_ELEMENTS)
-        p.add_argument("--max-seconds", type=float, default=None)
+    def add_output_and_caps(p):
+        p.add_argument("--format", choices=("text", "csv", "json"), default="text")
+        p.add_argument("--max-elements", type=_at_least(1), default=MAX_POSET_ELEMENTS)
+        # setitimer(0) disarms the timer; 1e9 s is about 31 years, and
+        # setitimer rejects 1e15 s as out of range
+        seconds = _checked(float, lambda s: 0 < s <= 1e9, "must be positive and at most 1e9")
+        p.add_argument("--max-seconds", type=seconds, default=None)
 
     g = sub.add_parser("grundy", help="per-element Grundy table for a poset game")
     g.add_argument("poset", help="chain:N | divisors:N | subspaces:N:Q | setpartitions:N | asm:N | file:PATH")
     g.add_argument("family", choices=FAMILY_NAMES)
-    g.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    add_caps(g)
+    add_output_and_caps(g)
     g.set_defaults(func=cmd_grundy)
 
-    t = sub.add_parser("tables", help="reference tables")
-    t.add_argument("name", choices=sorted(_TABLES))
-    t.add_argument("--max", type=int, default=None, help="row bound for phi/gq/hn")
-    t.add_argument("--n", type=int, default=None, help="board size for asm tables")
-    t.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    add_caps(t)
-    t.set_defaults(func=cmd_tables)
+    tables = sub.add_parser("tables", help="reference tables").add_subparsers(dest="name", required=True)
+    for name, (_, flag, default, _) in sorted(_TABLES.items()):
+        floor, what = _SIZE_FLAGS[flag]
+        t = tables.add_parser(name)
+        t.add_argument(f"--{flag}", type=_at_least(floor), default=default, help=f"{what} (default {default})")
+        add_output_and_caps(t)
+        t.set_defaults(func=cmd_tables)
 
     v = sub.add_parser("verify", help="run verification suites")
     v.add_argument("suite", choices=SUITE_NAMES)
@@ -388,20 +389,8 @@ def _time_budget(seconds: float):
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "tables":
-        _, flag, default, _ = _TABLES[args.name]
-        if getattr(args, flag) is None:
-            setattr(args, flag, default)
-        if flag == "max" and args.max < 1:
-            parser.error("--max must be positive")
-        if flag == "n" and args.n < 2:
-            parser.error("--n must be at least 2")
+    args = build_parser().parse_args(argv)
     budget = getattr(args, "max_seconds", None)
-    # 1e9 s is about 31 years; setitimer rejects 1e15 s as out of range
-    if budget is not None and not 0 < budget <= 1e9:
-        parser.error("--max-seconds must be positive and at most 1e9")
     try:
         with _time_budget(budget) if budget is not None else nullcontext():
             result = args.func(args)
@@ -411,10 +400,10 @@ def main(argv=None) -> int:
     except (TooLargeError, BudgetExceededError) as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    if isinstance(result, TableReport):
-        sys.stdout.write(result.render(args.format))
-        return EXIT_OK
-    return result
+    if isinstance(result, int):
+        return result
+    sys.stdout.write(_render(args.format, *result))
+    return EXIT_OK
 
 
 def console_main() -> None:

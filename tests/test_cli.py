@@ -538,21 +538,31 @@ def test_table_size_flags_defaults_and_floors(capsys):
         ("asm-ideal", {"n": 10}),
         ("asm-ruler", {"n": 8}),
     ):
-        # the other table kind's flag is ignored, whatever its value
-        other = "--n" if "max" in meta else "--max"
-        code, out, _ = run(capsys, "tables", name, other, "0", "--format", "json")
+        code, out, _ = run(capsys, "tables", name, "--format", "json")
         assert code == EXIT_OK
         assert {k: json.loads(out)["metadata"][k] for k in meta} == meta
+        # each table takes only its own size flag; --max on an asm table is
+        # a prefix of --max-elements and --max-seconds
+        if "max" in meta:
+            other, message = "--n", "unrecognized arguments: --n 30"
+        else:
+            other, message = "--max", "ambiguous option: --max could match --max-elements, --max-seconds"
+        with pytest.raises(SystemExit) as exc:
+            main(["tables", name, other, "30"])
+        assert exc.value.code == EXIT_USAGE
+        assert capsys.readouterr().err.endswith(f" error: {message}\n")
     for name, flag, value, message in (
-        ("phi", "--max", "0", "--max must be positive"),
-        ("hn", "--max", "-3", "--max must be positive"),
-        ("asm-ideal", "--n", "1", "--n must be at least 2"),
-        ("asm-ruler", "--n", "0", "--n must be at least 2"),
+        ("phi", "--max", "0", "argument --max: must be at least 1"),
+        ("hn", "--max", "-3", "argument --max: must be at least 1"),
+        ("gq", "--max", "x", "argument --max: invalid int value: 'x'"),
+        ("asm-ideal", "--n", "1", "argument --n: must be at least 2"),
+        ("asm-ruler", "--n", "0", "argument --n: must be at least 2"),
+        ("asm-ruler", "--n", "8.5", "argument --n: invalid int value: '8.5'"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(["tables", name, flag, value])
         assert exc.value.code == EXIT_USAGE
-        assert message in capsys.readouterr().err
+        assert capsys.readouterr().err.endswith(f"grundylab tables {name}: error: {message}\n")
 
 
 def test_table_row_caps_apply_before_any_row(capsys):
@@ -650,6 +660,14 @@ def test_usage_errors(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["grundy", "chain:4", "nosuchfamily"])
     assert exc.value.code == EXIT_USAGE
+    # the element cap must be at least 1, checked as the command line is parsed
+    for argv in (("grundy", "chain:4", "ruler", "--max-elements", "-5"), ("tables", "hn", "--max-elements", "0")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith(": error: argument --max-elements: must be at least 1\n")
     with pytest.raises(SystemExit) as exc:
         main(["nosuchcommand"])
     assert exc.value.code == EXIT_USAGE
@@ -781,7 +799,8 @@ def test_time_budget_must_be_positive_and_finite(capsys, seconds):
     with pytest.raises(SystemExit) as exc:
         main(["grundy", "chain:4", "ruler", "--max-seconds", seconds])
     assert exc.value.code == EXIT_USAGE
-    assert "--max-seconds must be positive" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.endswith("grundylab grundy: error: argument --max-seconds: must be positive and at most 1e9\n")
 
 
 @pytest.mark.usefixtures("without_foreign_gc_callbacks")
