@@ -668,6 +668,10 @@ def test_usage_errors(capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.endswith(": error: argument --max-elements: must be at least 1\n")
+    # a table's options follow its name
+    with pytest.raises(SystemExit) as exc:
+        main(["tables", "--format", "json", "phi"])
+    assert exc.value.code == EXIT_USAGE
     with pytest.raises(SystemExit) as exc:
         main(["nosuchcommand"])
     assert exc.value.code == EXIT_USAGE
