@@ -337,7 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
         seconds = _checked(float, lambda s: 0 < s <= 1e9, "must be positive and at most 1e9")
         p.add_argument("--max-seconds", type=seconds, default=None)
 
-    g = sub.add_parser("grundy", help="per-element Grundy table for a poset game")
+    # allow_abbrev=False: one spelling per option, so --max-e is not --max-elements
+    g = sub.add_parser("grundy", help="per-element Grundy table for a poset game", allow_abbrev=False)
     g.add_argument("poset", help="chain:N | divisors:N | subspaces:N:Q | setpartitions:N | asm:N | file:PATH")
     g.add_argument("family", choices=FAMILY_NAMES)
     add_output_and_caps(g)
@@ -346,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     tables = sub.add_parser("tables", help="reference tables").add_subparsers(dest="name", required=True)
     for name, (_, flag, default, _) in sorted(_TABLES.items()):
         floor, what = _SIZE_FLAGS[flag]
-        t = tables.add_parser(name)
+        t = tables.add_parser(name, allow_abbrev=False)
         t.add_argument(f"--{flag}", type=_at_least(floor), default=default, help=f"{what} (default {default})")
         add_output_and_caps(t)
         t.set_defaults(func=cmd_tables)

@@ -23,8 +23,9 @@ solver makes none.
 mex recursion over an explicit `GenericGame`, whose moves are XOR flip
 masks that lead to lower position ids: its first call values every
 position in one ascending sweep.  A coin-turning move clears the highest
-changed bit, its set's maximum, and a move in a disjoint sum (`combined`)
-lowers one part's id.  An option that is not a lower id, a self-loop
+changed bit, its set's maximum.  A sum of two coin-turning games is the
+game on the disjoint union of their boards, so it is built by the same
+`from_turning_family`.  An option that is not a lower id, a self-loop
 included, makes the sweep raise, and so does any cycle.  The test suite plays
 the solver and the oracle against each other.  The CLI's `--max-seconds`
 timer may interrupt any of them.
@@ -39,8 +40,8 @@ from .errors import TooLargeError
 from .poset import FinitePoset, iter_bits
 
 MAX_BRUTE_FORCE_POSITIONS = 1 << 20
-# one 8-byte tuple slot per flip entry, for a turning-family game and a sum
-# alike: 2^23 entries are 64 MiB of slots
+# one 8-byte tuple slot per flip entry, for any coin-turning game, a sum
+# (the game on the union board) included: 2^23 entries are 64 MiB of slots
 MAX_BRUTE_FORCE_FLIPS = 1 << 23
 
 
@@ -326,29 +327,3 @@ def brute_force_grundy(game: GenericGame, position: int) -> int:
         game.values = [b.bit_length() - 1 for b in bits]
     return game.values[position]
 
-
-def combined(g1: GenericGame, g2: GenericGame) -> GenericGame:
-    """Disjoint sum: move in one component, leave the other untouched.
-
-    Position (p1, p2) gets id p1 * n2 + p2, where the second part's size
-    n2 must be a power of two (ValueError otherwise), as every game the
-    library builds is: then p1 * n2 + p2 is p1's bits above p2's, and the
-    flips of (p1, p2) are p1's scaled by n2 followed by p2's, the scaled
-    tuple made once per p1.  A move lowers one part's id and so the sum's.
-    Refused with TooLargeError before
-    any list is built when its positions or its flip entries,
-    n2 * E1 + n1 * E2 for parts with E1 and E2 entries, are over their caps.
-    """
-    n1, n2 = g1.n_positions, g2.n_positions
-    if n2 & (n2 - 1):
-        raise ValueError(f"second part has {n2} positions, not a power of two")
-    if n1 * n2 > MAX_BRUTE_FORCE_POSITIONS:
-        raise TooLargeError(f"{n1}*{n2} positions exceed cap {MAX_BRUTE_FORCE_POSITIONS}")
-    entries = n2 * sum(map(len, g1.flips)) + n1 * sum(map(len, g2.flips))
-    if entries > MAX_BRUTE_FORCE_FLIPS:
-        raise TooLargeError(f"{entries} flip entries exceed cap {MAX_BRUTE_FORCE_FLIPS}")
-    flips = []
-    for f1 in g1.flips:
-        scaled = tuple([f * n2 for f in f1])
-        flips += [scaled + f2 for f2 in g2.flips]
-    return GenericGame(flips)

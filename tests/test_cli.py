@@ -541,16 +541,13 @@ def test_table_size_flags_defaults_and_floors(capsys):
         code, out, _ = run(capsys, "tables", name, "--format", "json")
         assert code == EXIT_OK
         assert {k: json.loads(out)["metadata"][k] for k in meta} == meta
-        # each table takes only its own size flag; --max on an asm table is
-        # a prefix of --max-elements and --max-seconds
-        if "max" in meta:
-            other, message = "--n", "unrecognized arguments: --n 30"
-        else:
-            other, message = "--max", "ambiguous option: --max could match --max-elements, --max-seconds"
+        # each table takes only its own size flag, and --max on an asm table
+        # is not read as a prefix of --max-elements or --max-seconds
+        other = "--n" if "max" in meta else "--max"
         with pytest.raises(SystemExit) as exc:
             main(["tables", name, other, "30"])
         assert exc.value.code == EXIT_USAGE
-        assert capsys.readouterr().err.endswith(f" error: {message}\n")
+        assert capsys.readouterr().err.endswith(f" error: unrecognized arguments: {other} 30\n")
     for name, flag, value, message in (
         ("phi", "--max", "0", "argument --max: must be at least 1"),
         ("hn", "--max", "-3", "argument --max: must be at least 1"),
@@ -668,6 +665,14 @@ def test_usage_errors(capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.endswith(": error: argument --max-elements: must be at least 1\n")
+    # each option has one spelling: a prefix of a flag is not that flag
+    for argv in (("grundy", "chain:4", "ruler", "--max-e", "5"), ("tables", "hn", "--form", "json")):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == EXIT_USAGE
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err.endswith(f": error: unrecognized arguments: {' '.join(argv[-2:])}\n")
     # a table's options follow its name
     with pytest.raises(SystemExit) as exc:
         main(["tables", "--format", "json", "phi"])

@@ -20,7 +20,6 @@ from grundylab.games import (
     GrundyTable,
     _mex_over_planes,
     brute_force_grundy,
-    combined,
     grundy_position,
     order_ideal_family,
     ruler_family,
@@ -593,65 +592,6 @@ def test_brute_force_sweep_stores_one_flip_tuple_per_position_on_chain16():
     test_brute_force_sweep_stores_one_flip_tuple_per_position(16, 100)
 
 
-def test_combined_refuses_over_the_position_cap():
-    # 2^11 * 2^11 = 4M pairs, refused before any pair is built
-    g = GenericGame.from_turning_family(ruler_family(chain(11)))
-    with pytest.raises(TooLargeError):
-        combined(g, g)
-
-
-def test_combined_refuses_over_the_flip_cap():
-    # chain:9 ruler has 512 positions and 45 * 2^8 = 11 520 flip entries;
-    # the sum has 2^18 positions, within the position cap, but
-    # 512 * 11 520 * 2 = 11 796 480 entries: refused from the parts' counts
-    g = GenericGame.from_turning_family(ruler_family(chain(9)))
-    assert sum(map(len, g.flips)) == 45 << 8
-    with pytest.raises(TooLargeError, match="11796480 flip entries exceed cap"):
-        combined(g, g)
-
-
-def test_combined_refuses_a_second_part_whose_size_is_not_a_power_of_two():
-    # p1 * 3 + p2 does not keep p1's bits apart from p2's, so no flip
-    # makes a move in g alone; only the second part's size matters
-    g = GenericGame.from_turning_family(ruler_family(chain(2)))
-    three = GenericGame(flips=[(), (1,), (3,)])
-    with pytest.raises(ValueError, match="3 positions, not a power of two"):
-        combined(g, three)
-    both = combined(three, g)
-    for p1 in range(3):
-        for p2 in range(4):
-            lhs = brute_force_grundy(both, p1 * 4 + p2)
-            assert lhs == brute_force_grundy(three, p1) ^ brute_force_grundy(g, p2)
-
-
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_combined_sweep_stores_one_flip_tuple_per_position(n1=9, n2=8, mb=120):
-    # chain:9 ruler + chain:8 ruler: 2^17 positions and 5 308 416 flip
-    # entries.  Option lists beside the flips took about 360 MB; one flip
-    # tuple per position takes about 68 MB
-    sweep = (
-        "from grundylab.families import chain\n"
-        "from grundylab import games\n"
-        f"g1 = games.GenericGame.from_turning_family(games.ruler_family(chain({n1})))\n"
-        f"g2 = games.GenericGame.from_turning_family(games.ruler_family(chain({n2})))\n"
-        "both = games.combined(g1, g2)\n"
-        "v1 = [games.brute_force_grundy(g1, p) for p in range(g1.n_positions)]\n"
-        "v2 = [games.brute_force_grundy(g2, p) for p in range(g2.n_positions)]\n"
-        "for p1, a in enumerate(v1):\n"
-        "    for p2, b in enumerate(v2):\n"
-        "        assert games.brute_force_grundy(both, p1 * g2.n_positions + p2) == a ^ b\n"
-    )
-    assert peak_rss_mb("-c", sweep)[0] < mb
-
-
-@pytest.mark.deep
-@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in KiB on Linux")
-def test_combined_sweep_stores_one_flip_tuple_per_position_on_chain15_and_chain2():
-    # 2^17 positions again, but 8 060 928 flip entries, 96 % of the cap:
-    # about 156 MB.  Option lists beside the flips took about 615 MB
-    test_combined_sweep_stores_one_flip_tuple_per_position(15, 2, 235)
-
-
 def test_brute_force_detects_cycles():
     # 0 and 1 are each other's option
     cyclic = GenericGame(flips=[(1,), (1,)])
@@ -730,41 +670,28 @@ def test_sweep_matches_the_literal_recursions(game, rnd):
     assert game_lengths(game) == [length(p) for p in range(game.n_positions)]
 
 
-def test_option_graphs_acyclic_and_lengths_add():
-    g1 = GenericGame.from_turning_family(ruler_family(chain(3)))
-    g2 = GenericGame.from_turning_family(ruler_family(chain(4)))
-    l1, l2 = game_lengths(g1), game_lengths(g2)
-    both = combined(g1, g2)
-    lb = game_lengths(both)
+@pytest.mark.parametrize("family", ["tt", "ideal", "ruler"])
+def test_sum_is_the_game_on_the_union_board(family):
+    # divisors:12 on ids 0..5 and chain:3 on 6..8: every edge runs upward,
+    # so from_covers keeps the ids and (p1, p2) is the position p1 | p2 << 6
+    build = games.family_builders()[family]
+    d12, c3 = divisor_poset(12), chain(3)
+    covers = [(x, y) for y, preds in enumerate(d12.preds) for x in preds] + [(6, 7), (7, 8)]
+    union = FinitePoset.from_covers(9, covers)
+    assert union.labels == list(range(9))
+    g1, g2, both = (GenericGame.from_turning_family(build(p)) for p in (d12, c3, union))
+    l1, l2, lb = game_lengths(g1), game_lengths(g2), game_lengths(both)
     for p1 in range(g1.n_positions):
         for p2 in range(g2.n_positions):
-            assert lb[p1 * g2.n_positions + p2] == l1[p1] + l2[p2]
-
-
-def test_combined_game_values_are_nim_sums():
-    g1 = GenericGame.from_turning_family(ruler_family(chain(3)))
-    g2 = GenericGame.from_turning_family(ruler_family(chain(4)))
-    both = combined(g1, g2)
+            pos = p1 | p2 << 6
+            assert brute_force_grundy(both, pos) == brute_force_grundy(g1, p1) ^ brute_force_grundy(g2, p2)
+            assert lb[pos] == l1[p1] + l2[p2]
     endings = {p for p, flips in enumerate(both.flips) if not flips}
-    expected_endings = {
-        p1 * g2.n_positions + p2
+    assert endings == {
+        p1 | p2 << 6
         for p1, f1 in enumerate(g1.flips) if not f1
         for p2, f2 in enumerate(g2.flips) if not f2
     }
-    assert endings == expected_endings
-    for p1 in range(g1.n_positions):
-        for p2 in range(g2.n_positions):
-            lhs = brute_force_grundy(both, p1 * g2.n_positions + p2)
-            assert lhs == brute_force_grundy(g1, p1) ^ brute_force_grundy(g2, p2)
-
-
-def test_combined_with_moveless_game_is_original():
-    g1 = GenericGame.from_turning_family(ruler_family(chain(3)))
-    null_game = GenericGame(flips=[()])
-    both = combined(g1, null_game)
-    assert both.n_positions == g1.n_positions
-    for p in range(g1.n_positions):
-        assert brute_force_grundy(both, p) == brute_force_grundy(g1, p)
 
 
 def test_product_family_grundy_values():
