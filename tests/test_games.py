@@ -670,6 +670,38 @@ def test_sweep_matches_the_literal_recursions(game, rnd):
     assert game_lengths(game) == [length(p) for p in range(game.n_positions)]
 
 
+def _ruler_sum_of_chain3_and_chain4():
+    # chain:3 on ids 0..2 and chain:4 on 3..6: (p1, p2) is p1 | p2 << 3
+    g1 = GenericGame.from_turning_family(ruler_family(chain(3)))
+    g2 = GenericGame.from_turning_family(ruler_family(chain(4)))
+    union = FinitePoset.from_covers(7, [(0, 1), (1, 2), (3, 4), (4, 5), (5, 6)])
+    return g1, g2, GenericGame.from_turning_family(ruler_family(union))
+
+
+def test_option_graphs_acyclic_and_lengths_add():
+    g1, g2, both = _ruler_sum_of_chain3_and_chain4()
+    l1, l2 = game_lengths(g1), game_lengths(g2)
+    lb = game_lengths(both)
+    for p1 in range(g1.n_positions):
+        for p2 in range(g2.n_positions):
+            assert lb[p1 | p2 << 3] == l1[p1] + l2[p2]
+
+
+def test_combined_game_values_are_nim_sums():
+    g1, g2, both = _ruler_sum_of_chain3_and_chain4()
+    endings = {p for p, flips in enumerate(both.flips) if not flips}
+    expected_endings = {
+        p1 | p2 << 3
+        for p1, f1 in enumerate(g1.flips) if not f1
+        for p2, f2 in enumerate(g2.flips) if not f2
+    }
+    assert endings == expected_endings
+    for p1 in range(g1.n_positions):
+        for p2 in range(g2.n_positions):
+            lhs = brute_force_grundy(both, p1 | p2 << 3)
+            assert lhs == brute_force_grundy(g1, p1) ^ brute_force_grundy(g2, p2)
+
+
 @pytest.mark.parametrize("family", ["tt", "ideal", "ruler"])
 def test_sum_is_the_game_on_the_union_board(family):
     # divisors:12 on ids 0..5 and chain:3 on 6..8: every edge runs upward,
