@@ -23,10 +23,11 @@ compiled from source on each run: `tables hn` never compiles the poset code,
 and only `verify` compiles the checks and their oracles.
 
 `--max-seconds` budgets the whole subcommand by one process timer whose
-SIGALRM handler raises BudgetExceededError wherever the work is; the table
-is written after the timer is disarmed.  `signal.setitimer` is POSIX-only
-(the tool is run and tested on Linux), and `main` must run in the main
-thread.
+SIGALRM handler writes the cap line and ends the process with exit 3
+wherever the work is, so `main` never returns from a budget that runs out;
+the table is written after the timer is disarmed.  `signal.setitimer` is
+POSIX-only (the tool is run and tested on Linux), and `main` must run in
+the main thread.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from contextlib import contextmanager, nullcontext
 from math import isqrt
 
 from . import __version__
-from .errors import BudgetExceededError, GrundylabError, TooLargeError
+from .errors import TooLargeError
 
 # The down masks of an n-element poset take about n^2/16 bytes (ids are a
 # linear extension, so the mask of element i is i + 1 bits wide), 0.6 GB
@@ -76,7 +77,7 @@ def _render(fmt: str, columns: tuple[str, ...], rows: list[tuple], metadata: dic
     return "".join(lines)
 
 
-class SpecError(GrundylabError):
+class SpecError(Exception):
     """Unparseable poset spec or family name."""
 
 
@@ -185,6 +186,9 @@ def _table_gq(args) -> tuple:
 def _table_hn(args) -> tuple:
     from . import partitions
 
+    visits = partitions.count_partitions_up_to(args.max, args.max_elements)
+    if visits > args.max_elements:
+        raise TooLargeError(f"tables hn visits at least {visits} partitions (cap {args.max_elements})")
     h = partitions.h_sequence(args.max)
     rows = [(n, h[n]) for n in range(1, args.max + 1)]
     meta = _meta(table="hn", max=args.max)
@@ -262,12 +266,13 @@ def _table_asm_ruler(args) -> tuple | int:
 
 
 # name -> (builder, size flag, its default, row count from the flag's value);
-# asm-ruler has no row count: its asm:N poset meets the spec guard.  Each
-# name is a `tables` sub-parser that takes its own size flag alone.
+# hn and asm-ruler count their own work instead: the partitions of hn's DP,
+# asm-ruler's asm:N poset through the spec guard.  Each name is a `tables`
+# sub-parser that takes its own size flag alone.
 _TABLES = {
     "phi": (_table_phi, "max", 15, lambda m: m),
     "gq": (_table_gq, "max", 14, lambda m: m + 1),
-    "hn": (_table_hn, "max", 17, lambda m: m),
+    "hn": (_table_hn, "max", 17, None),
     "asm-ideal": (_table_asm_ideal, "n", 10, lambda n: n * (n - 1) // 2),
     "asm-ruler": (_table_asm_ruler, "n", 8, None),
 }
@@ -342,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("poset", help="chain:N | divisors:N | subspaces:N:Q | setpartitions:N | asm:N | file:PATH")
     g.add_argument("family", choices=FAMILY_NAMES)
     add_output_and_caps(g)
-    g.set_defaults(func=cmd_grundy)
+    g.set_defaults(func=cmd_grundy, parser=g)
 
     tables = sub.add_parser("tables", help="reference tables").add_subparsers(dest="name", required=True)
     for name, (_, flag, default, _) in sorted(_TABLES.items()):
@@ -350,47 +355,38 @@ def build_parser() -> argparse.ArgumentParser:
         t = tables.add_parser(name, allow_abbrev=False)
         t.add_argument(f"--{flag}", type=_at_least(floor), default=default, help=f"{what} (default {default})")
         add_output_and_caps(t)
-        t.set_defaults(func=cmd_tables)
+        t.set_defaults(func=cmd_tables, parser=t)
 
     v = sub.add_parser("verify", help="run verification suites")
     v.add_argument("suite", choices=SUITE_NAMES)
-    v.set_defaults(func=cmd_verify)
+    v.set_defaults(func=cmd_verify, parser=v)
     return parser
-
-
-# after the budget, the alarm repeats at this interval until the block is left
-_BUDGET_REPEAT_S = 0.01
 
 
 @contextmanager
 def _time_budget(seconds: float):
-    """Raise BudgetExceededError in the block once `seconds` have passed.
-
-    The alarm repeats until the block is left: an exception raised where
-    Python cannot pass it on (a gc callback, a `__del__`) is reported as
-    unraisable and dropped, and the next alarm raises it again.  An alarm
-    that lands while the error is already being handled, or while the timer
-    is being disarmed, is ignored."""
+    """End the process with EXIT_RESOURCE once `seconds` have passed in the
+    block.  `os._exit` leaves from wherever the alarm lands, even where an
+    exception would be dropped (a gc callback, a `__del__`)."""
     import signal
 
-    armed = True
-
     def out_of_time(signum, frame):
-        if armed and not isinstance(sys.exc_info()[1], BudgetExceededError):
-            raise BudgetExceededError(f"command not finished within {seconds}s")
+        print(f"resource cap: command not finished within {seconds}s", file=sys.stderr, flush=True)
+        os._exit(EXIT_RESOURCE)
 
     previous = signal.signal(signal.SIGALRM, out_of_time)
     try:
-        signal.setitimer(signal.ITIMER_REAL, seconds, _BUDGET_REPEAT_S)
+        signal.setitimer(signal.ITIMER_REAL, seconds)
         yield
     finally:
-        armed = False
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
+    if extra:  # reported by the sub-command's parser, with its usage line
+        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
     budget = getattr(args, "max_seconds", None)
     try:
         with _time_budget(budget) if budget is not None else nullcontext():
@@ -398,7 +394,7 @@ def main(argv=None) -> int:
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (TooLargeError, BudgetExceededError) as exc:
+    except TooLargeError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     if isinstance(result, int):

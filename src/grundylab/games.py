@@ -28,7 +28,8 @@ game on the disjoint union of their boards, so it is built by the same
 `from_turning_family`.  An option that is not a lower id, a self-loop
 included, makes the sweep raise, and so does any cycle.  The test suite plays
 the solver and the oracle against each other.  The CLI's `--max-seconds`
-timer may interrupt any of them.
+timer may end the process inside any of them, and a Ctrl-C may interrupt
+any of them.
 """
 
 from __future__ import annotations

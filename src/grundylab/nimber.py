@@ -15,9 +15,10 @@ index misses.  A cell reads only cells with smaller coordinates, so a
 table that is too small is rebuilt from scratch, to the missed cell or to
 twice its old size, whichever is larger (at most log2(cap) + 1 builds in
 an ascending sweep, one in a sweep that starts at its largest cell), and
-published by one assignment; an interrupted build leaves the old table in
-place.  The nim-add builder keeps option sets as int bitmasks.  Every value
-below the nim-mul cap fits in one byte, so the nim-mul builder keeps each
+published by one assignment; a build interrupted by a Ctrl-C leaves the
+old table in place (the CLI's `--max-seconds` timer ends the process).
+The nim-add builder keeps option sets as int bitmasks.  Every value below
+the nim-mul cap fits in one byte, so the nim-mul builder keeps each
 column's options as bytes packed in one int: a cell's options are one XOR
 of that int with its row's bytes repeated, and its mex is the first byte
 that `bytes.translate` does not delete.  These tables and the `nim_mul`

@@ -29,7 +29,8 @@ nim arithmetic has characteristic 2, so only those T contribute.  s_n(mu) is
 the same sum without the top coarsening T = "all remaining blocks", so once
 h(n) is known, F(mu) = s_n(mu) + h(n) for every mu of weight n, and the memo
 F, keyed by the partition tuples, is shared by every n and dies with the
-call, so a DP stopped by the CLI's `--max-seconds` timer leaves nothing.
+call.  It holds one entry per partition of every n <= n_max, which
+`count_partitions_up_to` counts before the CLI starts the DP.
 
 Partitions are plain tuples of parts in weakly decreasing order.
 """
@@ -172,6 +173,26 @@ def option_sums(n: int, h, coarse):
             if rest:
                 acc ^= nim_mul(h[first + w], coarse[rest])
         yield mu, acc
+
+
+def count_partitions_up_to(n_max: int, cap: int) -> int:
+    """p(1) + ... + p(n_max), the partitions `h_sequence(n_max)` visits, by
+    Euler's pentagonal recurrence; it stops at the first running total over
+    `cap` and returns that total, so the cap bounds its cost, however large
+    n_max is."""
+    p = [1]
+    total = 0
+    for n in range(1, n_max + 1):
+        pn, k = 0, 1
+        while (g := k * (3 * k - 1) // 2) <= n:  # the pentagonal numbers g and g + k
+            sign = 1 if k & 1 else -1
+            pn += sign * (p[n - g] + (p[n - g - k] if g + k <= n else 0))
+            k += 1
+        p.append(pn)
+        total += pn
+        if total > cap:
+            break
+    return total
 
 
 def h_sequence(n_max: int) -> list[int]:

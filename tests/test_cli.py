@@ -1,4 +1,3 @@
-import gc
 import hashlib
 import json
 import os
@@ -11,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from grundylab import __version__, checks, games
+from grundylab import __version__, checks, games, partitions
 from grundylab.cli import (
     EXIT_OK,
     EXIT_RESOURCE,
@@ -23,7 +22,6 @@ from grundylab.cli import (
     main,
 )
 from grundylab.closedforms import asm_ideal_grundy
-from grundylab.errors import BudgetExceededError
 from grundylab.families import asm_elements, asm_pi, asm_poset
 from helpers import asm_ruler_fibers, peak_rss_mb, run_python
 
@@ -420,7 +418,8 @@ def test_verify_suites_pass(capsys):
 # the top-bit walk of the ruler's option planes; both must reproduce them.
 # subspaces:7:2 ideal (29 212 elements, about 3 s and 122 MB, most of it
 # poset construction) runs within a 10 s budget that a pairwise containment
-# scan of its layers (16-25 s) would exceed
+# scan of its layers (16-25 s) would exceed; each runs as a child, since a
+# budget that runs out ends the process
 @pytest.mark.parametrize(
     "argv, digest",
     [
@@ -434,9 +433,8 @@ def test_verify_suites_pass(capsys):
     ],
     ids=["ideal", "ruler", "subspaces-7-2-ideal"],
 )
-def test_grundy_setpartitions_8_is_pinned(capsys, argv, digest):
-    code, out, _ = run(capsys, "grundy", *argv)
-    assert code == EXIT_OK
+def test_grundy_setpartitions_8_is_pinned(argv, digest):
+    out = run_python("-m", "grundylab.cli", "grundy", *argv, code=EXIT_OK).stdout
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
@@ -543,11 +541,14 @@ def test_table_size_flags_defaults_and_floors(capsys):
         assert {k: json.loads(out)["metadata"][k] for k in meta} == meta
         # each table takes only its own size flag, and --max on an asm table
         # is not read as a prefix of --max-elements or --max-seconds
-        other = "--n" if "max" in meta else "--max"
+        own, other = ("--max", "--n") if "max" in meta else ("--n", "--max")
         with pytest.raises(SystemExit) as exc:
             main(["tables", name, other, "30"])
         assert exc.value.code == EXIT_USAGE
-        assert capsys.readouterr().err.endswith(f" error: unrecognized arguments: {other} 30\n")
+        # reported by the table's own parser, whose usage line names its flag
+        out = capsys.readouterr()
+        assert out.out == "" and f"[{own} " in out.err.splitlines()[0]
+        assert out.err.endswith(f"grundylab tables {name}: error: unrecognized arguments: {other} 30\n")
     for name, flag, value, message in (
         ("phi", "--max", "0", "argument --max: must be at least 1"),
         ("hn", "--max", "-3", "argument --max: must be at least 1"),
@@ -564,19 +565,38 @@ def test_table_size_flags_defaults_and_floors(capsys):
 
 def test_table_row_caps_apply_before_any_row(capsys):
     started = time.monotonic()
-    for argv, rows in (
-        (("phi", "--max", str(10**5)), 10**5),
-        (("gq", "--max", "10"), 11),
-        (("hn", "--max", "11"), 11),
-        (("asm-ideal", "--n", "6"), 15),
+    for argv, size in (
+        (("phi", "--max", str(10**5)), "has 100000 rows"),
+        (("gq", "--max", "10"), "has 11 rows"),
+        # hn's DP visits p(1) + ... + p(4) = 11 partitions
+        (("hn", "--max", "4"), "visits at least 11 partitions"),
+        (("asm-ideal", "--n", "6"), "has 15 rows"),
     ):
         code, out, err = run(capsys, "tables", *argv, "--max-elements", "10")
         assert code == EXIT_RESOURCE and out == ""
-        assert f"tables {argv[0]} has {rows} rows (cap 10)" in err
+        assert err == f"resource cap: tables {argv[0]} {size} (cap 10)\n"
     # at the cap the tables are built
-    for argv in (("phi", "--max", "10"), ("gq", "--max", "9"), ("hn", "--max", "10"), ("asm-ideal", "--n", "5")):
+    for argv in (("phi", "--max", "10"), ("gq", "--max", "9"), ("hn", "--max", "3"), ("asm-ideal", "--n", "5")):
         assert run(capsys, "tables", *argv, "--max-elements", "10")[0] == EXIT_OK
     assert time.monotonic() - started < 1.0
+
+
+def test_tables_hn_counts_the_partitions_before_the_dp(monkeypatch, capsys):
+    # no budget: the count refuses it at once, however large --max is
+    started = time.monotonic()
+    proc = run_python("-m", "grundylab.cli", "tables", "hn", "--max", "100000", code=EXIT_RESOURCE)
+    assert proc.stdout == ""
+    assert proc.stderr == "resource cap: tables hn visits at least 120769 partitions (cap 100000)\n"
+    assert time.monotonic() - started < 1.0
+    # p(1) + ... + p(36) = 99 132 and p(37) = 21 637; the DP itself is
+    # stubbed, since h(1..36) takes seconds
+    code, out, err = run(capsys, "tables", "hn", "--max", "37", "--max-elements", "99132")
+    assert code == EXIT_RESOURCE and out == ""
+    assert err == "resource cap: tables hn visits at least 120769 partitions (cap 99132)\n"
+    monkeypatch.setattr(partitions, "h_sequence", lambda n_max: [0] * (n_max + 1))
+    code, out, _ = run(capsys, "tables", "hn", "--max", "36", "--max-elements", "99132", "--format", "json")
+    assert code == EXIT_OK
+    assert len(json.loads(out)["rows"]) == 36
 
 
 def test_spec_size_caps_apply_before_construction(tmp_path, capsys):
@@ -665,14 +685,21 @@ def test_usage_errors(capsys):
         out = capsys.readouterr()
         assert out.out == ""
         assert out.err.endswith(": error: argument --max-elements: must be at least 1\n")
-    # each option has one spelling: a prefix of a flag is not that flag
-    for argv in (("grundy", "chain:4", "ruler", "--max-e", "5"), ("tables", "hn", "--form", "json")):
+    # each option has one spelling: a prefix of a flag is not that flag;
+    # the sub-command's own parser reports what it does not take
+    for prog, argv in (
+        ("grundy", ("grundy", "chain:4", "ruler", "--max-e", "5")),
+        ("tables hn", ("tables", "hn", "--form", "json")),
+        ("tables asm-ruler", ("tables", "asm-ruler", "--max", "3")),
+        ("verify", ("verify", "nimber", "--max-seconds", "1")),
+    ):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == EXIT_USAGE
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.endswith(f": error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+        assert out.err.startswith(f"usage: grundylab {prog} [-h]")
+        assert out.err.endswith(f"grundylab {prog}: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
     # a table's options follow its name
     with pytest.raises(SystemExit) as exc:
         main(["tables", "--format", "json", "phi"])
@@ -690,32 +717,20 @@ def test_resource_cap_exit_code(capsys):
     assert code == EXIT_RESOURCE
 
 
-@pytest.fixture
-def without_foreign_gc_callbacks():
-    """Take out the gc callbacks that were there before the test for its
-    length.  Hypothesis keeps one for the rest of the process once any
-    `@given` test has run, and a budget alarm that lands in it is dropped
-    as unraisable, so a budget test would pass or fail by the order the
-    tests ran in."""
-    foreign = gc.callbacks[:]
-    gc.callbacks.clear()
-    yield
-    gc.callbacks[:0] = foreign
+def test_time_budget_exit_code():
+    argv = ("tables", "hn", "--max", "17", "--max-seconds", "0.000001")
+    proc = run_python("-m", "grundylab.cli", *argv, code=EXIT_RESOURCE)
+    assert proc.stdout == ""
+    assert proc.stderr == "resource cap: command not finished within 1e-06s\n"
 
 
-@pytest.mark.usefixtures("without_foreign_gc_callbacks")
-def test_time_budget_exit_code(capsys):
-    code, _, err = run(capsys, "tables", "hn", "--max", "17", "--max-seconds", "0.000001")
-    assert code == EXIT_RESOURCE
-    assert "resource cap" in err
-
-
-@pytest.mark.usefixtures("without_foreign_gc_callbacks")
-def test_time_budget_stops_hn_while_it_runs(capsys):
+def test_time_budget_stops_hn_while_it_runs():
+    # a partition cap over the 47 060 797 174 488 partitions of n <= 200
+    # lets the DP start, so that only the timer stops it
     started = time.monotonic()
-    code, _, err = run(capsys, "tables", "hn", "--max", "200", "--max-seconds", "0.5")
-    assert code == EXIT_RESOURCE
-    assert "resource cap" in err
+    argv = ("--max", "200", "--max-elements", "100000000000000", "--max-seconds", "0.5")
+    proc = run_python("-m", "grundylab.cli", "tables", "hn", *argv, code=EXIT_RESOURCE)
+    assert proc.stderr == "resource cap: command not finished within 0.5s\n"
     assert time.monotonic() - started < 3.0
 
 
@@ -727,78 +742,72 @@ def test_asm_ruler_size_cap_applies_before_construction(capsys):
     assert time.monotonic() - started < 1.0
 
 
-@pytest.mark.usefixtures("without_foreign_gc_callbacks")
-def test_time_budget_stops_the_solver_while_it_runs(capsys):
-    code, _, err = run(capsys, "grundy", "setpartitions:8", "ruler", "--max-seconds", "0.05")
-    assert code == EXIT_RESOURCE
-    assert "resource cap" in err
+def test_time_budget_stops_the_solver_while_it_runs():
+    argv = ("grundy", "setpartitions:8", "ruler", "--max-seconds", "0.05")
+    proc = run_python("-m", "grundylab.cli", *argv, code=EXIT_RESOURCE)
+    assert proc.stdout == "" and "resource cap" in proc.stderr
     # asm:30 (4495 elements): the ruler solve alone takes about 0.8 s on a
     # 2-vCPU VM, well past the budget; asm:20's takes about 0.07 s, too
     # close to it to be sure of running out
     started = time.monotonic()
-    code, _, err = run(capsys, "tables", "asm-ruler", "--n", "30", "--max-seconds", "0.05")
-    assert code == EXIT_RESOURCE
+    run_python("-m", "grundylab.cli", "tables", "asm-ruler", "--n", "30", "--max-seconds", "0.05", code=EXIT_RESOURCE)
     assert time.monotonic() - started < 3.0
     # the budget covers the solve: its option planes are made element by
     # element inside it, never all up front
     started = time.monotonic()
-    code, _, err = run(capsys, "grundy", "asm:30", "ruler", "--max-seconds", "0.05")
-    assert code == EXIT_RESOURCE
+    run_python("-m", "grundylab.cli", "grundy", "asm:30", "ruler", "--max-seconds", "0.05", code=EXIT_RESOURCE)
     assert time.monotonic() - started < 1.5
 
 
-@pytest.mark.usefixtures("without_foreign_gc_callbacks")
-def test_time_budget_repeats_an_alarm_that_was_lost(capsys, monkeypatch):
-    # an exception raised inside a gc callback is reported to
-    # sys.unraisablehook and dropped; the first collection after the timer
-    # is armed stays busy past the budget, so the first alarm lands there
-    # and only a repeat can stop the command (setpartitions:9 tt takes
-    # about 1 s unbudgeted).  A gc threshold of 1 starts that collection at
-    # the next allocation, well before the 0.05 s alarm, even on a loaded
-    # machine where ordinary code could otherwise take the first alarm
-    lost = []
-    monkeypatch.setattr(sys, "unraisablehook", lambda unraisable: lost.append(unraisable.exc_value))
-    busy = []
+# The first collection after the timer is armed writes "busy" and stays busy
+# for 0.2 s, past the 0.05 s budget, so the alarm lands in a gc callback,
+# where Python drops any exception it raises; a gc threshold of 1 starts
+# that collection at the next allocation.  Unbudgeted, setpartitions:9 tt
+# takes about 1 s.
+ALARM_IN_A_GC_CALLBACK = """
+import gc, signal, sys, time
+from grundylab.cli import main
 
-    def busy_once_armed(phase, info):
-        if not busy and signal.getitimer(signal.ITIMER_REAL)[0] > 0:
-            busy.append(phase)
-            end = time.monotonic() + 0.2
-            while time.monotonic() < end:
-                pass
-
-    thresholds = gc.get_threshold()
-    gc.callbacks.append(busy_once_armed)
-    gc.set_threshold(1)
-    try:
-        started = time.monotonic()
-        code, _, err = run(capsys, "grundy", "setpartitions:9", "tt", "--max-seconds", "0.05")
-    finally:
-        gc.set_threshold(*thresholds)
+def busy_once_armed(phase, info):
+    if signal.getitimer(signal.ITIMER_REAL)[0] > 0 and busy_once_armed in gc.callbacks:
         gc.callbacks.remove(busy_once_armed)
-    assert lost and all(isinstance(e, BudgetExceededError) for e in lost)
-    assert code == EXIT_RESOURCE and "within 0.05s" in err
+        print("busy", flush=True)
+        end = time.monotonic() + 0.2
+        while time.monotonic() < end:
+            pass
+        print("not stopped", flush=True)
+
+gc.callbacks.append(busy_once_armed)
+gc.set_threshold(1)
+sys.exit(main(["grundy", "setpartitions:9", "tt", "--max-seconds", "0.05"]))
+"""
+
+
+def test_time_budget_stops_a_run_whose_alarm_lands_in_a_gc_callback():
+    started = time.monotonic()
+    proc = run_python("-c", ALARM_IN_A_GC_CALLBACK, code=EXIT_RESOURCE)
     assert time.monotonic() - started < 1.0
+    # the process ended inside the callback, with the cap line alone
+    assert proc.stdout == "busy\n"
+    assert proc.stderr == "resource cap: command not finished within 0.05s\n"
 
 
-@pytest.mark.usefixtures("without_foreign_gc_callbacks")
-def test_time_budget_covers_poset_construction(capsys):
+def test_time_budget_covers_poset_construction():
     # every run spends its budget building the poset, before any solve
     started = time.monotonic()
-    code, _, err = run(capsys, "grundy", "subspaces:7:2", "ideal", "--max-seconds", "0.5")
-    assert code == EXIT_RESOURCE
-    assert "within 0.5s" in err
+    argv = ("grundy", "subspaces:7:2", "ideal", "--max-seconds", "0.5")
+    proc = run_python("-m", "grundylab.cli", *argv, code=EXIT_RESOURCE)
+    assert "within 0.5s" in proc.stderr
     assert time.monotonic() - started < 3.0
     started = time.monotonic()
-    code, _, err = run(capsys, "grundy", "setpartitions:9", "tt", "--max-seconds", "0.05")
-    assert code == EXIT_RESOURCE
+    run_python("-m", "grundylab.cli", "grundy", "setpartitions:9", "tt", "--max-seconds", "0.05", code=EXIT_RESOURCE)
     assert time.monotonic() - started < 1.0
     # Pi_10 (115 975 elements) is under this element cap, so only the budget stops it
     started = time.monotonic()
     argv = ("setpartitions:10", "ideal", "--max-elements", "200000", "--max-seconds", "0.3")
-    code, out, err = run(capsys, "grundy", *argv)
-    assert code == EXIT_RESOURCE and out == ""
-    assert "command not finished within 0.3s" in err
+    proc = run_python("-m", "grundylab.cli", "grundy", *argv, code=EXIT_RESOURCE)
+    assert proc.stdout == ""
+    assert proc.stderr == "resource cap: command not finished within 0.3s\n"
     assert time.monotonic() - started < 1.0
 
 
@@ -812,7 +821,6 @@ def test_time_budget_must_be_positive_and_finite(capsys, seconds):
     assert err.endswith("grundylab grundy: error: argument --max-seconds: must be positive and at most 1e9\n")
 
 
-@pytest.mark.usefixtures("without_foreign_gc_callbacks")
 def test_time_budget_restores_the_timer_and_the_handler(capsys):
     def sentinel(signum, frame):
         raise AssertionError("SIGALRM reached the handler installed before main")
@@ -821,8 +829,6 @@ def test_time_budget_restores_the_timer_and_the_handler(capsys):
     try:
         for argv, expected in [
             (("grundy", "chain:4", "ruler", "--max-seconds", "60"), EXIT_OK),
-            (("tables", "hn", "--max", "200", "--max-seconds", "0.05"), EXIT_RESOURCE),
-            (("tables", "hn", "--max-seconds", "0.000001"), EXIT_RESOURCE),
             (("grundy", "pentagon:9", "ruler", "--max-seconds", "60"), EXIT_USAGE),
         ]:
             code, _, _ = run(capsys, *argv)

@@ -755,6 +755,47 @@ def test_product_rulers_match_divisor_ruler():
     assert_grundy_respects_isomorphism(prod, fam, d12, ruler_family(d12), mapping)
 
 
+# Lenstra's product theorem: an interval of P x Q is a product of intervals
+# and a principal ideal a product of principal ideals, so the ruler and the
+# ideal family on P x Q are the product families of their factors', whose
+# values are the nim products of the factors' values (for the ideal, values
+# 0 and 1, a plain AND).  The product's carry sources, delta walks and
+# plane widths differ from the factors', so this checks the solver's
+# kernels on boards of thousands of elements.
+PRODUCT_RULES = {"ruler": (ruler_family, nim_mul), "ideal": (order_ideal_family, lambda a, b: a & b)}
+
+
+def assert_product_theorem(p, q, family):
+    build, times = PRODUCT_RULES[family]
+    gp, gq = solve_elementwise(build(p)).values, solve_elementwise(build(q)).values
+    pq = product(p, q)
+    values = solve_elementwise(build(pq)).values
+    assert [values[pq.ids[a * q.n + b]] for a in range(p.n) for b in range(q.n)] == [
+        times(x, y) for x in gp for y in gq
+    ]
+
+
+@pytest.mark.parametrize("family", sorted(PRODUCT_RULES))
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (lambda: asm_poset(12), lambda: chain(16)),
+        (lambda: set_partition_poset(5), lambda: divisor_poset(360)),
+        (lambda: subspace_lattice(4, 2), lambda: asm_poset(8)),
+        (lambda: chain(300), lambda: chain(6)),
+    ],
+    ids=["asm12-chain16", "setpartitions5-divisors360", "subspaces4-2-asm8", "chain300-chain6"],
+)
+def test_product_theorem_on_large_products(p, q, family):
+    assert_product_theorem(p(), q(), family)
+
+
+@pytest.mark.deep
+def test_product_theorem_on_asm30_times_chain4():
+    # 17 980 elements, values up to 1024
+    assert_product_theorem(asm_poset(30), chain(4), "ruler")
+
+
 def test_grundy_respects_isomorphism():
     d12 = divisor_poset(12)
     fam = ruler_family(d12)

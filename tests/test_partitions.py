@@ -9,6 +9,7 @@ from grundylab.games import ruler_family, solve_elementwise
 from grundylab.nimber import mex
 from grundylab.partitions import (
     H_ROW,
+    count_partitions_up_to,
     decompositions,
     g_of_type,
     h_sequence,
@@ -161,6 +162,15 @@ def test_h_sequence_table():
     h = h_sequence(12)
     assert h[1:] == H_TABLE[:12]
     assert h[4] == 4
+
+
+def test_partition_count_matches_the_enumerator():
+    total = 0
+    for n in range(1, 25):
+        total += len(partitions_of(n))
+        assert count_partitions_up_to(n, total) == total
+    # it stops at the first running total over the cap: 1 + 2 + 3 + 5
+    assert count_partitions_up_to(10**9, 10) == 11
 
 
 def test_dp_option_sums_match_the_recurrence():
