@@ -78,7 +78,7 @@ def _render(fmt: str, columns: tuple[str, ...], rows: list[tuple], metadata: dic
 
 
 class SpecError(Exception):
-    """Unparseable poset spec or family name."""
+    """Unparseable poset spec."""
 
 
 def parse_poset_spec(spec: str, max_elements: int) -> "FinitePoset":
@@ -199,9 +199,8 @@ def _table_hn(args) -> tuple:
     return ("n", "h"), rows, meta
 
 
-# h(18..20) from the DP were checked once against the M_n recurrence
-# (`partitions.s_of_mu`), 20, 41 and 78 s (n = 18, 19, 20) on a shared
-# 2-vCPU VM with Python 3.11.
+# the last h(n) checked against the M_n recurrence (`partitions.s_of_mu`),
+# by test_h_sequence_matches_the_literal_mex_loop_to_the_confirmed_bound
 _HN_RECURRENCE_MAX = 20
 
 
@@ -327,12 +326,22 @@ def _at_least(low: int):
 _SIZE_FLAGS = {"max": (1, "row bound"), "n": (2, "board size")}
 
 
+class _Parser(argparse.ArgumentParser):
+    """Refuses an unrecognized argument with its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        args, extra = super().parse_known_args(args, namespace)
+        if extra:
+            self.error(f"unrecognized arguments: {' '.join(extra)}")
+        return args, extra
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="grundylab",
         description="Grundy values of coin-turning games on finite posets",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True)  # every sub-parser, at every level, is a _Parser too
 
     def add_output_and_caps(p):
         p.add_argument("--format", choices=("text", "csv", "json"), default="text")
@@ -347,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("poset", help="chain:N | divisors:N | subspaces:N:Q | setpartitions:N | asm:N | file:PATH")
     g.add_argument("family", choices=FAMILY_NAMES)
     add_output_and_caps(g)
-    g.set_defaults(func=cmd_grundy, parser=g)
+    g.set_defaults(func=cmd_grundy)
 
     tables = sub.add_parser("tables", help="reference tables").add_subparsers(dest="name", required=True)
     for name, (_, flag, default, _) in sorted(_TABLES.items()):
@@ -355,11 +364,11 @@ def build_parser() -> argparse.ArgumentParser:
         t = tables.add_parser(name, allow_abbrev=False)
         t.add_argument(f"--{flag}", type=_at_least(floor), default=default, help=f"{what} (default {default})")
         add_output_and_caps(t)
-        t.set_defaults(func=cmd_tables, parser=t)
+        t.set_defaults(func=cmd_tables)
 
     v = sub.add_parser("verify", help="run verification suites")
     v.add_argument("suite", choices=SUITE_NAMES)
-    v.set_defaults(func=cmd_verify, parser=v)
+    v.set_defaults(func=cmd_verify)
     return parser
 
 
@@ -384,9 +393,7 @@ def _time_budget(seconds: float):
 
 
 def main(argv=None) -> int:
-    args, extra = build_parser().parse_known_args(argv)
-    if extra:  # reported by the sub-command's parser, with its usage line
-        args.parser.error(f"unrecognized arguments: {' '.join(extra)}")
+    args = build_parser().parse_args(argv)
     budget = getattr(args, "max_seconds", None)
     try:
         with _time_budget(budget) if budget is not None else nullcontext():

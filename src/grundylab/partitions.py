@@ -10,10 +10,10 @@ sequence h(n) = value of the one-block partition.  The paper computes it by
 
 where M_n(lam, mu) counts the set partitions of type lam above a fixed one
 of type mu, and m * a means a nim-added to itself m times (so only the
-parity of M matters).  `s_of_mu`, `multiplicity_M` and `decompositions`
-implement that recurrence literally and serve as the oracle;
-`decompositions` draws every component from `partitions_of`, the one
-partition enumerator here.
+parity of M matters).  `s_of_mu` and `multiplicity_M` implement that
+recurrence literally and serve as the oracle.  They count the coarsenings
+of a fixed set partition of type mu from the definition: its blocks are
+taken in order, and each opens a new group or joins one made so far.
 
 `h_sequence` evaluates the same sums by a DP over block multisets (the
 exponential formula, Stanley EC2 5.1).  Fix a set partition of type S and
@@ -40,7 +40,6 @@ from __future__ import annotations
 from collections import Counter
 from functools import lru_cache
 from itertools import groupby
-from math import factorial
 
 from .nimber import mex, nim_mul, nim_product
 
@@ -77,64 +76,29 @@ def partitions_of(n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(iter_partitions(n))
 
 
-@lru_cache(maxsize=None)
-def _counted_partitions(n: int) -> tuple[tuple[tuple[int, ...], Counter], ...]:
-    """Each partition of `partitions_of(n)` with the Counter of its parts;
-    read-only, shared by every `decompositions` call."""
-    return tuple((comp, Counter(comp)) for comp in partitions_of(n))
-
-
-def decompositions(lam, mu) -> list[tuple[tuple[int, ...], ...]]:
-    """All ways to write mu as a multiset union of sub-partitions, one of
-    weight lam_i per part of lam, as canonical multisets.
-
-    Parts of lam are matched in decreasing order, each to a partition from
-    `partitions_of` whose parts are still unused in mu; inside a run of
-    equal parts the components are forced weakly decreasing, so each
-    multiset appears exactly once and no dedup pass is needed.
-    """
-    if sum(mu) != sum(lam):
-        return []
-    lam = sorted(lam, reverse=True)
-    results: list[tuple[tuple[int, ...], ...]] = []
-
-    def rec(i, left, acc):
-        if i == len(lam):
-            results.append(acc)
-            return
-        for comp, use in _counted_partitions(lam[i]):
-            if use <= left and not (i and lam[i] == lam[i - 1] and comp > acc[-1]):
-                rec(i + 1, left - use, acc + (comp,))
-
-    rec(0, Counter(mu), ())
-    return results
-
-
-def _mult_factorial(part) -> int:
-    out = 1
-    for c in Counter(part).values():
-        out *= factorial(c)
-    return out
+def _coarsenings(mu) -> Counter:
+    """The coarsenings of a fixed set partition of type mu, counted by
+    type: entry lam is M_n(lam, mu).  A state is the sorted tuple of the
+    sizes of the groups made so far, with the number of groupings of the
+    blocks taken so far that reach it."""
+    states = Counter({(): 1})
+    for p in mu:
+        grown = Counter()
+        for groups, ways in states.items():
+            grown[tuple(sorted(groups + (p,), reverse=True))] += ways
+            for i, size in enumerate(groups):
+                joined = groups[:i] + (size + p,) + groups[i + 1 :]
+                grown[tuple(sorted(joined, reverse=True))] += ways
+        states = grown
+    return states
 
 
 def multiplicity_M(lam, mu) -> int:
     """Number of set partitions of type lam lying above any fixed set
-    partition of type mu; zero unless mu refines lam.
-
-    Each decomposition nu contributes the multinomial of mu's part
-    multiplicities over the component part multiplicities, divided by the
-    multiplicities of repeated components.
-    """
+    partition of type mu; zero unless mu refines lam."""
     if sum(lam) != sum(mu):
         raise ValueError(f"|{lam}| != |{mu}|")
-    total = 0
-    numerator = _mult_factorial(mu)
-    for nu in decompositions(lam, mu):
-        denom = _mult_factorial(nu)
-        for comp in nu:
-            denom *= _mult_factorial(comp)
-        total += numerator // denom
-    return total
+    return _coarsenings(mu)[tuple(sorted(lam, reverse=True))]
 
 
 def g_of_type(lam, h) -> int:
@@ -148,10 +112,8 @@ def s_of_mu(n: int, mu, h) -> int:
     anchored at a partition of type mu: nim-sum of M_n(lam, mu) * g_n(lam)
     over types lam above mu, the top type (n) excluded."""
     acc = 0
-    for lam in partitions_of(n):
-        if lam == (n,):
-            continue
-        if multiplicity_M(lam, mu) & 1:
+    for lam, count in _coarsenings(mu).items():
+        if count & 1 and lam != (n,):
             acc ^= g_of_type(lam, h)
     return acc
 

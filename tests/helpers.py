@@ -22,7 +22,7 @@ from pathlib import Path
 
 from grundylab.games import TurningFamily, solve_elementwise
 from grundylab.nimber import mex
-from grundylab.partitions import decompositions, partitions_of
+from grundylab.partitions import multiplicity_M, partitions_of
 from grundylab.poset import FinitePoset, iter_bits
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -84,9 +84,10 @@ def product(p, q):
 
 
 def refines(mu, lam):
-    """True when the parts of lam split into groups of parts of mu, every
-    part of mu used once."""
-    return bool(decompositions(lam, mu))
+    """True when the parts of mu group into the parts of lam, every part
+    of mu used once: some set partition of type lam lies above one of type
+    mu."""
+    return multiplicity_M(lam, mu) > 0
 
 
 def refinement_poset(n):

@@ -686,20 +686,22 @@ def test_usage_errors(capsys):
         assert out.out == ""
         assert out.err.endswith(": error: argument --max-elements: must be at least 1\n")
     # each option has one spelling: a prefix of a flag is not that flag;
-    # the sub-command's own parser reports what it does not take
-    for prog, argv in (
-        ("grundy", ("grundy", "chain:4", "ruler", "--max-e", "5")),
-        ("tables hn", ("tables", "hn", "--form", "json")),
-        ("tables asm-ruler", ("tables", "asm-ruler", "--max", "3")),
-        ("verify", ("verify", "nimber", "--max-seconds", "1")),
+    # the parser that met an option, the sub-command's or the top level's,
+    # reports it
+    for prog, argv, extra in (
+        ("grundylab grundy", ("grundy", "chain:4", "ruler", "--max-e", "5"), "--max-e 5"),
+        ("grundylab tables hn", ("tables", "hn", "--form", "json"), "--form json"),
+        ("grundylab tables asm-ruler", ("tables", "asm-ruler", "--max", "3"), "--max 3"),
+        ("grundylab verify", ("verify", "nimber", "--max-seconds", "1"), "--max-seconds 1"),
+        ("grundylab", ("--foo", "grundy", "chain:4", "ruler"), "--foo"),
     ):
         with pytest.raises(SystemExit) as exc:
             main(list(argv))
         assert exc.value.code == EXIT_USAGE
         out = capsys.readouterr()
         assert out.out == ""
-        assert out.err.startswith(f"usage: grundylab {prog} [-h]")
-        assert out.err.endswith(f"grundylab {prog}: error: unrecognized arguments: {' '.join(argv[-2:])}\n")
+        assert out.err.startswith(f"usage: {prog} [-h]")
+        assert out.err.endswith(f"{prog}: error: unrecognized arguments: {extra}\n")
     # a table's options follow its name
     with pytest.raises(SystemExit) as exc:
         main(["tables", "--format", "json", "phi"])

@@ -4,13 +4,13 @@ from itertools import combinations
 
 import pytest
 
+from grundylab.cli import _HN_RECURRENCE_MAX
 from grundylab.families import set_partition_poset
 from grundylab.games import ruler_family, solve_elementwise
 from grundylab.nimber import mex
 from grundylab.partitions import (
     H_ROW,
     count_partitions_up_to,
-    decompositions,
     g_of_type,
     h_sequence,
     iter_partitions,
@@ -59,43 +59,19 @@ def test_refines_examples():
         assert refines(lam, (6,))
 
 
-def test_decompositions_worked_example():
-    got = decompositions((4, 2), (2, 2, 1, 1))
-    assert sorted(got) == sorted([((2, 2), (1, 1)), ((2, 1, 1), (2,))])
-    assert decompositions((3, 1), (2, 1, 1)) == [((2, 1), (1,))]
-    for lam in partitions_of(5):
-        assert decompositions(lam, lam) == [tuple((p,) for p in lam)]
-    assert decompositions((7, 4), (5, 5, 1)) == []
-
-
-def test_decompositions_components_recombine():
-    for lam in partitions_of(7):
-        for mu in partitions_of(7):
-            for nu in decompositions(lam, mu):
-                assert tuple(sorted((sum(c) for c in nu), reverse=True)) == lam
-                merged = []
-                for c in nu:
-                    merged.extend(c)
-                assert tuple(sorted(merged, reverse=True)) == mu
-            seen = set(decompositions(lam, mu))
-            assert len(seen) == len(decompositions(lam, mu))
-
-
 @pytest.mark.parametrize("n", range(1, 9))
-def test_decompositions_are_complete(n):
+def test_multiplicity_counts_every_grouping_of_the_blocks(n):
     # independent reference: group the parts of mu by every restricted
-    # growth string, and bucket each canonical grouping by its sums
+    # growth string, and count the groupings by their sorted group sums
     for mu in partitions_of(n):
-        expected = {lam: set() for lam in partitions_of(n)}
+        expected = Counter()
         for rgs in restricted_growth_strings(len(mu)):
-            groups = [[] for _ in range(max(rgs) + 1)]
+            sums = [0] * (max(rgs) + 1)
             for part, g in zip(mu, rgs):
-                groups[g].append(part)
-            groups = [tuple(sorted(c, reverse=True)) for c in groups]
-            lam = tuple(sorted((sum(c) for c in groups), reverse=True))
-            expected[lam].add(tuple(sorted(groups, key=lambda c: (sum(c), c), reverse=True)))
+                sums[g] += part
+            expected[tuple(sorted(sums, reverse=True))] += 1
         for lam in partitions_of(n):
-            assert set(decompositions(lam, mu)) == expected[lam], (lam, mu)
+            assert multiplicity_M(lam, mu) == expected[lam], (lam, mu)
 
 
 def test_multiplicity_worked_values():
@@ -188,7 +164,7 @@ def test_dp_option_sums_match_the_recurrence():
             coarse[mu] = s ^ h[n]
 
 
-def test_h_sequence_matches_the_literal_mex_loop(top=12):
+def test_h_sequence_matches_the_literal_mex_loop(top=len(H_ROW)):
     h = [0, 1]
     for n in range(2, top + 1):
         h.append(mex(s_of_mu(n, mu, h) for mu in partitions_of(n)))
@@ -196,9 +172,10 @@ def test_h_sequence_matches_the_literal_mex_loop(top=12):
 
 
 @pytest.mark.deep
-def test_h_sequence_matches_the_literal_mex_loop_to_14():
-    # the paper's M_n recurrence, by the literal mex over s_of_mu
-    test_h_sequence_matches_the_literal_mex_loop(14)
+def test_h_sequence_matches_the_literal_mex_loop_to_the_confirmed_bound():
+    # the paper's M_n recurrence, by the literal mex over s_of_mu, to the
+    # last h(n) that `tables hn` labels confirmed by it
+    test_h_sequence_matches_the_literal_mex_loop(_HN_RECURRENCE_MAX)
 
 
 def test_h_sequence_past_the_paper_table():
@@ -230,8 +207,8 @@ def test_grundy_values_constant_on_type_classes():
 
 
 def test_refinement_poset_is_valid_partial_order():
-    # the poset is built from part merges; `refines` (a decomposition
-    # search) is the independent relation its masks are checked against
+    # the poset is built from part merges; `refines` (a coarsening
+    # count) is the independent relation its masks are checked against
     for n in range(1, 13):
         p = refinement_poset(n)
         pars = partitions_of(n)
